@@ -2,15 +2,14 @@
 """Emit the K-type tables for a range of ranks as JSON or CSV files.
 
 Writes one file per rank into the output directory, computed from the
-alternating coset sum, plus a companion file from the Laplacian kernel
-so the two can be diffed byte for byte.
+alternating coset sum (`lieball ktypes`), plus a companion file from the
+Laplacian kernel (`lieball harmonic`) so the two can be diffed byte for byte.
 """
 
 import argparse
 import pathlib
 
-from lieball.blattner import ktype_table
-from lieball.harmonic import sol_ktype_table
+from lieball.cli import main as cli_main
 
 
 def main() -> int:
@@ -24,16 +23,16 @@ def main() -> int:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = args.format
     for m in range(args.min_m, args.max_m + 1):
-        lam = m - 1
-        algebraic = ktype_table(m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
-        analytic = sol_ktype_table(m, args.max_l)
-        for tag, table in (("euler", algebraic), ("kernel", analytic)):
-            path = out_dir / f"ktypes_m{m}_{tag}.{ext}"
-            text = table.to_json() if ext == "json" else table.to_csv()
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path} ({len(table.entries)} entries)")
+        for tag, command in (("euler", "ktypes"), ("kernel", "harmonic")):
+            path = out_dir / f"ktypes_m{m}_{tag}.{args.format}"
+            code = cli_main(
+                [command, "--m", str(m), "--max-l", str(args.max_l),
+                 "--format", args.format, "--out", str(path)]
+            )
+            if code != 0:
+                return code
+            print(f"wrote {path}")
     return 0
 
 

@@ -13,7 +13,6 @@ and an Euler characteristic otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -114,7 +113,7 @@ class KTypeTable:
 
     entries maps KTypeParam to a nonzero integer; the scan bounds record the
     window μ_0 ≤ max_mu0, μ_1 ≤ max_mu1 the table was computed over (None
-    when the table was parsed from serialized form).
+    when no window was given).
     """
 
     m: int
@@ -125,38 +124,6 @@ class KTypeTable:
 
     def sorted_entries(self) -> List[Tuple[KTypeParam, int]]:
         return sorted(self.entries.items(), key=lambda kv: (kv[0].mu0, kv[0].mu))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "lambda": self.lam,
-            "entries": [
-                {"mu0": pi.mu0, "mu": list(pi.mu), "mult": mult}
-                for pi, mult in self.sorted_entries()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KTypeTable":
-        entries = {
-            KTypeParam(int(e["mu0"]), tuple(int(c) for c in e["mu"])): int(e["mult"])
-            for e in data["entries"]
-        }
-        return cls(m=int(data["m"]), lam=int(data["lambda"]), entries=entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KTypeTable":
-        return cls.from_json_dict(json.loads(text))
-
-    def to_csv(self) -> str:
-        header = "mu0," + ",".join(f"mu_{i}" for i in range(1, self.m + 1)) + ",mult"
-        lines = [header]
-        for pi, mult in self.sorted_entries():
-            lines.append(",".join(str(c) for c in (pi.mu0, *pi.mu, mult)))
-        return "\n".join(lines) + "\n"
 
     def same_entries(self, other: "KTypeTable") -> bool:
         return self.m == other.m and self.entries == other.entries

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import List, Optional, Sequence, Tuple
 
 from .blattner import KTypeTable, ktype_table, unique_scalar_match_check
-from .harmonic import CertificationError, so_invariance_check, sol_ktype_table
+from .harmonic import (
+    CertificationError,
+    harmonic_dimension,
+    so_invariance_check,
+    sol_ktype_table,
+)
 from .repdata import (
     ehw_first_reduction_point,
     ehw_last_unitary_point,
@@ -27,6 +32,7 @@ from .repdata import (
     range_verdict,
     verma_hom_condition,
     verma_inf_char,
+    weyl_dim_so2m,
 )
 from .weyl import (
     enumerate_coset_reps,
@@ -44,62 +50,61 @@ VERIFY_VERMA_DEGREES = 5
 VERIFY_EQUIVARIANCE_TRIALS = 15
 
 
-def _fmt_q(x: Q) -> str:
-    return str(x)
-
-
 def _fmt_weight(w) -> str:
-    return "(" + ", ".join(_fmt_q(Q(c)) for c in w) + ")"
+    return "(" + ", ".join(str(Q(c)) for c in w) + ")"
 
 
 def _json_q(x: Q):
     return int(x) if x.denominator == 1 else str(x)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _cell(x) -> str:
+    """One value as written in text and CSV: booleans lower case, None empty."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return "" if x is None else str(x)
+
+
+@dataclass
+class Report:
+    """What one subcommand reports, in each output format.
+
+    text holds the lines of the text format, rows the CSV rows (header
+    first), payload the JSON document; code is the exit code.
+    """
+
+    text: List[str]
+    rows: List[list]
+    payload: dict
+    code: int = 0
+
+
+def render(report: Report, fmt: str) -> str:
+    """The report in one --format: text, json or csv."""
+    if fmt == "json":
+        return json.dumps(report.payload, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(_cell(c) for c in row) for row in report.rows]
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _table_text(table: KTypeTable, semantics: str) -> str:
-    lines = [
-        f"K-type table  m={table.m}  lambda={table.lam}  ({semantics})",
-        f"window: mu0 <= {table.max_mu0}, mu1 <= {table.max_mu1}",
-        "mu0  mu  mult",
-    ]
-    for pi, mult in table.sorted_entries():
-        lines.append(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}")
-    lines.append(f"entries: {len(table.entries)}")
+        lines = report.text
     return "\n".join(lines) + "\n"
 
 
-def _render_table(table: KTypeTable, fmt: str, semantics: str) -> str:
-    if fmt == "json":
-        return table.to_json()
-    if fmt == "csv":
-        return table.to_csv()
-    return _table_text(table, semantics)
-
-
-def _threads_cap(parser: argparse.ArgumentParser) -> int:
-    """Validate the LIEBALL_THREADS cap; computation runs on one worker."""
-    raw = os.environ.get("LIEBALL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        parser.error(f"LIEBALL_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        parser.error(f"LIEBALL_THREADS must be a positive integer, got {raw!r}")
-    return min(cap, 1)
+def _table_report(table: KTypeTable, text: List[str]) -> Report:
+    """A K-type table in the JSON and CSV layout shared by ktypes and harmonic."""
+    entries = table.sorted_entries()
+    header = ["mu0", *(f"mu_{i}" for i in range(1, table.m + 1)), "mult"]
+    return Report(
+        text=text,
+        rows=[header, *([pi.mu0, *pi.mu, mult] for pi, mult in entries)],
+        payload={
+            "m": table.m,
+            "lambda": table.lam,
+            "entries": [
+                {"mu0": pi.mu0, "mu": list(pi.mu), "mult": mult} for pi, mult in entries
+            ],
+        },
+    )
 
 
 def _check_m(parser: argparse.ArgumentParser, m: int, bound: Optional[int] = None) -> None:
@@ -109,31 +114,35 @@ def _check_m(parser: argparse.ArgumentParser, m: int, bound: Optional[int] = Non
         parser.error(f"--m exceeds the enumeration bound {bound}")
 
 
-def cmd_ktypes(args, parser) -> int:
-    _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
+def _integer_lambda(args, parser: argparse.ArgumentParser) -> int:
+    """--lambda, defaulting to m - 1, for subcommands that need an integer."""
     lam = args.lam if args.lam is not None else args.m - 1
     if lam != int(lam):
-        parser.error("--lambda must be an integer for ktypes")
-    lam = int(lam)
+        parser.error(f"--lambda must be an integer for {args.command}")
+    return int(lam)
+
+
+def cmd_ktypes(args, parser) -> Report:
+    _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
+    lam = _integer_lambda(args, parser)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
     semantics = (
         "multiplicity"
         if range_verdict(args.m, lam).weakly_fair
         else "Euler characteristic"
     )
-    _emit(_render_table(table, args.format, semantics), args.out)
-    return 0
+    return _table_report(table, [
+        f"K-type table  m={table.m}  lambda={table.lam}  ({semantics})",
+        f"window: mu0 <= {table.max_mu0}, mu1 <= {table.max_mu1}",
+        "mu0  mu  mult",
+        *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}" for pi, mult in table.sorted_entries()),
+        f"entries: {len(table.entries)}",
+    ])
 
 
-def cmd_harmonic(args, parser) -> int:
-    _check_m(parser, args.m, None)
+def cmd_harmonic(args, parser) -> Report:
+    _check_m(parser, args.m)
     table = sol_ktype_table(args.m, args.max_l)
-    if args.format in ("json", "csv"):
-        _emit(_render_table(table, args.format, "multiplicity"), args.out)
-        return 0
-    from .harmonic import harmonic_dimension
-    from .repdata import weyl_dim_so2m
-
     lines = [
         f"harmonic kernel K-types  m={args.m}  lambda={args.m - 1}",
         "mu0  mu  mult  kernel_dim  weyl_dim",
@@ -144,8 +153,7 @@ def cmd_harmonic(args, parser) -> int:
         wd = weyl_dim_so2m(args.m, pi.mu)
         lines.append(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}  {kd}  {wd}")
     lines.append(f"certified rows: {len(table.entries)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _table_report(table, lines)
 
 
 def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
@@ -193,7 +201,7 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
     detail = f"lambda={lam} weakly_fair={verdict.weakly_fair} good={verdict.good}"
     if witness_ok:
         root, pairing = verdict.good_witnesses[0]
-        detail += f"; good witness <shift, {_fmt_weight(root)}> = {_fmt_q(pairing)}"
+        detail += f"; good witness <shift, {_fmt_weight(root)}> = {pairing}"
     record(
         "positivity ranges",
         verdict.weakly_fair and not verdict.good and witness_ok,
@@ -231,244 +239,182 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
     return checks, all(c["pass"] for c in checks)
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args, parser) -> Report:
     _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
     checks, ok = _verify_checks(args.m, args.max_l, args.seed)
-    if args.format == "json":
-        payload = {
-            "m": args.m,
-            "lambda": args.m - 1,
-            "max_l": args.max_l,
-            "seed": args.seed,
-            "checks": checks,
-            "pass": ok,
-        }
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        lines = ["check,pass,detail"]
-        for c in checks:
-            detail = c["detail"].replace('"', '""')
-            lines.append(f"{c['name']},{str(c['pass']).lower()},\"{detail}\"")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"verification report  m={args.m}  lambda={args.m - 1}  "
-            f"max_l={args.max_l}  seed={args.seed}"
-        ]
-        for c in checks:
-            flag = "PASS" if c["pass"] else "FAIL"
-            lines.append(f"[{flag}] {c['name']}: {c['detail']}")
-        passed = sum(1 for c in checks if c["pass"])
-        lines.append(f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    passed = sum(1 for c in checks if c["pass"])
+    text = [
+        f"verification report  m={args.m}  lambda={args.m - 1}  "
+        f"max_l={args.max_l}  seed={args.seed}",
+        *(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: {c['detail']}" for c in checks),
+        f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})",
+    ]
+    # The CSV detail is always quoted: it holds commas.
+    rows = [["check", "pass", "detail"]]
+    rows += [[c["name"], c["pass"], '"' + c["detail"].replace('"', '""') + '"'] for c in checks]
+    payload = {
+        "m": args.m,
+        "lambda": args.m - 1,
+        "max_l": args.max_l,
+        "seed": args.seed,
+        "checks": checks,
+        "pass": ok,
+    }
+    return Report(text, rows, payload, code=0 if ok else 1)
 
 
-def cmd_weyl(args, parser) -> int:
+def cmd_weyl(args, parser) -> Report:
     _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
     reps = enumerate_coset_reps(args.m)
-    rows = []
+    header = ["index", "length", "window", "inversions"]
+    text = [f"coset representatives  m={args.m}  count={len(reps)}", "  ".join(header)]
+    rows = [header]
+    elements = []
     for idx, w in enumerate(reps):
-        inv = inversion_set(w)
-        rows.append(
-            {
-                "index": idx,
-                "length": length(w),
-                "window": list(one_line_window(w)),
-                "inversions": [[int(c) for c in alpha] for alpha in inv],
-            }
+        window = list(one_line_window(w))
+        inversions = [[int(c) for c in alpha] for alpha in inversion_set(w)]
+        elements.append(
+            {"index": idx, "length": length(w), "window": window, "inversions": inversions}
         )
-    if args.format == "json":
-        _emit(_json_dumps({"m": args.m, "count": len(reps), "elements": rows}), args.out)
-    elif args.format == "csv":
-        lines = ["index,length,window,inversions"]
-        for r in rows:
-            window = " ".join(str(x) for x in r["window"])
-            invs = ";".join(" ".join(str(c) for c in a) for a in r["inversions"])
-            lines.append(f"{r['index']},{r['length']},{window},{invs}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"coset representatives  m={args.m}  count={len(reps)}"]
-        lines.append("index  length  window  inversions")
-        for r in rows:
-            window = "(" + ", ".join(str(x) for x in r["window"]) + ")"
-            invs = (
-                " ".join("(" + ",".join(str(c) for c in a) + ")" for a in r["inversions"])
-                or "-"
-            )
-            lines.append(f"{r['index']}  {r['length']}  {window}  {invs}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        # Text writes a root as (1,1,0) and the window as a tuple; CSV uses
+        # spaces inside a cell and ';' between roots.
+        invs = " ".join("(" + ",".join(map(str, a)) + ")" for a in inversions) or "-"
+        text.append(f"{idx}  {length(w)}  {_fmt_weight(window)}  {invs}")
+        rows.append([
+            idx,
+            length(w),
+            " ".join(map(str, window)),
+            ";".join(" ".join(map(str, a)) for a in inversions),
+        ])
+    return Report(text, rows, {"m": args.m, "count": len(reps), "elements": elements})
 
 
-def cmd_ranges(args, parser) -> int:
-    _check_m(parser, args.m, None)
-    lam = args.lam if args.lam is not None else args.m - 1
-    if lam != int(lam):
-        parser.error("--lambda must be an integer for ranges")
-    lam = int(lam)
+def _witnesses_json(witnesses) -> List[dict]:
+    return [{"root": [int(c) for c in root], "pairing": _json_q(p)} for root, p in witnesses]
+
+
+def cmd_ranges(args, parser) -> Report:
+    _check_m(parser, args.m)
+    lam = _integer_lambda(args, parser)
     verdict = range_verdict(args.m, lam)
     chi = inf_char(args.m, lam)
     regular = is_regular_type_d(chi)
-    if args.format == "json":
-        payload = {
-            "m": args.m,
-            "lambda": lam,
-            "weakly_fair": verdict.weakly_fair,
-            "good": verdict.good,
-            "weakly_fair_witnesses": [
-                {"root": [int(c) for c in root], "pairing": _json_q(p)}
-                for root, p in verdict.weakly_fair_witnesses
-            ],
-            "good_witnesses": [
-                {"root": [int(c) for c in root], "pairing": _json_q(p)}
-                for root, p in verdict.good_witnesses
-            ],
-            "inf_char": [_json_q(Q(c)) for c in chi],
-            "inf_char_regular": regular,
-        }
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        lines = ["field,value"]
-        lines.append(f"m,{args.m}")
-        lines.append(f"lambda,{lam}")
-        lines.append(f"weakly_fair,{str(verdict.weakly_fair).lower()}")
-        lines.append(f"good,{str(verdict.good).lower()}")
-        lines.append(f"weakly_fair_violations,{len(verdict.weakly_fair_witnesses)}")
-        lines.append(f"good_violations,{len(verdict.good_witnesses)}")
-        lines.append(f"inf_char_regular,{str(regular).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"range verdict  m={args.m}  lambda={lam}"]
-        lines.append(f"weakly_fair: {str(verdict.weakly_fair).lower()}")
-        for root, p in verdict.weakly_fair_witnesses:
-            lines.append(f"  violated: <shift, {_fmt_weight(root)}> = {_fmt_q(p)}")
-        lines.append(f"good: {str(verdict.good).lower()}")
-        for root, p in verdict.good_witnesses:
-            lines.append(f"  violated: <shift, {_fmt_weight(root)}> = {_fmt_q(p)}")
-        lines.append(
-            f"infinitesimal character: {_fmt_weight(chi)} "
-            f"({'regular' if regular else 'singular'})"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    text = [f"range verdict  m={args.m}  lambda={lam}"]
+    for name, holds, witnesses in (
+        ("weakly_fair", verdict.weakly_fair, verdict.weakly_fair_witnesses),
+        ("good", verdict.good, verdict.good_witnesses),
+    ):
+        text.append(f"{name}: {_cell(holds)}")
+        text += [f"  violated: <shift, {_fmt_weight(root)}> = {p}" for root, p in witnesses]
+    text.append(
+        f"infinitesimal character: {_fmt_weight(chi)} "
+        f"({'regular' if regular else 'singular'})"
+    )
+    rows = [
+        ["field", "value"],
+        ["m", args.m],
+        ["lambda", lam],
+        ["weakly_fair", verdict.weakly_fair],
+        ["good", verdict.good],
+        ["weakly_fair_violations", len(verdict.weakly_fair_witnesses)],
+        ["good_violations", len(verdict.good_witnesses)],
+        ["inf_char_regular", regular],
+    ]
+    payload = {
+        "m": args.m,
+        "lambda": lam,
+        "weakly_fair": verdict.weakly_fair,
+        "good": verdict.good,
+        "weakly_fair_witnesses": _witnesses_json(verdict.weakly_fair_witnesses),
+        "good_witnesses": _witnesses_json(verdict.good_witnesses),
+        "inf_char": [_json_q(Q(c)) for c in chi],
+        "inf_char_regular": regular,
+    }
+    return Report(text, rows, payload)
 
 
-def cmd_verma(args, parser) -> int:
-    _check_m(parser, args.m, None)
+def _verma_pair(m: int, lam, nu) -> dict:
+    """Degree of the homomorphism for (lambda, nu), and whether the two
+    infinitesimal characters share an orbit (None when there is none)."""
+    degree = verma_hom_condition(m, lam, nu)
+    consistent = (
+        orbit_equal(verma_inf_char(m, lam), verma_inf_char(m, nu))
+        if degree is not None
+        else None
+    )
+    return {"lambda": lam, "nu": nu, "degree": degree, "orbit_equal": consistent}
+
+
+def cmd_verma(args, parser) -> Report:
+    _check_m(parser, args.m)
     if (args.lam is None) != (args.nu is None):
         parser.error("verma needs both --lambda and --nu, or neither")
     if args.lam is not None:
-        l = verma_hom_condition(args.m, args.lam, args.nu)
-        consistent = (
-            orbit_equal(verma_inf_char(args.m, args.lam), verma_inf_char(args.m, args.nu))
-            if l is not None
-            else None
+        pair = _verma_pair(args.m, args.lam, args.nu)
+        l, consistent = pair["degree"], pair["orbit_equal"]
+        params = f"(lambda, nu) = ({args.lam}, {args.nu})"
+        text = (
+            f"no homomorphism for {params}"
+            if l is None
+            else f"homomorphism of degree {l} for {params}; orbit_equal={_cell(consistent)}"
         )
-        if args.format == "json":
-            payload = {
-                "m": args.m,
-                "lambda": _json_q(Q(args.lam)),
-                "nu": _json_q(Q(args.nu)),
-                "degree": l,
-                "orbit_equal": consistent,
-            }
-            _emit(_json_dumps(payload), args.out)
-        elif args.format == "csv":
-            lines = ["lambda,nu,degree,orbit_equal"]
-            degree = "" if l is None else str(l)
-            orbit = "" if consistent is None else str(consistent).lower()
-            lines.append(f"{args.lam},{args.nu},{degree},{orbit}")
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            if l is None:
-                text = f"no homomorphism for (lambda, nu) = ({args.lam}, {args.nu})\n"
-            else:
-                text = (
-                    f"homomorphism of degree {l} for (lambda, nu) = "
-                    f"({args.lam}, {args.nu}); orbit_equal={str(consistent).lower()}\n"
-                )
-            _emit(text, args.out)
-        return 0
-    rows = []
-    for l in range(args.max_l + 1):
-        lam, nu = args.m - l, args.m + l
-        rows.append(
-            {
-                "l": l,
-                "lambda": lam,
-                "nu": nu,
-                "degree": verma_hom_condition(args.m, lam, nu),
-                "orbit_equal": orbit_equal(
-                    verma_inf_char(args.m, lam), verma_inf_char(args.m, nu)
-                ),
-            }
-        )
-    if args.format == "json":
-        _emit(_json_dumps({"m": args.m, "pairs": rows}), args.out)
-    elif args.format == "csv":
-        lines = ["l,lambda,nu,degree,orbit_equal"]
-        for r in rows:
-            lines.append(
-                f"{r['l']},{r['lambda']},{r['nu']},{r['degree']},{str(r['orbit_equal']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"scalar Verma homomorphisms  m={args.m}"]
-        lines.append("l  lambda  nu  degree  orbit_equal")
-        for r in rows:
-            lines.append(
-                f"{r['l']}  {r['lambda']}  {r['nu']}  {r['degree']}  "
-                f"{str(r['orbit_equal']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        payload = {
+            "m": args.m,
+            "lambda": _json_q(args.lam),
+            "nu": _json_q(args.nu),
+            "degree": l,
+            "orbit_equal": consistent,
+        }
+        return Report([text], [list(pair), list(pair.values())], payload)
+    pairs = [
+        {"l": l, **_verma_pair(args.m, args.m - l, args.m + l)} for l in range(args.max_l + 1)
+    ]
+    rows = [list(pairs[0]), *(list(r.values()) for r in pairs)]
+    text = [f"scalar Verma homomorphisms  m={args.m}", *("  ".join(map(_cell, r)) for r in rows)]
+    return Report(text, rows, {"m": args.m, "pairs": pairs})
 
 
-def cmd_ehw(args, parser) -> int:
+def cmd_ehw(args, parser) -> Report:
     if args.n < 4:
         parser.error("--n must be at least 4")
     a = ehw_first_reduction_point(args.n)
     b = ehw_last_unitary_point(args.n)
     unit = ehw_unitarizable(args.n, args.z)
-    ks_degree = None
+    text = [
+        f"scalar lowest-weight unitarizability  n={args.n}  z={args.z}",
+        f"first reduction point: {a}",
+        f"last unitary point: {b}",
+        f"unitarizable: {_cell(unit)}",
+    ]
+    payload = {
+        "n": args.n,
+        "z": _json_q(args.z),
+        "unitarizable": unit,
+        "first_reduction_point": _json_q(a),
+        "last_unitary_point": _json_q(b),
+    }
     if args.lam is not None:
         if args.n % 2 != 0:
             parser.error("--lambda requires even --n for the residue degree")
         ks_degree = knapp_stein_residue_degree(args.n, args.lam)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "z": _json_q(Q(args.z)),
-            "unitarizable": unit,
-            "first_reduction_point": _json_q(a),
-            "last_unitary_point": _json_q(b),
-        }
-        if args.lam is not None:
-            payload["lambda"] = _json_q(Q(args.lam))
-            payload["residue_degree"] = ks_degree
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        header = "n,z,unitarizable,first_reduction_point,last_unitary_point"
-        row = f"{args.n},{args.z},{str(unit).lower()},{a},{b}"
-        if args.lam is not None:
-            header += ",lambda,residue_degree"
-            row += f",{args.lam},{'' if ks_degree is None else ks_degree}"
-        _emit(header + "\n" + row + "\n", args.out)
-    else:
-        lines = [f"scalar lowest-weight unitarizability  n={args.n}  z={args.z}"]
-        lines.append(f"first reduction point: {_fmt_q(a)}")
-        lines.append(f"last unitary point: {_fmt_q(b)}")
-        lines.append(f"unitarizable: {str(unit).lower()}")
-        if args.lam is not None:
-            if ks_degree is None:
-                lines.append(f"no residual operator at lambda={args.lam}")
-            else:
-                lines.append(
-                    f"residual operator at lambda={args.lam}: Laplacian power {ks_degree}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        text.append(
+            f"no residual operator at lambda={args.lam}"
+            if ks_degree is None
+            else f"residual operator at lambda={args.lam}: Laplacian power {ks_degree}"
+        )
+        payload.update({"lambda": _json_q(args.lam), "residue_degree": ks_degree})
+    # A rational renders alike in both formats, so the CSV row is the payload.
+    return Report(text, [list(payload), list(payload.values())], payload)
+
+
+def _nonnegative_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser, *, with_m=True, with_lambda=False,
@@ -482,7 +428,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_m=True, with_lambda=False,
         )
     if with_max_l:
         sub.add_argument(
-            "--max-l", dest="max_l", type=int, default=max_l_default,
+            "--max-l", dest="max_l", type=_nonnegative_int, default=max_l_default,
             help=f"largest symmetric-power degree (default {max_l_default})",
         )
     if with_seed:
@@ -533,11 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=Q, default=None,
         help="also report the residual operator degree at this parameter",
     )
-    p.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default text)",
-    )
-    p.add_argument("--out", default=None, help="write output to this path")
+    _add_common(p, with_m=False)
     p.set_defaults(func=cmd_ehw)
 
     return parser
@@ -546,12 +488,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads_cap(parser)
     try:
-        return args.func(args, parser)
+        report = args.func(args, parser)
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
+    text = render(report, args.format)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: error: cannot write --out: {exc}\n")
+    return report.code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,5 @@
 """Branching multiplicities from the alternating coset sum."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,26 +79,6 @@ def test_dominant_mu_vectors_are_dominant(m, bound):
         assert mu[0] <= bound
         assert all(a >= b for a, b in zip(mu, mu[1:]))
         assert mu[-2] >= abs(mu[-1])
-
-
-def test_table_json_round_trip():
-    table = ktype_table(2, 1, max_mu0=4, max_mu1=3)
-    payload = json.loads(table.to_json())
-    assert set(payload) == {"m", "lambda", "entries"}
-    assert payload["m"] == 2 and payload["lambda"] == 1
-    assert payload["entries"][0] == {"mu0": 1, "mu": [0, 0], "mult": 1}
-    back = KTypeTable.from_json(table.to_json())
-    assert back.same_entries(table)
-    assert back.m == table.m and back.lam == table.lam
-
-
-def test_table_csv_layout():
-    table = ktype_table(2, 1, max_mu0=2, max_mu1=1)
-    lines = table.to_csv().splitlines()
-    assert lines[0] == "mu0,mu_1,mu_2,mult"
-    assert lines[1] == "1,0,0,1"
-    assert lines[2] == "2,1,0,1"
-    assert table.to_csv().endswith("\n")
 
 
 def test_same_entries_detects_differences():

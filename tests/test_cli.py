@@ -1,11 +1,15 @@
 """Command line behaviour: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieball.cli import main
 
@@ -222,18 +226,90 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("LIEBALL_THREADS", "4")
-    code, _ = run(capsys, ["weyl", "--m", "2"])
-    assert code == 0
-    monkeypatch.setenv("LIEBALL_THREADS", "0")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harmonic", "--m", "2", "--max-l", "-1"],
+        ["verify", "--m", "2", "--max-l", "-1"],
+        ["ktypes", "--m", "2", "--max-l", "-1"],
+        ["verma", "--m", "2", "--max-l", "-3"],
+        ["ktypes", "--m", "2", "--max-l", "two"],
+    ],
+)
+def test_bad_max_l_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["weyl", "--m", "2"])
+        main(argv)
     assert exc.value.code == 2
-    monkeypatch.setenv("LIEBALL_THREADS", "many")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-l" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.json"
     with pytest.raises(SystemExit) as exc:
-        main(["weyl", "--m", "2"])
+        main(["ktypes", "--m", "2", "--out", str(target)])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lieball: error: cannot write --out")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+SMALL_PARAMS = st.sampled_from(["-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "3", "7/2"])
+OPTIONAL_FLAGS = {
+    "ktypes": ("--lambda",),
+    "harmonic": (),
+    "verify": ("--seed",),
+    "weyl": (),
+    "ranges": ("--lambda",),
+    "verma": ("--lambda", "--nu"),
+    "ehw": ("--lambda",),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A small invocation: m <= 4 and max_l <= 4, so nothing large runs.
+    Values may be out of range, and a junk token may be inserted anywhere."""
+    sub = draw(st.sampled_from(sorted(OPTIONAL_FLAGS)))
+    argv = [sub]
+    if sub == "ehw":
+        argv += [f"--n={draw(st.integers(2, 8))}", f"--z={draw(SMALL_PARAMS)}"]
+    else:
+        argv.append(f"--m={draw(st.integers(-1, 4))}")
+    if sub in ("ktypes", "harmonic", "verify", "verma"):
+        argv.append(f"--max-l={draw(st.integers(-3, 4))}")
+    for flag in OPTIONAL_FLAGS[sub]:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(SMALL_PARAMS)}")
+    argv.append(f"--format={draw(st.sampled_from(['text', 'json', 'csv']))}")
+    if draw(st.integers(0, 4)) == 0:
+        junk = draw(st.sampled_from(["--bogus", "7", "--m", "--nu=1", "--format=xml", "--z"]))
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+def _invoke(argv):
+    """Exit code and stdout of main(argv); usage errors must be SystemExit(2)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = 2
+        else:
+            assert code in (0, 1, 3), argv
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argv())
+def test_random_argv_maps_to_an_exit_code(argv):
+    assert _invoke(argv) == _invoke(argv)
 
 
 def test_subprocess_entry_point(tmp_path):
