@@ -3,131 +3,25 @@
 Two independent routes to the same table: an alternating cohomology sum
 over minimal-length coset representatives, and Laplacian kernels cut out
 of polynomial spaces by exact elimination.  Everything runs in rational
-arithmetic; no floats anywhere.
+arithmetic; no floats anywhere.  Everything else is imported from its
+submodule (`lieball.weyl`, `lieball.kostant`, ...).
 """
 
-from .blattner import (
-    KTypeTable,
-    dominant_mu_vectors,
-    ktype_table,
-    mu_lambda,
-    multiplicity,
-    s_u_cap_p_component,
-    unique_scalar_match_check,
-)
-from .harmonic import (
-    CertificationError,
-    SparsePolynomial,
-    harmonic_basis,
-    harmonic_dimension,
-    harmonic_dimension_formula,
-    laplacian,
-    laplacian_power,
-    polynomial_space_dimension,
-    radial_square,
-    random_homogeneous,
-    rotation_generator,
-    so_invariance_check,
-    sol_ktype_table,
-)
-from .kostant import KTypeParam, LKTypeParam, cohomology, euler_character
-from .linalg import exact_kernel, exact_rank
-from .repdata import (
-    RangeVerdict,
-    borel_weil_bott_ktype,
-    ehw_first_reduction_point,
-    ehw_last_unitary_point,
-    ehw_unitarizable,
-    inf_char,
-    is_regular_type_d,
-    knapp_stein_residue_degree,
-    orbit_equal,
-    range_verdict,
-    verma_hom_condition,
-    verma_inf_char,
-    weyl_dim_so2m,
-)
-from .root_data import (
-    RootData,
-    RootSet,
-    Weight,
-    as_weight,
-    build_root_sets,
-    dolbeault_degree,
-    rho_c,
-    rho_g,
-    rho_l,
-    rho_u,
-    rho_u_cap_k,
-)
-from .weyl import (
-    SignedPermutation,
-    enumerate_coset_reps,
-    enumerate_group,
-    group_order,
-    inversion_set,
-    is_coset_rep,
-    length,
-)
+from .blattner import ktype_table, multiplicity
+from .harmonic import harmonic_dimension, sol_ktype_table
+from .kostant import KTypeParam, cohomology
+from .repdata import weyl_dim_so2m
+from .weyl import enumerate_coset_reps
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificationError",
     "KTypeParam",
-    "KTypeTable",
-    "LKTypeParam",
-    "RangeVerdict",
-    "RootData",
-    "RootSet",
-    "SignedPermutation",
-    "SparsePolynomial",
-    "Weight",
-    "as_weight",
-    "borel_weil_bott_ktype",
-    "build_root_sets",
     "cohomology",
-    "dolbeault_degree",
-    "dominant_mu_vectors",
-    "ehw_first_reduction_point",
-    "ehw_last_unitary_point",
-    "ehw_unitarizable",
     "enumerate_coset_reps",
-    "enumerate_group",
-    "euler_character",
-    "exact_kernel",
-    "exact_rank",
-    "group_order",
-    "harmonic_basis",
     "harmonic_dimension",
-    "harmonic_dimension_formula",
-    "inf_char",
-    "inversion_set",
-    "is_coset_rep",
-    "is_regular_type_d",
-    "knapp_stein_residue_degree",
     "ktype_table",
-    "laplacian",
-    "laplacian_power",
-    "length",
-    "mu_lambda",
     "multiplicity",
-    "orbit_equal",
-    "polynomial_space_dimension",
-    "radial_square",
-    "random_homogeneous",
-    "range_verdict",
-    "rho_c",
-    "rho_g",
-    "rho_l",
-    "rho_u",
-    "rho_u_cap_k",
-    "rotation_generator",
-    "s_u_cap_p_component",
-    "so_invariance_check",
     "sol_ktype_table",
-    "unique_scalar_match_check",
-    "verma_hom_condition",
-    "verma_inf_char",
     "weyl_dim_so2m",
 ]

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .kostant import KTypeParam, LKTypeParam, _shifted_weight
-from .weyl import enumerate_coset_reps, identity, length
+from .kostant import KTypeParam, LKTypeParam, _dominant_preimages, _shifted_weight
+from .weyl import enumerate_coset_reps, length
 
 __all__ = [
     "mu_lambda",
@@ -58,20 +58,13 @@ def _target_hw(m: int, lam: int, l: int) -> Tuple[int, ...]:
     return tuple(a + b for a, b in zip(sym.hw, bottom.hw))
 
 
-def _signed_shift_counts(m: int, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
-    """Signed multiset {w(μ+ρ_c) − ρ_c : coset reps w} with signs (−1)^len(w)."""
-    counts: Dict[Tuple[int, ...], int] = {}
-    for w in enumerate_coset_reps(m):
-        hw = _shifted_weight(m, mu, w)
-        counts[hw] = counts.get(hw, 0) + (-1) ** length(w)
-    return counts
-
-
 def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
     """Multiplicity of the K-type pi in the scalar module with parameter λ.
 
     Zero whenever μ_0 < λ, since the charge pins the symmetric power degree
-    μ_0 − λ, which must be a nonnegative integer.
+    μ_0 − λ, which must be a nonnegative integer.  This is the forward
+    signed count over every coset representative; `ktype_table` reaches the
+    same numbers from the target side.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -80,8 +73,9 @@ def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
     l = pi.mu0 - lam
     if l < 0:
         return 0
-    counts = _signed_shift_counts(m, pi.mu)
-    return counts.get(_target_hw(m, lam, l), 0)
+    target = _target_hw(m, lam, l)
+    reps = enumerate_coset_reps(m)
+    return sum((-1) ** length(w) for w in reps if _shifted_weight(m, pi.mu, w) == target)
 
 
 def dominant_mu_vectors(m: int, max_mu1: int) -> List[Tuple[int, ...]]:
@@ -130,18 +124,18 @@ class KTypeTable:
 
 
 def ktype_table(m: int, lam: int, max_mu0: int, max_mu1: int) -> KTypeTable:
-    """All K-types with nonzero signed multiplicity in the scan window."""
+    """All K-types with nonzero signed multiplicity in the scan window.
+
+    Computed from the target side: for each charge μ_0 the target weight of
+    S^{μ_0−λ}(u∩p) ⊗ C_{μ_λ} has at most one dominant preimage μ.
+    """
     if m < 2:
         raise ValueError("need m >= 2")
     entries: Dict[KTypeParam, int] = {}
-    vectors = dominant_mu_vectors(m, max_mu1)
-    shift_counts = [(mu, _signed_shift_counts(m, mu)) for mu in vectors]
     for mu0 in range(lam, max_mu0 + 1):
-        l = mu0 - lam
-        for mu, counts in shift_counts:
-            mult = counts.get(_target_hw(m, lam, l), 0)
-            if mult != 0:
-                entries[KTypeParam(mu0, mu)] = mult
+        for mu, sign in _dominant_preimages(m, _target_hw(m, lam, mu0 - lam)):
+            if mu[0] <= max_mu1:
+                entries[KTypeParam(mu0, mu)] = sign
     return KTypeTable(m=m, lam=lam, entries=entries, max_mu0=max_mu0, max_mu1=max_mu1)
 
 
@@ -151,20 +145,17 @@ def unique_scalar_match_check(m: int, grid_bound: int) -> bool:
     Over every dominant μ with entries in [−grid_bound, grid_bound], every
     l in [0, 2·grid_bound] and every coset representative w, the equality
     w(μ+ρ_c) − ρ_c = (l, 0, ..., 0) holds exactly when w is the identity
-    and μ = (l, 0, ..., 0).
+    and μ = (l, 0, ..., 0).  Checked from the target side: the only
+    preimage of (l, 0, ..., 0) in the grid is itself, with sign +1, and
+    only when it lies in the grid.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     if grid_bound < 0:
         raise ValueError("grid bound must be nonnegative")
-    e = identity(m)
-    reps = enumerate_coset_reps(m)
-    for mu in dominant_mu_vectors(m, grid_bound):
-        for l in range(0, 2 * grid_bound + 1):
-            target = (l,) + (0,) * (m - 1)
-            for w in reps:
-                matches = _shifted_weight(m, mu, w) == target
-                expected = w == e and mu == target
-                if matches != expected:
-                    return False
+    for l in range(0, 2 * grid_bound + 1):
+        target = (l,) + (0,) * (m - 1)
+        found = [(mu, sign) for mu, sign in _dominant_preimages(m, target) if mu[0] <= grid_bound]
+        if found != ([(target, 1)] if l <= grid_bound else []):
+            return False
     return True

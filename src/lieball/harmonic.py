@@ -175,28 +175,6 @@ class SparsePolynomial:
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "SparsePolynomial(" + " + ".join(bits) + ")"
 
-    def to_json_dict(self) -> dict:
-        ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {
-                    "exp": list(e),
-                    "num": self.terms[e].numerator,
-                    "den": self.terms[e].denominator,
-                }
-                for e in ordered
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SparsePolynomial":
-        terms = {
-            tuple(int(v) for v in t["exp"]): Q(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(int(data["nvars"]), terms)
-
 
 @lru_cache(maxsize=None)
 def monomial_exponents(n: int, degree: int) -> Tuple[Exponents, ...]:

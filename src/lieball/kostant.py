@@ -13,14 +13,20 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .root_data import rho_c
-from .weyl import SignedPermutation, act, enumerate_coset_reps, length
+from .weyl import SignedPermutation, act, enumerate_coset_reps, inverse, length
 
 __all__ = [
+    "is_dominant",
     "KTypeParam",
     "LKTypeParam",
     "cohomology",
     "euler_character",
 ]
+
+
+def is_dominant(mu: Tuple[int, ...]) -> bool:
+    """Dominance for SO(2m): μ_1 ≥ ... ≥ μ_{m−1} ≥ |μ_m|."""
+    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 2)) and mu[-2] >= abs(mu[-1])
 
 
 @dataclass(frozen=True)
@@ -39,10 +45,7 @@ class KTypeParam:
             raise ValueError("need at least two SO(2m) coordinates")
         if any(not isinstance(c, int) for c in (self.mu0, *self.mu)):
             raise ValueError("K-type coordinates must be integers")
-        body, last = self.mu[:-1], self.mu[-1]
-        if any(body[i] < body[i + 1] for i in range(len(body) - 1)):
-            raise ValueError(f"{self.mu} is not dominant")
-        if body[-1] < abs(last):
+        if not is_dominant(self.mu):
             raise ValueError(f"{self.mu} is not dominant")
 
 
@@ -61,15 +64,35 @@ class LKTypeParam:
             raise ValueError(f"{self.hw} is not weakly decreasing")
 
 
-def _shifted_weight(m: int, mu: Tuple[int, ...], w: SignedPermutation) -> Tuple[int, ...]:
-    """w(μ+ρ_c) − ρ_c with everything exact; the result is integral."""
+def _integral_rho_c(m: int) -> Tuple[int, ...]:
+    """ρ_c as integers; it is integral in type D."""
     half_integral = rho_c(m)
     if any(c.denominator != 1 for c in half_integral):
         raise ValueError("compact half-sum must be integral in type D")
-    rc = tuple(int(c) for c in half_integral)
-    shifted = tuple(a + b for a, b in zip(mu, rc))
-    moved = act(w, shifted)
+    return tuple(int(c) for c in half_integral)
+
+
+def _shifted_weight(m: int, mu: Tuple[int, ...], w: SignedPermutation) -> Tuple[int, ...]:
+    """w(μ+ρ_c) − ρ_c with everything exact; the result is integral."""
+    rc = _integral_rho_c(m)
+    moved = act(w, tuple(a + b for a, b in zip(mu, rc)))
     return tuple(a - b for a, b in zip(moved, rc))
+
+
+def _dominant_preimages(m: int, target: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
+    """The dominant μ with w(μ+ρ_c) − ρ_c = target, each with the sign (−1)^len(w).
+
+    μ = w⁻¹(target+ρ_c) − ρ_c over the coset representatives w.  Since μ+ρ_c
+    is regular for dominant μ, at most one w qualifies.
+    """
+    rc = _integral_rho_c(m)
+    shifted = tuple(a + b for a, b in zip(target, rc))
+    out = []
+    for w in enumerate_coset_reps(m):
+        mu = tuple(a - b for a, b in zip(act(inverse(w), shifted), rc))
+        if is_dominant(mu):
+            out.append((mu, (-1) ** length(w)))
+    return out
 
 
 def cohomology(m: int, pi: KTypeParam, j: int) -> List[LKTypeParam]:

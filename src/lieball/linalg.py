@@ -8,14 +8,12 @@ anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from math import gcd
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 __all__ = ["exact_rank", "exact_kernel"]
 
 Vector = Dict[int, int]
-Tag = Dict[int, Q]
 
 
 def _content(v: Vector) -> int:
@@ -58,53 +56,30 @@ def exact_rank(vectors: Iterable[Vector]) -> int:
     return len(pivots)
 
 
-def exact_kernel(vectors: List[Vector]) -> List[Tag]:
+def exact_kernel(vectors: List[Vector]) -> List[Vector]:
     """A basis of the kernel of the matrix whose columns are the vectors.
 
-    Each basis element maps column index to an exact rational coefficient;
-    the corresponding combination of columns vanishes.  Coefficients are
-    normalized to coprime integers with positive leading entry.
+    Each basis element maps column index to an integer coefficient; the
+    corresponding combination of columns vanishes.  Coefficients are coprime
+    with positive leading entry.  Column c carries its tag, the combination
+    it stands for, as the entry 1 at position top + c below every row, so
+    one elimination clears rows and tracks tags together; a column reduced
+    to its tag is a kernel element.
     """
-    pivots: Dict[int, Tuple[Vector, Tag]] = {}
-    kernel: List[Tag] = []
+    top = 1 + max((k for v in vectors for k in v), default=-1)
+    pivots: Dict[int, Vector] = {}
+    kernel: List[Vector] = []
     for c, v0 in enumerate(vectors):
         v = {k: x for k, x in v0.items() if x}
-        tag: Tag = {c: Q(1)}
-        while v:
-            key = min(v)
-            hit = pivots.get(key)
-            if hit is None:
-                pivots[key] = (v, tag)
+        v[top + c] = 1
+        while (key := min(v)) < top:
+            pivot = pivots.get(key)
+            if pivot is None:
+                pivots[key] = v
                 break
-            pivot, ptag = hit
-            a, b = pivot[key], v[key]
-            new_tag: Tag = {k: a * x for k, x in tag.items()}
-            for k, x in ptag.items():
-                y = new_tag.get(k, Q(0)) - b * x
-                if y:
-                    new_tag[k] = y
-                else:
-                    new_tag.pop(k, None)
             v = _combine(v, pivot, key)
-            tag = new_tag
-            if v:
-                g = _content(v)
-                v = {k: x // g for k, x in v.items()}
-                tag = {k: x / g for k, x in tag.items()}
+            g = _content(v)
+            v = {k: x // g for k, x in v.items()}
         else:
-            kernel.append(_normalized_tag(tag))
+            kernel.append({k - top: x for k, x in v.items()})
     return kernel
-
-
-def _normalized_tag(tag: Tag) -> Tag:
-    denom_lcm = 1
-    for x in tag.values():
-        d = x.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = {k: int(x * denom_lcm) for k, x in tag.items()}
-    g = 0
-    for x in ints.values():
-        g = gcd(g, x)
-    if ints[min(ints)] < 0:
-        g = -g
-    return {k: Q(x // g) for k, x in ints.items()}

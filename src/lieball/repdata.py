@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Optional, Tuple
 
-from .kostant import KTypeParam
+from .kostant import KTypeParam, is_dominant
 from .root_data import (
     Weight,
     as_weight,
@@ -53,8 +53,7 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
         raise ValueError("need m >= 2")
     if len(mu) != m:
         raise ValueError("weight rank does not match m")
-    body, last = mu[:-1], mu[-1]
-    if any(body[i] < body[i + 1] for i in range(len(body) - 1)) or body[-1] < abs(last):
+    if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
     data = build_root_sets(m)
     rc = half_sum(data.k_pos)

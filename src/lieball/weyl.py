@@ -191,13 +191,20 @@ def sign_bits(signs: Sequence[int]) -> int:
 def enumerate_coset_reps(m: int) -> Tuple[SignedPermutation, ...]:
     """Minimal-length representatives of W(D_m) modulo the gl(m) Weyl group.
 
-    Full enumeration of the 2^{m−1}·m! group elements, keeping exactly those
-    whose inversion set lies inside the u∩k roots.  Sorted by (length,
-    Lehmer code of perm, sign bitmask); there are 2^{m−1} of them.
+    One per even set N of flipped coordinates: w is a representative iff
+    w⁻¹(e_i − e_j) is positive for i < j, so w⁻¹ sends e_1, ..., e_m first to
+    the +e_k with k ∉ N in increasing k, then to the −e_k with k ∈ N in
+    decreasing k.  Sorted by (length, Lehmer code of perm, sign bitmask);
+    there are 2^{m−1} of them.
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    reps = [w for w in enumerate_group(m) if is_coset_rep(w)]
+    reps = []
+    for r in range(0, m + 1, 2):
+        for flipped in itertools.combinations(range(m), r):
+            kept = tuple(k for k in range(m) if k not in flipped)
+            signs = tuple(-1 if k in flipped else 1 for k in range(m))
+            reps.append(inverse(SignedPermutation(kept + flipped[::-1], signs)))
     reps.sort(key=lambda w: (length(w), lehmer_code(w.perm), sign_bits(w.signs)))
     return tuple(reps)
 

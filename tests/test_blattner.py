@@ -58,6 +58,22 @@ def test_table_matches_expected_shape(m):
     assert table.entries == expected
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_table_matches_forward_multiplicity(m):
+    # oracle: the forward signed sum over every dominant mu in the window;
+    # lambda < m/2 is the Euler-characteristic side
+    max_l = 3
+    for lam in range(-2, m + 2):
+        table = ktype_table(m, lam, lam + max_l, max_l)
+        forward = {}
+        for mu0 in range(lam, lam + max_l + 1):
+            for mu in dominant_mu_vectors(m, max_l):
+                mult = multiplicity(m, lam, KTypeParam(mu0, mu))
+                if mult:
+                    forward[KTypeParam(mu0, mu)] = mult
+        assert table.entries == forward
+
+
 def test_table_off_window_scan_is_empty():
     # widen mu0 past the window: no entries appear with mu1 beyond the bound
     table = ktype_table(2, 1, max_mu0=9, max_mu1=3)

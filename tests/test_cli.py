@@ -102,6 +102,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] ktype tables" in out
     assert "first difference" in out
+    assert "[FAIL] unique scalar match" in out
     assert "result: FAIL" in out
 
 

@@ -131,6 +131,16 @@ def test_coset_filter_matches_definition(m):
         assert is_coset_rep(w) == definitional
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_coset_reps_match_full_group_filter(m):
+    # oracle: filter the whole group by the inversion test and sort the same way
+    reps = sorted(
+        (w for w in enumerate_group(m) if is_coset_rep(w)),
+        key=lambda w: (length(w), lehmer_code(w.perm), sign_bits(w.signs)),
+    )
+    assert list(enumerate_coset_reps(m)) == reps
+
+
 def test_coset_reps_m2():
     reps = enumerate_coset_reps(2)
     assert reps[0] == identity(2)
