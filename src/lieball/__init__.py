@@ -1,8 +1,9 @@
 """Exact K-type computations for the conformal group of the Lie ball.
 
 Two independent routes to the same table: an alternating cohomology sum
-over minimal-length coset representatives, and Laplacian kernels cut out
-of polynomial spaces by exact elimination.  Everything runs in rational
+over minimal-length coset representatives, and Laplacian kernels on
+polynomial spaces whose dimension comes from a rank certified by the
+matrix's leading rows.  Everything runs in rational
 arithmetic; no floats anywhere.  Everything else is imported from its
 submodule (`lieball.weyl`, `lieball.kostant`, ...).
 """

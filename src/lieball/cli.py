@@ -417,13 +417,20 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
+def _rational(raw: str) -> Q:
+    try:
+        return Q(raw)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from None
+
+
 def _add_common(sub: argparse.ArgumentParser, *, with_m=True, with_lambda=False,
                 with_max_l=False, max_l_default=DEFAULT_MAX_L, with_seed=False) -> None:
     if with_m:
         sub.add_argument("--m", type=int, required=True, help="rank parameter m >= 2")
     if with_lambda:
         sub.add_argument(
-            "--lambda", dest="lam", type=Q, default=None,
+            "--lambda", dest="lam", type=_rational, default=None,
             help="scalar parameter (default m-1)",
         )
     if with_max_l:
@@ -469,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verma", help="scalar generalized Verma homomorphisms")
     _add_common(p, with_lambda=True, with_max_l=True, max_l_default=5)
-    p.add_argument("--nu", type=Q, default=None, help="second scalar parameter")
+    p.add_argument("--nu", type=_rational, default=None, help="second scalar parameter")
     p.set_defaults(func=cmd_verma)
 
     p = subs.add_parser("ehw", help="scalar lowest-weight unitarizability window")
     p.add_argument("--n", type=int, required=True, help="rank parameter n >= 4")
-    p.add_argument("--z", type=Q, required=True, help="lowest-weight parameter")
+    p.add_argument("--z", type=_rational, required=True, help="lowest-weight parameter")
     p.add_argument(
-        "--lambda", dest="lam", type=Q, default=None,
+        "--lambda", dest="lam", type=_rational, default=None,
         help="also report the residual operator degree at this parameter",
     )
     _add_common(p, with_m=False)

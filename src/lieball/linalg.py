@@ -1,4 +1,4 @@
-"""Exact fraction-free elimination for sparse integer matrices.
+"""Exact fraction-free kernel of sparse integer matrices.
 
 Vectors are dicts mapping row index to a nonzero integer.  Elimination uses
 integer cross-multiplication with gcd normalization after every combination,
@@ -9,9 +9,9 @@ anywhere.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
-__all__ = ["exact_rank", "exact_kernel"]
+__all__ = ["exact_kernel"]
 
 Vector = Dict[int, int]
 
@@ -35,25 +35,6 @@ def _combine(v: Vector, pivot: Vector, key: int) -> Vector:
         else:
             out.pop(k, None)
     return out
-
-
-def exact_rank(vectors: Iterable[Vector]) -> int:
-    """Rank of the matrix whose columns are the given sparse vectors."""
-    pivots: Dict[int, Vector] = {}
-    for v0 in vectors:
-        v = {k: x for k, x in v0.items() if x}
-        while v:
-            key = min(v)
-            pivot = pivots.get(key)
-            if pivot is None:
-                g = _content(v)
-                pivots[key] = {k: x // g for k, x in v.items()}
-                break
-            v = _combine(v, pivot, key)
-            if v:
-                g = _content(v)
-                v = {k: x // g for k, x in v.items()}
-    return len(pivots)
 
 
 def exact_kernel(vectors: List[Vector]) -> List[Vector]:

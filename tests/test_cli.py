@@ -247,6 +247,26 @@ def test_bad_max_l_is_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["ktypes", "--m", "3", "--lambda", "1/0"], "--lambda"),
+        (["ranges", "--m", "3", "--lambda", "1/0"], "--lambda"),
+        (["verma", "--m", "3", "--nu", "1/0"], "--nu"),
+        (["ehw", "--n", "4", "--z", "1/0"], "--z"),
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"lieball {argv[0]}: error: argument {flag}: not a rational number: '1/0'"]
+    assert "Traceback" not in captured.err
+
+
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "table.json"
     with pytest.raises(SystemExit) as exc:
@@ -259,7 +279,7 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
-SMALL_PARAMS = st.sampled_from(["-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "3", "7/2"])
+SMALL_PARAMS = st.sampled_from(["-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "3", "7/2", "1/0"])
 OPTIONAL_FLAGS = {
     "ktypes": ("--lambda",),
     "harmonic": (),
