@@ -1,11 +1,15 @@
 """Harmonic polynomials for the holomorphic Laplacian Δ = Σ ∂²/∂z_i².
 
 Polynomials carry exact rational coefficients on integer exponent tuples.
-Kernel dimensions follow from the rank of the Laplacian matrix over the
-graded-lexicographic monomial basis, certified from its leading rows, then
-checked against the Weyl dimension of the expected SO(2m) constituent; the
-resulting K-type table is the analytic counterpart of the algebraic
-Euler-sum table.
+Kernel dimensions are certified one torus-weight block at a time: in the
+coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) the
+Laplacian has integer coefficients and keeps the weight of each monomial,
+and each block's rank is certified from its leading rows.  Every row of the
+resulting K-type table, the analytic counterpart of the algebraic Euler-sum
+table, is then checked to be the expected SO(2m) constituent: the kernel
+holds its highest-weight vector u_1^l and has its Weyl dimension.  The full
+matrix over the z-monomials builds harmonic bases and serves the tests as
+the reference.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import product
 from math import comb
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .blattner import KTypeTable
 from .kostant import KTypeParam
@@ -165,21 +170,34 @@ class SparsePolynomial:
         return "SparsePolynomial(" + " + ".join(bits) + ")"
 
 
+def _compositions(n: int, total: int) -> Iterator[Exponents]:
+    """Tuples of n nonnegative integers summing to `total`, in decreasing
+    lexicographic order, one successor step at a time (no recursion)."""
+    if total < 0:
+        return
+    x = [total] + [0] * (n - 1)
+    while True:
+        yield tuple(x)
+        # The last nonzero part before the final one moves one unit right and
+        # takes the final part along with it.
+        i = n - 2
+        while i >= 0 and not x[i]:
+            i -= 1
+        if i < 0:
+            return
+        tail = x[-1]
+        x[-1] = 0
+        x[i] -= 1
+        x[i + 1] = tail + 1
+
+
 @lru_cache(maxsize=None)
 def monomial_exponents(n: int, degree: int) -> Tuple[Exponents, ...]:
     """Exponent tuples of total degree `degree`, in decreasing lexicographic
     order; the graded-lexicographic basis enumerates degrees separately."""
     if n < 1:
         raise ValueError("need at least one variable")
-    if degree < 0:
-        return ()
-    if n == 1:
-        return ((degree,),)
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in monomial_exponents(n - 1, degree - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(_compositions(n, degree))
 
 
 def polynomial_space_dimension(n: int, degree: int) -> int:
@@ -223,7 +241,7 @@ def radial_square(n: int) -> SparsePolynomial:
 
 
 def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
-    """Columns of Δ: Pol^l → Pol^{l−2} over the monomial bases."""
+    """Columns of Δ: Pol^l → Pol^{l−2} over the z-monomial bases, all at once."""
     source = monomial_exponents(n, l)
     target = monomial_exponents(n, l - 2)
     index = {e: i for i, e in enumerate(target)}
@@ -238,28 +256,119 @@ def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
     return cols
 
 
+Weight = Tuple[int, ...]
+# Per block column: its label (b', c), the (row, j) of each 4 a_j b_j entry,
+# and the row of its c(c − 1) entry (None when c < 2).
+Shape = List[Tuple[Exponents, List[Tuple[int, int]], Optional[int]]]
+
+
+def _block_labels(m: int, odd: int, k: int) -> List[Exponents]:
+    """Labels b' (with c appended when n = 2m + 1 is odd) of the monomials
+    u^(b'+w⁺) v^(b'+w⁻) z_n^c of a weight-w block, 2|b'| + c = k = l − |w|₁,
+    in decreasing lexicographic order."""
+    if not odd:
+        return list(_compositions(m, k // 2))
+    return sorted(
+        (b + (k - 2 * s,) for s in range(k // 2 + 1) for b in _compositions(m, s)),
+        reverse=True,
+    )
+
+
+def _block_shape(m: int, odd: int, k: int) -> Tuple[Shape, int]:
+    """Where the entries of every weight block with l − |w|₁ = k sit, and
+    its row count.  A row index depends only on the row's label, so all
+    these blocks share one index; their coefficients differ."""
+    index = {t: i for i, t in enumerate(_block_labels(m, odd, k - 2))}
+    shape: Shape = []
+    for t in _block_labels(m, odd, k):
+        entries = [(index[t[:j] + (t[j] - 1,) + t[j + 1 :]], j) for j in range(m) if t[j]]
+        down = index[t[:m] + (t[m] - 2,)] if odd and t[m] >= 2 else None
+        shape.append((t, entries, down))
+    return shape, len(index)
+
+
+def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, Shape, int]]:
+    """Every torus weight w of Pol^l in n variables, with its block's shape
+    and row count.  For odd n the extra variable z_n has weight 0."""
+    m, odd = divmod(n, 2)
+    for k in range(0, l + 1, 1 if odd else 2):
+        shape, rows = _block_shape(m, odd, k)
+        for size in _compositions(m, l - k):
+            for w in product(*[(x, -x) if x else (0,) for x in size]):
+                yield w, shape, rows
+
+
+def _block_columns(w: Weight, shape: Shape) -> List[Dict[int, int]]:
+    """Columns of Δ on the block of weight w.  With a = b' + w⁺, b = b' + w⁻,
+    Δ(u^a v^b z_n^c) = Σ_j 4 a_j b_j u^(a−e_j) v^(b−e_j) z_n^c
+    + c(c − 1) u^a v^b z_n^(c−2); every coefficient is a positive integer."""
+    plus = [x if x > 0 else 0 for x in w]
+    minus = [-x if x < 0 else 0 for x in w]
+    cols = []
+    for t, entries, down in shape:
+        col = {r: 4 * (t[j] + plus[j]) * (t[j] + minus[j]) for r, j in entries}
+        if down is not None:
+            col[down] = t[-1] * (t[-1] - 1)
+        cols.append(col)
+    return cols
+
+
+def _block_kernel_dimension(
+    n: int, l: int, w: Weight, cols: List[Dict[int, int]], rows: int
+) -> int:
+    """Certified kernel dimension of one block.  The columns are passed in
+    and live only for this call, so one block's columns exist at a time."""
+    leads = {max(col) for col in cols if col}
+    if len(leads) != rows:
+        raise CertificationError(
+            f"Laplacian columns lead in {len(leads)} of {rows} rows "
+            f"of the block of weight w={w} for n={n}, l={l}"
+        )
+    return len(cols) - rows
+
+
 @lru_cache(maxsize=None)
 def harmonic_dimension(n: int, l: int) -> int:
-    """dim ker(Δ) on degree-l polynomials in n variables, by certified rank.
+    """dim ker(Δ) on degree-l polynomials in n variables, certified block by
+    block over the torus weights.
+
+    In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) (j ≤ m = n // 2)
+    and, for odd n, z_n, Δ = 4 Σ_j ∂_(u_j) ∂_(v_j) + ∂²_(z_n) has integer
+    coefficients and keeps the weight w = a − b of u^a v^b z_n^c.  So its
+    matrix is the direct sum of one block per weight, and each block is
+    built, certified and dropped before the next.  With b' = min(a, b), the
+    columns of the block of w are labelled by (b', c) with
+    2|b'| + c = l − |w|₁ and its rows by the labels of degree l − 2.
 
     Columns with pairwise distinct last nonzero rows are triangular, hence
-    independent, so rank Δ is at least the number of distinct last rows and
-    at most the number of rows; when the two agree the rank is exact.  They
-    always do: the last row of Δz^a with a_1 >= 2 is z^(a-2e_1), and
-    a -> a-2e_1 reaches every degree-(l-2) monomial once.
+    independent, so the rank of a block is at least the number of distinct
+    last rows and at most the number of rows; when the two agree the rank
+    is exact.  They always do: over the decreasing-lexicographic order of
+    (b', c), the last row of column (b', c), b' ≠ 0, is (b' − e_j, c) for
+    the first j with b'_j > 0, and b'' ↦ b'' + e_1 reaches every row
+    exactly once.
+
+    The top-weight block w = (l, 0, ..., 0) holds the single monomial u_1^l,
+    which must be a kernel vector (see `sol_ktype_table` for why).  Any
+    failed check raises CertificationError naming n, l and the weight.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    cols = _laplacian_columns(n, l)
-    rows = polynomial_space_dimension(n, l - 2)
-    leads = {max(col) for col in cols if col}
-    if len(leads) != rows:
+    top = (l,) + (0,) * (n // 2 - 1)
+    kernel = top_kernel = 0
+    for w, shape, rows in _weight_blocks(n, l):
+        dim = _block_kernel_dimension(n, l, w, _block_columns(w, shape), rows)
+        kernel += dim
+        if w == top:
+            top_kernel = dim
+    if top_kernel != 1:
         raise CertificationError(
-            f"Laplacian columns lead in {len(leads)} of {rows} rows for n={n}, l={l}"
+            f"the block of weight w={top} has {top_kernel} kernel vectors, "
+            f"not u_1^{l} alone, for n={n}, l={l}"
         )
-    return len(cols) - rows
+    return kernel
 
 
 def harmonic_dimension_formula(n: int, l: int) -> int:
@@ -332,9 +441,14 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
 
     Row l is the K-type (l+m−1; l, 0, ..., 0) with multiplicity one; the
     charge carries the shift m−1 coming from the bundle trivialization.
-    Every row is certified by comparing the exact kernel dimension in
-    2m variables with the Weyl dimension of the SO(2m) constituent;
-    a mismatch raises CertificationError.
+    Every row is certified as that K-type.  `harmonic_dimension` checks that
+    u_1^l is harmonic.  Its weight (l, 0, ..., 0) is the highest weight of
+    Pol^l (adding any positive root of SO(2m) raises |w|₁ above l), so u_1^l
+    is a highest-weight vector, and the SO(2m)-stable kernel contains the
+    irreducible V_(l,0,...,0) it generates.  The kernel dimension, exact in
+    2m variables, must then equal the Weyl dimension of V_(l,0,...,0), so the
+    kernel is that constituent and nothing more; a mismatch raises
+    CertificationError.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -348,7 +462,7 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
         if kernel_dim != rep_dim:
             raise CertificationError(
                 f"kernel dimension {kernel_dim} != Weyl dimension {rep_dim} "
-                f"for m={m}, l={l}"
+                f"of weight {mu} for n={2 * m}, l={l}"
             )
         entries[KTypeParam(l + m - 1, mu)] = 1
     return KTypeTable(

@@ -93,12 +93,18 @@ class TestSparsePolynomial:
 
 
 def test_monomial_exponents_count_and_order():
-    for n, d in [(2, 3), (3, 2), (4, 4)]:
+    for n, d in [(1, 3), (2, 3), (3, 2), (4, 4), (5, 0)]:
         exps = monomial_exponents(n, d)
         assert len(exps) == comb(n + d - 1, d)
         assert all(sum(e) == d for e in exps)
         assert list(exps) == sorted(exps, reverse=True)
         assert polynomial_space_dimension(n, d) == len(exps)
+    assert monomial_exponents(3, -1) == ()
+
+
+def test_many_variables_do_not_recurse():
+    assert len(monomial_exponents(1200, 1)) == 1200
+    assert harmonic_dimension(1200, 1) == 1200
 
 
 def test_laplacian_on_r4():
@@ -130,21 +136,113 @@ def test_harmonic_dimension_values(n, l, expected):
     assert harmonic_dimension(n, l) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_harmonic_dimension_matches_formula(n):
     for l in range(6):
         assert harmonic_dimension(n, l) == harmonic_dimension_formula(n, l)
         assert harmonic_dimension(n, l) == len(exact_kernel(hm._laplacian_columns(n, l)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_weight_blocks_partition_the_bases(n):
+    for l in range(7):
+        blocks = [
+            (w, len(hm._block_columns(w, shape)), rows)
+            for w, shape, rows in hm._weight_blocks(n, l)
+        ]
+        assert len({w for w, _, _ in blocks}) == len(blocks)
+        assert sum(cols for _, cols, _ in blocks) == polynomial_space_dimension(n, l)
+        assert sum(rows for _, _, rows in blocks) == polynomial_space_dimension(n, l - 2)
+
+
+def uv_exponents(w, label):
+    """Exponents of u^(b'+w⁺) v^(b'+w⁻) z_n^c over (u_1..u_m, v_1..v_m, z_n)."""
+    m = len(w)
+    b = label[:m]
+    return (
+        tuple(bj + max(x, 0) for bj, x in zip(b, w))
+        + tuple(bj + max(-x, 0) for bj, x in zip(b, w))
+        + label[m:]
+    )
+
+
+def uv_laplacian(f, m):
+    """4 Σ_j ∂_(u_j) ∂_(v_j) f, plus ∂²f/∂z_n² when there is a z_n."""
+    out = SparsePolynomial.zero(f.nvars)
+    for j in range(m):
+        out = out + 4 * f.partial(j).partial(m + j)
+    if f.nvars > 2 * m:
+        out = out + f.partial(2 * m).partial(2 * m)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_block_columns_are_the_uv_laplacian(n):
+    m, odd = divmod(n, 2)
+    for l in range(5):
+        for w, shape, rows in hm._weight_blocks(n, l):
+            row_labels = hm._block_labels(m, odd, l - sum(map(abs, w)) - 2)
+            assert len(row_labels) == rows
+            for (label, _, _), col in zip(shape, hm._block_columns(w, shape)):
+                source = uv_exponents(w, label)
+                assert sum(source) == l
+                image = {uv_exponents(w, row_labels[r]): c for r, c in col.items()}
+                assert all(c > 0 for c in col.values())
+                assert SparsePolynomial(n, image) == uv_laplacian(
+                    SparsePolynomial.monomial(n, source), m
+                )
+
+
+def test_cli_path_builds_no_full_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full Laplacian matrix built")
+
+    monkeypatch.setattr(hm, "monomial_exponents", refuse)
+    monkeypatch.setattr(hm, "_laplacian_columns", refuse)
+    hm.harmonic_dimension.cache_clear()
+    try:
+        assert main(["harmonic", "--m", "3", "--max-l", "5"]) == 0
+    finally:
+        hm.harmonic_dimension.cache_clear()
+
+
 def test_uncertified_rank_is_refused(monkeypatch):
-    columns = hm._laplacian_columns
-    monkeypatch.setattr(hm, "_laplacian_columns", lambda n, l: [{} for _ in columns(n, l)])
+    columns = hm._block_columns
+    monkeypatch.setattr(hm, "_block_columns", lambda w, shape: [{} for _ in columns(w, shape)])
     hm.harmonic_dimension.cache_clear()
     try:
         with pytest.raises(CertificationError):
             hm.harmonic_dimension(4, 2)
         assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
+    finally:
+        hm.harmonic_dimension.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "broken,fault,message",
+    [
+        # The weight-0 block loses its entries, so it leads in no row.
+        ((0, 0), lambda cols: [{} for _ in cols],
+         r"lead in 0 of 1 rows of the block of weight w=\(0, 0\) for n=4, l=2"),
+        # The top-weight block loses u_1^2, its only column.
+        ((2, 0), lambda cols: cols[1:],
+         r"block of weight w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2"),
+    ],
+)
+def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
+    columns = hm._block_columns
+
+    def faulty(w, shape):
+        cols = columns(w, shape)
+        return fault(cols) if w == broken else cols
+
+    monkeypatch.setattr(hm, "_block_columns", faulty)
+    hm.harmonic_dimension.cache_clear()
+    try:
+        with pytest.raises(CertificationError, match=message):
+            hm.harmonic_dimension(4, 2)
+        assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
+        assert "w=" + str(broken) in capsys.readouterr().err
     finally:
         hm.harmonic_dimension.cache_clear()
 
