@@ -107,7 +107,8 @@ class KTypeTable:
 
     entries maps KTypeParam to a nonzero integer; the scan bounds record the
     window μ_0 ≤ max_mu0, μ_1 ≤ max_mu1 the table was computed over (None
-    when no window was given).
+    when no window was given).  A table certified against the harmonic
+    kernel also records, per entry, its kernel and Weyl dimensions.
     """
 
     m: int
@@ -115,6 +116,7 @@ class KTypeTable:
     entries: Dict[KTypeParam, int]
     max_mu0: int | None = None
     max_mu1: int | None = None
+    dims: Dict[KTypeParam, Tuple[int, int]] | None = None
 
     def sorted_entries(self) -> List[Tuple[KTypeParam, int]]:
         return sorted(self.entries.items(), key=lambda kv: (kv[0].mu0, kv[0].mu))

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 from .blattner import KTypeTable, ktype_table, unique_scalar_match_check
 from .harmonic import (
     CertificationError,
-    harmonic_dimension,
     so_invariance_check,
     sol_ktype_table,
 )
@@ -32,7 +31,6 @@ from .repdata import (
     range_verdict,
     verma_hom_condition,
     verma_inf_char,
-    weyl_dim_so2m,
 )
 from .weyl import (
     enumerate_coset_reps,
@@ -148,9 +146,7 @@ def cmd_harmonic(args, parser) -> Report:
         "mu0  mu  mult  kernel_dim  weyl_dim",
     ]
     for pi, mult in table.sorted_entries():
-        l = pi.mu0 - (args.m - 1)
-        kd = harmonic_dimension(2 * args.m, l)
-        wd = weyl_dim_so2m(args.m, pi.mu)
+        kd, wd = table.dims[pi]
         lines.append(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}  {kd}  {wd}")
     lines.append(f"certified rows: {len(table.entries)}")
     return _table_report(table, lines)

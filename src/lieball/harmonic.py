@@ -4,12 +4,15 @@ Polynomials carry exact rational coefficients on integer exponent tuples.
 Kernel dimensions are certified one torus-weight block at a time: in the
 coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) the
 Laplacian has integer coefficients and keeps the weight of each monomial,
-and each block's rank is certified from its leading rows.  Every row of the
-resulting K-type table, the analytic counterpart of the algebraic Euler-sum
-table, is then checked to be the expected SO(2m) constituent: the kernel
-holds its highest-weight vector u_1^l and has its Weyl dimension.  The full
-matrix over the z-monomials builds harmonic bases and serves the tests as
-the reference.
+and each block's rank is certified from its leading rows.  Permuting the
+pairs and swapping u_j ↔ v_j fix Δ, so only one block per orbit of
+weights, the one of its dominant weight, is built and certified; it counts
+once for every weight in its orbit.  Every row of the resulting K-type
+table, the analytic counterpart of the algebraic Euler-sum table, is then
+checked to be the expected SO(2m) constituent: the kernel holds its
+highest-weight vector u_1^l and has its Weyl dimension.  The stream of
+every weight's block and the full matrix over the z-monomials serve the
+tests as references; the full matrix also builds harmonic bases.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import product
-from math import comb
+from itertools import groupby, product
+from math import comb, factorial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .blattner import KTypeTable
@@ -289,13 +292,60 @@ def _block_shape(m: int, odd: int, k: int) -> Tuple[Shape, int]:
 
 def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, Shape, int]]:
     """Every torus weight w of Pol^l in n variables, with its block's shape
-    and row count.  For odd n the extra variable z_n has weight 0."""
+    and row count.  For odd n the extra variable z_n has weight 0.  No CLI
+    path walks it; the tests check `_dominant_blocks` against it."""
     m, odd = divmod(n, 2)
     for k in range(0, l + 1, 1 if odd else 2):
         shape, rows = _block_shape(m, odd, k)
         for size in _compositions(m, l - k):
             for w in product(*[(x, -x) if x else (0,) for x in size]):
                 yield w, shape, rows
+
+
+def _partitions(m: int, total: int) -> Iterator[Weight]:
+    """Partitions of `total` into at most m parts, as nonincreasing m-tuples
+    padded with zeros, in decreasing lexicographic order, one successor step
+    at a time (no recursion)."""
+    if total < 0:
+        return
+    x = [total] + [0] * (m - 1)
+    while True:
+        yield tuple(x)
+        # The rightmost part that can give up a unit to the parts after it,
+        # none of them outgrowing it, does; they are refilled greedily.
+        rest = 0
+        for i in range(m - 1, -1, -1):
+            if rest < (x[i] - 1) * (m - 1 - i):
+                break
+            rest += x[i]
+        else:
+            return
+        x[i] -= 1
+        rest += 1
+        for j in range(i + 1, m):
+            x[j] = min(x[i], rest)
+            rest -= x[j]
+
+
+def _orbit_size(w: Weight) -> int:
+    """Number of weights in the orbit of the dominant weight w: m!/∏ mult!
+    pair permutations (the multiplicities of its values, zeros included)
+    times 2^#nonzero sign changes."""
+    size = factorial(len(w))
+    for _, run in groupby(w):
+        size //= factorial(len(list(run)))
+    return size << sum(1 for x in w if x)
+
+
+def _dominant_blocks(n: int, l: int) -> Iterator[Tuple[Weight, int, Shape, int]]:
+    """One weight per orbit of the torus weights of Pol^l in n variables,
+    the dominant one (nonincreasing, nonnegative: a partition of l − k into
+    at most m parts), with its orbit size, its block's shape and row count."""
+    m, odd = divmod(n, 2)
+    for k in range(0, l + 1, 1 if odd else 2):
+        shape, rows = _block_shape(m, odd, k)
+        for w in _partitions(m, l - k):
+            yield w, _orbit_size(w), shape, rows
 
 
 def _block_columns(w: Weight, shape: Shape) -> List[Dict[int, int]]:
@@ -314,15 +364,16 @@ def _block_columns(w: Weight, shape: Shape) -> List[Dict[int, int]]:
 
 
 def _block_kernel_dimension(
-    n: int, l: int, w: Weight, cols: List[Dict[int, int]], rows: int
+    n: int, l: int, w: Weight, size: int, cols: List[Dict[int, int]], rows: int
 ) -> int:
-    """Certified kernel dimension of one block.  The columns are passed in
-    and live only for this call, so one block's columns exist at a time."""
+    """Certified kernel dimension of one block, whose weight w has an orbit
+    of `size` weights.  The columns are passed in and live only for this
+    call, so one block's columns exist at a time."""
     leads = {max(col) for col in cols if col}
     if len(leads) != rows:
         raise CertificationError(
             f"Laplacian columns lead in {len(leads)} of {rows} rows "
-            f"of the block of weight w={w} for n={n}, l={l}"
+            f"of the block of weight w={w} for n={n}, l={l}, orbit size {size}"
         )
     return len(cols) - rows
 
@@ -330,15 +381,26 @@ def _block_kernel_dimension(
 @lru_cache(maxsize=None)
 def harmonic_dimension(n: int, l: int) -> int:
     """dim ker(Δ) on degree-l polynomials in n variables, certified block by
-    block over the torus weights.
+    block over one torus weight per Weyl orbit.
 
     In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) (j ≤ m = n // 2)
     and, for odd n, z_n, Δ = 4 Σ_j ∂_(u_j) ∂_(v_j) + ∂²_(z_n) has integer
     coefficients and keeps the weight w = a − b of u^a v^b z_n^c.  So its
-    matrix is the direct sum of one block per weight, and each block is
-    built, certified and dropped before the next.  With b' = min(a, b), the
-    columns of the block of w are labelled by (b', c) with
+    matrix is the direct sum of one block per weight.  With b' = min(a, b),
+    the columns of the block of w are labelled by (b', c) with
     2|b'| + c = l − |w|₁ and its rows by the labels of degree l − 2.
+
+    Only the dominant weights' blocks are built, certified and dropped, each
+    counted once per weight of its orbit.  Permuting the pairs
+    (z_(2j−1), z_(2j)) and sending z_(2j) ↦ −z_(2j), which swaps u_j and v_j,
+    are orthogonal maps, so they fix Δ; they act on weights by permuting
+    the entries and changing signs w_j ↦ −w_j, and every orbit holds exactly
+    one nonincreasing, nonnegative weight.  A sign change maps the block of
+    w onto the block of the changed weight with the same labels and the same
+    entries 4(b'_j + w⁺_j)(b'_j + w⁻_j), which are symmetric in w⁺_j and
+    w⁻_j; a permutation maps it onto the permuted weight's block up to the
+    same relabelling of its rows and columns.  So the blocks of one orbit
+    have equal rank and equal kernel dimension.
 
     Columns with pairwise distinct last nonzero rows are triangular, hence
     independent, so the rank of a block is at least the number of distinct
@@ -348,9 +410,10 @@ def harmonic_dimension(n: int, l: int) -> int:
     the first j with b'_j > 0, and b'' ↦ b'' + e_1 reaches every row
     exactly once.
 
-    The top-weight block w = (l, 0, ..., 0) holds the single monomial u_1^l,
-    which must be a kernel vector (see `sol_ktype_table` for why).  Any
-    failed check raises CertificationError naming n, l and the weight.
+    The top weight (l, 0, ..., 0) is dominant; its block holds the single
+    monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
+    why).  Any failed check raises CertificationError naming n, l, the
+    dominant weight and its orbit size.
     """
     if n < 2:
         raise ValueError("need at least two variables")
@@ -358,15 +421,15 @@ def harmonic_dimension(n: int, l: int) -> int:
         raise ValueError("degree must be nonnegative")
     top = (l,) + (0,) * (n // 2 - 1)
     kernel = top_kernel = 0
-    for w, shape, rows in _weight_blocks(n, l):
-        dim = _block_kernel_dimension(n, l, w, _block_columns(w, shape), rows)
-        kernel += dim
+    for w, size, shape, rows in _dominant_blocks(n, l):
+        dim = _block_kernel_dimension(n, l, w, size, _block_columns(w, shape), rows)
+        kernel += size * dim
         if w == top:
             top_kernel = dim
     if top_kernel != 1:
         raise CertificationError(
             f"the block of weight w={top} has {top_kernel} kernel vectors, "
-            f"not u_1^{l} alone, for n={n}, l={l}"
+            f"not u_1^{l} alone, for n={n}, l={l}, orbit size {_orbit_size(top)}"
         )
     return kernel
 
@@ -455,6 +518,7 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
     if max_l < 0:
         raise ValueError("max_l must be nonnegative")
     entries: Dict[KTypeParam, int] = {}
+    dims: Dict[KTypeParam, Tuple[int, int]] = {}
     for l in range(max_l + 1):
         mu = (l,) + (0,) * (m - 1)
         kernel_dim = harmonic_dimension(2 * m, l)
@@ -464,7 +528,9 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
                 f"kernel dimension {kernel_dim} != Weyl dimension {rep_dim} "
                 f"of weight {mu} for n={2 * m}, l={l}"
             )
-        entries[KTypeParam(l + m - 1, mu)] = 1
+        pi = KTypeParam(l + m - 1, mu)
+        entries[pi] = 1
+        dims[pi] = (kernel_dim, rep_dim)
     return KTypeTable(
-        m=m, lam=m - 1, entries=entries, max_mu0=m - 1 + max_l, max_mu1=max_l
+        m=m, lam=m - 1, entries=entries, max_mu0=m - 1 + max_l, max_mu1=max_l, dims=dims
     )

@@ -47,7 +47,12 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
     """Weyl dimension of the SO(2m) representation with highest weight μ.
 
     The product of ⟨μ+ρ_c, α⟩ / ⟨ρ_c, α⟩ over the positive roots
-    {e_i ± e_j : i < j}; always a positive integer for dominant μ.
+    {e_i ± e_j : i < j}, taken a pair at a time: with r = μ + ρ_c and
+    ρ_c = (m−1, ..., 1, 0), the pair i < j gives
+    (r_i − r_j)(r_i + r_j) / ((ρ_i − ρ_j)(ρ_i + ρ_j)).  The zeros of a
+    dominant μ come last, and a pair of them gives 1, so only the pairs
+    i < j with μ_i ≠ 0 are multiplied.  Always a positive integer for
+    dominant μ.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -55,12 +60,17 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
         raise ValueError("weight rank does not match m")
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
-    data = build_root_sets(m)
-    rc = half_sum(data.k_pos)
-    shifted = tuple(Q(c) + r for c, r in zip(mu, rc))
-    dim = Q(1)
-    for alpha in data.k_pos:
-        dim *= dot(shifted, alpha) / dot(rc, alpha)
+    # Doubled, so that half-integral (spin) weights stay integral.
+    rho = [2 * (m - 1 - i) for i in range(m)]
+    r = [2 * c + p for c, p in zip(mu, rho)]
+    num = den = 1
+    for i in range(m):
+        if not mu[i]:
+            break
+        for j in range(i + 1, m):
+            num *= (r[i] - r[j]) * (r[i] + r[j])
+            den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
+    dim = Q(num, den)
     if dim.denominator != 1 or dim <= 0:
         raise ArithmeticError(f"Weyl dimension came out as {dim}")
     return int(dim)

@@ -143,6 +143,11 @@ def test_harmonic_dimension_matches_formula(n):
         assert harmonic_dimension(n, l) == len(exact_kernel(hm._laplacian_columns(n, l)))
 
 
+@pytest.mark.parametrize("n,l", [(40, 8), (200, 4)])
+def test_harmonic_dimension_at_many_variables(n, l):
+    assert harmonic_dimension(n, l) == harmonic_dimension_formula(n, l)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_weight_blocks_partition_the_bases(n):
     for l in range(7):
@@ -193,6 +198,70 @@ def test_block_columns_are_the_uv_laplacian(n):
                 )
 
 
+def block_map(n, l, w, shape):
+    """The block of weight w as {source monomial: {target monomial: entry}},
+    over the exponents of (u_1..u_m, v_1..v_m, z_n)."""
+    m, odd = divmod(n, 2)
+    row_labels = hm._block_labels(m, odd, l - sum(map(abs, w)) - 2)
+    return {
+        uv_exponents(w, label): {uv_exponents(w, row_labels[r]): c for r, c in col.items()}
+        for (label, _, _), col in zip(shape, hm._block_columns(w, shape))
+    }
+
+
+def to_dominant(w, exps):
+    """A (u, v, z_n) exponent tuple of weight w, mapped by the swaps u_j <-> v_j
+    for w_j < 0 and then by the pair permutation that sorts |w| decreasingly."""
+    m = len(w)
+    a, b = list(exps[:m]), list(exps[m : 2 * m])
+    for j in range(m):
+        if w[j] < 0:
+            a[j], b[j] = b[j], a[j]
+    order = sorted(range(m), key=lambda j: -abs(w[j]))
+    return tuple(a[j] for j in order) + tuple(b[j] for j in order) + exps[2 * m :]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_every_block_is_its_dominant_block_relabelled(n):
+    for l in range(7):
+        stream = list(hm._dominant_blocks(n, l))
+        dominant = {w: (size, shape, rows) for w, size, shape, rows in stream}
+        assert len(dominant) == len(stream)
+        for w in dominant:
+            assert list(w) == sorted(w, reverse=True) and min(w) >= 0
+        weights = 0
+        for w, shape, rows in hm._weight_blocks(n, l):
+            weights += 1
+            rep = tuple(sorted(map(abs, w), reverse=True))
+            _, rep_shape, rep_rows = dominant[rep]
+            assert rows == rep_rows
+            image = {
+                to_dominant(w, source): {to_dominant(w, t): c for t, c in col.items()}
+                for source, col in block_map(n, l, w, shape).items()
+            }
+            assert image == block_map(n, l, rep, rep_shape)
+        assert sum(size for size, _, _ in dominant.values()) == weights
+        assert sum(
+            size * len(shape) for size, shape, _ in dominant.values()
+        ) == polynomial_space_dimension(n, l)
+        assert sum(
+            size * rows for size, _, rows in dominant.values()
+        ) == polynomial_space_dimension(n, l - 2)
+
+
+def test_cli_path_walks_dominant_weights_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("every torus weight walked")
+
+    monkeypatch.setattr(hm, "_weight_blocks", refuse)
+    hm.harmonic_dimension.cache_clear()
+    try:
+        assert main(["harmonic", "--m", "3", "--max-l", "5"]) == 0
+        assert main(["verify", "--m", "2", "--max-l", "3"]) == 0
+    finally:
+        hm.harmonic_dimension.cache_clear()
+
+
 def test_cli_path_builds_no_full_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("full Laplacian matrix built")
@@ -227,6 +296,11 @@ def test_uncertified_rank_is_refused(monkeypatch):
         # The top-weight block loses u_1^2, its only column.
         ((2, 0), lambda cols: cols[1:],
          r"block of weight w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2"),
+        # The same faults, with the orbit size of the dominant weight.
+        ((0, 0), lambda cols: [{} for _ in cols],
+         r"w=\(0, 0\) for n=4, l=2, orbit size 1$"),
+        ((2, 0), lambda cols: cols[1:],
+         r"w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2, orbit size 4$"),
     ],
 )
 def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):

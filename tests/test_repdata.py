@@ -25,7 +25,46 @@ from lieball.repdata import (
 from lieball.weyl import act, enumerate_group
 
 
+def root_set_weyl_dim(m, mu):
+    """Reference: the product of <mu + rho, alpha> / <rho, alpha> over every
+    positive root alpha = e_i +- e_j (i < j) of so(2m), rho their half sum."""
+    roots = [
+        tuple((k == i) + s * (k == j) for k in range(m))
+        for i in range(m)
+        for j in range(i + 1, m)
+        for s in (1, -1)
+    ]
+    rho = [Q(sum(column), 2) for column in zip(*roots)]
+    shifted = [Q(c) + r for c, r in zip(mu, rho)]
+    dim = Q(1)
+    for alpha in roots:
+        num = sum(a * x for a, x in zip(alpha, shifted) if a)
+        dim *= num / sum(a * x for a, x in zip(alpha, rho) if a)
+    return dim
+
+
+def dominant_weights(m, top):
+    """Every dominant integral weight of SO(2m) with mu_1 <= top."""
+    for mu in itertools.combinations_with_replacement(range(top, -1, -1), m):
+        yield mu
+        if mu[-1]:
+            yield mu[:-1] + (-mu[-1],)
+
+
 class TestWeylDim:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_root_set_formula(self, m):
+        weights = list(dominant_weights(m, 4))
+        assert len(set(weights)) == len(weights)
+        for mu in weights:
+            assert weyl_dim_so2m(m, mu) == root_set_weyl_dim(m, mu)
+
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_matches_root_set_formula_on_symmetric_powers(self, m):
+        for l in (0, 1, 2, 5, 10):
+            mu = (l,) + (0,) * (m - 1)
+            assert weyl_dim_so2m(m, mu) == root_set_weyl_dim(m, mu)
+
     def test_symmetric_powers_rank_two(self):
         for l in range(6):
             assert weyl_dim_so2m(2, (l, 0)) == (l + 1) ** 2
