@@ -79,7 +79,11 @@ def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
 
 
 def dominant_mu_vectors(m: int, max_mu1: int) -> List[Tuple[int, ...]]:
-    """All dominant SO(2m) weights with μ_1 ≤ max_mu1, sorted lexicographically."""
+    """All dominant SO(2m) weights with μ_1 ≤ max_mu1, sorted lexicographically.
+
+    No CLI path calls it; it stays because the benchmark's memory pass feeds
+    these weights to `kostant.euler_character`.
+    """
     if m < 2:
         raise ValueError("need m >= 2")
     if max_mu1 < 0:
@@ -146,7 +150,7 @@ def unique_scalar_match_check(m: int, grid_bound: int) -> bool:
 
     Over every dominant μ with entries in [−grid_bound, grid_bound], every
     l in [0, 2·grid_bound] and every coset representative w, the equality
-    w(μ+ρ_c) − ρ_c = (l, 0, ..., 0) holds exactly when w is the identity
+    w(μ+ρ_c) − ρ_c = (l, 0, ..., 0) holds exactly when w = 1
     and μ = (l, 0, ..., 0).  Checked from the target side: the only
     preimage of (l, 0, ..., 0) in the grid is itself, with sign +1, and
     only when it lies in the grid.

@@ -12,7 +12,7 @@ table, the analytic counterpart of the algebraic Euler-sum table, is then
 checked to be the expected SO(2m) constituent: the kernel holds its
 highest-weight vector u_1^l and has its Weyl dimension.  The stream of
 every weight's block and the full matrix over the z-monomials serve the
-tests as references; the full matrix also builds harmonic bases.
+tests as references.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .blattner import KTypeTable
 from .kostant import KTypeParam
-from .linalg import exact_kernel
 from .repdata import weyl_dim_so2m
 
 __all__ = [
@@ -37,10 +36,8 @@ __all__ = [
     "laplacian",
     "laplacian_power",
     "rotation_generator",
-    "radial_square",
     "harmonic_dimension",
     "harmonic_dimension_formula",
-    "harmonic_basis",
     "random_homogeneous",
     "so_invariance_check",
     "sol_ktype_table",
@@ -236,15 +233,9 @@ def rotation_generator(f: SparsePolynomial, a: int, b: int) -> SparsePolynomial:
     return za * f.partial(b) - zb * f.partial(a)
 
 
-def radial_square(n: int) -> SparsePolynomial:
-    """The quadric Σ z_i²."""
-    return SparsePolynomial(
-        n, {tuple(2 if j == i else 0 for j in range(n)): Q(1) for i in range(n)}
-    )
-
-
 def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
-    """Columns of Δ: Pol^l → Pol^{l−2} over the z-monomial bases, all at once."""
+    """Columns of Δ: Pol^l → Pol^{l−2} over the z-monomial bases, all at once.
+    No CLI path builds them; they are the tests' full-matrix oracle."""
     source = monomial_exponents(n, l)
     target = monomial_exponents(n, l - 2)
     index = {e: i for i, e in enumerate(target)}
@@ -443,24 +434,12 @@ def harmonic_dimension_formula(n: int, l: int) -> int:
     return polynomial_space_dimension(n, l) - polynomial_space_dimension(n, l - 2)
 
 
-def harmonic_basis(n: int, l: int) -> List[SparsePolynomial]:
-    """An exact basis of the degree-l harmonic polynomials."""
-    source = monomial_exponents(n, l)
-    cols = _laplacian_columns(n, l)
-    basis = []
-    for combo in exact_kernel(cols):
-        terms = {source[c]: coeff for c, coeff in combo.items()}
-        basis.append(SparsePolynomial(n, terms))
-    return basis
-
-
-def random_homogeneous(
-    n: int, degree: int, rng: random.Random, max_terms: int = 6
-) -> SparsePolynomial:
-    """A random homogeneous polynomial with small rational coefficients."""
+def random_homogeneous(n: int, degree: int, rng: random.Random) -> SparsePolynomial:
+    """A random homogeneous polynomial with up to six terms and small
+    rational coefficients."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    nterms = rng.randint(1, max_terms)
+    nterms = rng.randint(1, 6)
     terms: Dict[Exponents, Q] = {}
     for _ in range(nterms):
         counts = [0] * n

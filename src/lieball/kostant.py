@@ -119,7 +119,8 @@ def euler_character(m: int, pi: KTypeParam) -> List[Tuple[LKTypeParam, int]]:
     """All cohomology constituents with the sign (−1)^j of their degree.
 
     Exactly 2^{m−1} terms, ordered by degree and then by the coset
-    enumeration order.
+    enumeration order.  No CLI path calls it; it stays because the
+    benchmark's memory pass times shifted-weight evaluation through it.
     """
     if m < 2:
         raise ValueError("need m >= 2")

@@ -3,7 +3,8 @@
 Vectors are dicts mapping row index to a nonzero integer.  Elimination uses
 integer cross-multiplication with gcd normalization after every combination,
 so all arithmetic is exact; no floating point and no modular arithmetic
-anywhere.
+anywhere.  No CLI path eliminates: `harmonic_dimension` certifies its ranks
+from leading rows, and this kernel is the tests' full-matrix oracle for it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def exact_kernel(vectors: List[Vector]) -> List[Vector]:
     with positive leading entry.  Column c carries its tag, the combination
     it stands for, as the entry 1 at position top + c below every row, so
     one elimination clears rows and tracks tags together; a column reduced
-    to its tag is a kernel element.
+    to its tag is a kernel element.  It is the full-matrix oracle that the
+    tests hold `harmonic_dimension` to, over `harmonic._laplacian_columns`.
     """
     top = 1 + max((k for v in vectors for k in v), default=-1)
     pivots: Dict[int, Vector] = {}

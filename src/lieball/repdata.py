@@ -20,9 +20,9 @@ from .root_data import (
     as_weight,
     build_root_sets,
     dot,
-    half_sum,
     rho_g,
     rho_l,
+    rho_u,
     sub,
 )
 
@@ -115,14 +115,12 @@ def range_verdict(m: int, lam: int) -> RangeVerdict:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    data = build_root_sets(m)
-    rho_u = half_sum(data.u)
     ones = as_weight((lam,) * (m + 1))
-    wf_shift = sub(ones, rho_u)
+    wf_shift = sub(ones, rho_u(m))
     good_shift = tuple(a + b for a, b in zip(wf_shift, rho_l(m)))
     wf_witnesses = []
     good_witnesses = []
-    for alpha in data.u:
+    for alpha in build_root_sets(m).u:
         pairing = dot(wf_shift, alpha)
         if pairing < 0:
             wf_witnesses.append((alpha, pairing))

@@ -1,4 +1,4 @@
-"""Root data for so(2, 2m): ambient D_{m+1} roots and the parabolic decomposition.
+"""Root data for so(2, 2m): the nilradical u of the parabolic and the compact roots.
 
 Coordinates are exact rationals in an orthonormal basis.  G-weights live in
 rank m+1 (basis e_0..e_m, with e_0 attached to the so(2) factor); weights of
@@ -20,23 +20,16 @@ __all__ = [
     "as_weight",
     "add",
     "sub",
-    "neg",
-    "scale",
     "dot",
-    "basis_vector",
     "build_root_sets",
     "half_sum",
     "rho_u",
-    "rho_u_cap_k",
     "rho_c",
     "rho_l",
     "rho_g",
-    "dolbeault_degree",
 ]
 
 Weight = Tuple[Q, ...]
-
-ROOT_SET_LABELS = ("g", "p+", "p-", "u", "u∩k", "u∩p", "k", "l", "l∩k")
 
 
 def as_weight(coords: Iterable[object]) -> Weight:
@@ -56,37 +49,19 @@ def sub(x: Weight, y: Weight) -> Weight:
     return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
-def neg(x: Weight) -> Weight:
-    return tuple(-a for a in x)
-
-
-def scale(c: object, x: Weight) -> Weight:
-    q = Q(c)
-    return tuple(q * a for a in x)
-
-
 def dot(x: Weight, y: Weight) -> Q:
     """Standard inner product; the basis e_i is orthonormal."""
     return sum((a * b for a, b in zip(x, y, strict=True)), Q(0))
-
-
-def basis_vector(rank: int, i: int) -> Weight:
-    if not 0 <= i < rank:
-        raise ValueError(f"basis index {i} out of range for rank {rank}")
-    return tuple(Q(1) if j == i else Q(0) for j in range(rank))
 
 
 @dataclass(frozen=True)
 class RootSet:
     """A finite set of roots, stored in a fixed deterministic order."""
 
-    label: str
     rank: int
     roots: Tuple[Weight, ...]
 
     def __post_init__(self) -> None:
-        if self.label not in ROOT_SET_LABELS:
-            raise ValueError(f"unknown root set label {self.label!r}")
         seen = set()
         for r in self.roots:
             if len(r) != self.rank:
@@ -117,74 +92,34 @@ def _root(rank: int, i: int, si: int, j: int, sj: int) -> Weight:
 
 @dataclass(frozen=True)
 class RootData:
-    """All root sets used downstream, for one rank parameter m >= 2.
+    """The root sets used downstream, for one rank parameter m >= 2.
 
-    Rank m+1 sets (basis e_0..e_m): g, p_plus, p_minus, u, u_cap_k, u_cap_p, l.
-    Rank m sets (basis e_1..e_m, the SO(2m) factor): k_pos is the positive
-    system {e_i ± e_j : i < j} containing the u∩k roots, u_cap_k_so is u∩k in
-    SO(2m) coordinates, l_cap_k_pos is the positive system {e_i − e_j : i < j}
-    of the gl(m) Levi factor of k.
+    u has rank m+1 (basis e_0..e_m); k_pos has rank m (basis e_1..e_m, the
+    SO(2m) factor) and is the positive system {e_i ± e_j : i < j}.
     """
 
     m: int
-    g: RootSet
-    p_plus: RootSet
-    p_minus: RootSet
     u: RootSet
-    u_cap_k: RootSet
-    u_cap_p: RootSet
-    l: RootSet
     k_pos: RootSet
-    u_cap_k_so: RootSet
-    l_cap_k_pos: RootSet
 
 
 @lru_cache(maxsize=None)
 def build_root_sets(m: int) -> RootData:
     """Construct the root sets of so(2m+2, C) cut out by the grading element.
 
-    The grading element is 1_{m+1} = e_0 + ... + e_m: l collects the roots
-    pairing to zero with it, u the roots pairing positively.
+    The grading element is 1_{m+1} = e_0 + ... + e_m: u collects the roots
+    pairing positively with it, {e_i + e_j : i < j}.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     n = m + 1
-    g = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    g.append(_root(n, i, si, j, sj))
-    p_plus = [_root(n, 0, 1, j, s) for j in range(1, n) for s in (1, -1)]
-    p_minus = [neg(r) for r in p_plus]
-    u_cap_k = [_root(n, i, 1, j, 1) for i in range(1, n) for j in range(i + 1, n)]
-    u_cap_p = [_root(n, 0, 1, j, 1) for j in range(1, n)]
     u = [_root(n, i, 1, j, 1) for i in range(n) for j in range(i + 1, n)]
-    l = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            l.append(_root(n, i, 1, j, -1))
-            l.append(_root(n, i, -1, j, 1))
     k_pos = []
     for i in range(m):
         for j in range(i + 1, m):
             k_pos.append(_root(m, i, 1, j, 1))
             k_pos.append(_root(m, i, 1, j, -1))
-    u_cap_k_so = [_root(m, i, 1, j, 1) for i in range(m) for j in range(i + 1, m)]
-    l_cap_k_pos = [_root(m, i, 1, j, -1) for i in range(m) for j in range(i + 1, m)]
-    return RootData(
-        m=m,
-        g=RootSet("g", n, tuple(g)),
-        p_plus=RootSet("p+", n, tuple(p_plus)),
-        p_minus=RootSet("p-", n, tuple(p_minus)),
-        u=RootSet("u", n, tuple(u)),
-        u_cap_k=RootSet("u∩k", n, tuple(u_cap_k)),
-        u_cap_p=RootSet("u∩p", n, tuple(u_cap_p)),
-        l=RootSet("l", n, tuple(l)),
-        k_pos=RootSet("k", m, tuple(k_pos)),
-        u_cap_k_so=RootSet("u∩k", m, tuple(u_cap_k_so)),
-        l_cap_k_pos=RootSet("l∩k", m, tuple(l_cap_k_pos)),
-    )
+    return RootData(m=m, u=RootSet(n, tuple(u)), k_pos=RootSet(m, tuple(k_pos)))
 
 
 def half_sum(rs: RootSet) -> Weight:
@@ -192,19 +127,13 @@ def half_sum(rs: RootSet) -> Weight:
     total = tuple(Q(0) for _ in range(rs.rank))
     for r in rs:
         total = add(total, r)
-    return scale(Q(1, 2), total)
+    return tuple(c / 2 for c in total)
 
 
 @lru_cache(maxsize=None)
 def rho_u(m: int) -> Weight:
     """Half-sum over u; equals (m/2)·1_{m+1}."""
     return half_sum(build_root_sets(m).u)
-
-
-@lru_cache(maxsize=None)
-def rho_u_cap_k(m: int) -> Weight:
-    """Half-sum over u∩k in rank m+1; equals 0 ⊕ ((m−1)/2)·1_m."""
-    return half_sum(build_root_sets(m).u_cap_k)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +146,6 @@ def rho_c(m: int) -> Weight:
 def rho_l(m: int) -> Weight:
     """Half-sum of the positive roots of the Levi factor gl(m+1)."""
     pos = RootSet(
-        "l",
         m + 1,
         tuple(
             _root(m + 1, i, 1, j, -1)
@@ -237,15 +165,5 @@ def rho_g(m: int) -> Weight:
         for j in range(i + 1, n):
             pos.append(_root(n, i, 1, j, 1))
             pos.append(_root(n, i, 1, j, -1))
-    return half_sum(RootSet("g", n, tuple(pos)))
+    return half_sum(RootSet(n, tuple(pos)))
 
-
-def dolbeault_degree(m: int) -> int:
-    """Degree of the Dolbeault realization on the cycle SO(2m)/U(m).
-
-    This is the declared constant m(m−1); note it equals twice the number of
-    roots in u∩k, which is m(m−1)/2 and bounds the nonzero cohomology degrees.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    return m * (m - 1)

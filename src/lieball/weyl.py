@@ -17,19 +17,15 @@ from .root_data import RootSet, build_root_sets
 
 __all__ = [
     "SignedPermutation",
-    "identity",
-    "compose",
     "inverse",
     "act",
     "enumerate_group",
-    "group_order",
     "inversion_set",
     "length",
     "is_coset_rep",
     "enumerate_coset_reps",
     "lehmer_code",
     "sign_bits",
-    "flip_pattern",
     "one_line_window",
 ]
 
@@ -59,10 +55,6 @@ class SignedPermutation:
         return len(self.perm)
 
 
-def identity(m: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(m)), (1,) * m)
-
-
 def act(w: SignedPermutation, mu: Sequence) -> tuple:
     """Apply w to a coordinate vector: (w·μ)_i = signs_i · μ_{perm⁻¹(i)}."""
     m = w.rank
@@ -75,20 +67,6 @@ def act(w: SignedPermutation, mu: Sequence) -> tuple:
     return tuple(out)
 
 
-def compose(w1: SignedPermutation, w2: SignedPermutation) -> SignedPermutation:
-    """The product w1∘w2, satisfying act(w1, act(w2, μ)) = act(compose(w1, w2), μ)."""
-    if w1.rank != w2.rank:
-        raise ValueError("rank mismatch")
-    m = w1.rank
-    perm = tuple(w1.perm[w2.perm[j]] for j in range(m))
-    signs = [0] * m
-    for j in range(m):
-        i2 = w2.perm[j]
-        i = w1.perm[i2]
-        signs[i] = w1.signs[i] * w2.signs[i2]
-    return SignedPermutation(perm, tuple(signs))
-
-
 def inverse(w: SignedPermutation) -> SignedPermutation:
     m = w.rank
     q = [0] * m
@@ -98,15 +76,13 @@ def inverse(w: SignedPermutation) -> SignedPermutation:
     return SignedPermutation(tuple(q), signs)
 
 
-def group_order(m: int) -> int:
-    order = 2 ** (m - 1)
-    for k in range(2, m + 1):
-        order *= k
-    return order
-
-
 def enumerate_group(m: int) -> Iterator[SignedPermutation]:
-    """All of W(D_m): every permutation with every even sign vector."""
+    """All of W(D_m): every permutation with every even sign vector.
+
+    No CLI path walks the whole group.  It stays because the acceptance gate
+    counts the coset representatives in it and the tests filter it as the
+    oracle for `enumerate_coset_reps`.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
     for perm in itertools.permutations(range(m)):
@@ -126,21 +102,18 @@ def _is_negative_root(v: Sequence) -> bool:
     raise ValueError("zero vector is not a root")
 
 
-def inversion_set(w: SignedPermutation, m: int | None = None) -> RootSet:
+def inversion_set(w: SignedPermutation) -> RootSet:
     """The roots {α ∈ Δ+(k) : w⁻¹α ∈ Δ−(k)}; its size is the length of w."""
-    if m is None:
-        m = w.rank
-    if m != w.rank:
-        raise ValueError("rank mismatch")
+    m = w.rank
     roots = build_root_sets(m).k_pos.roots if m >= 2 else ()
     winv = inverse(w)
     inv = [alpha for alpha in roots if _is_negative_root(act(winv, alpha))]
-    return RootSet("k", m, tuple(inv))
+    return RootSet(m, tuple(inv))
 
 
 @lru_cache(maxsize=None)
-def length(w: SignedPermutation, m: int | None = None) -> int:
-    return len(inversion_set(w, m))
+def length(w: SignedPermutation) -> int:
+    return len(inversion_set(w))
 
 
 def is_coset_rep(w: SignedPermutation) -> bool:
@@ -149,7 +122,8 @@ def is_coset_rep(w: SignedPermutation) -> bool:
     Equivalent direct test: no root e_i − e_j (i < j) maps under w⁻¹ to a
     negative root.  Writing q = perm⁻¹, w⁻¹(e_i − e_j) = signs_i e_{q(i)} −
     signs_j e_{q(j)}, which is positive iff the coefficient on the smaller
-    target index is +1.
+    target index is +1.  No CLI path calls it; it stays as that filter in
+    the acceptance gate and in the tests' coset oracle.
     """
     m = w.rank
     q = [0] * m
@@ -207,15 +181,6 @@ def enumerate_coset_reps(m: int) -> Tuple[SignedPermutation, ...]:
             reps.append(inverse(SignedPermutation(kept + flipped[::-1], signs)))
     reps.sort(key=lambda w: (length(w), lehmer_code(w.perm), sign_bits(w.signs)))
     return tuple(reps)
-
-
-def flip_pattern(w: SignedPermutation) -> Tuple[int, ...]:
-    """Source positions (1-based) whose coordinate picks up a sign flip."""
-    flipped = []
-    for j in range(w.rank):
-        if w.signs[w.perm[j]] < 0:
-            flipped.append(j + 1)
-    return tuple(flipped)
 
 
 def one_line_window(w: SignedPermutation) -> Tuple[int, ...]:

@@ -13,14 +13,12 @@ from lieball.cli import main
 from lieball.harmonic import (
     CertificationError,
     SparsePolynomial,
-    harmonic_basis,
     harmonic_dimension,
     harmonic_dimension_formula,
     laplacian,
     laplacian_power,
     monomial_exponents,
     polynomial_space_dimension,
-    radial_square,
     random_homogeneous,
     rotation_generator,
     so_invariance_check,
@@ -32,6 +30,11 @@ from lieball.linalg import exact_kernel
 
 def var(n, i):
     return SparsePolynomial.variable(n, i)
+
+
+def radial_square(n):
+    """The quadric Σ z_i²."""
+    return sum((var(n, i) * var(n, i) for i in range(n)), SparsePolynomial.zero(n))
 
 
 class TestSparsePolynomial:
@@ -322,30 +325,12 @@ def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, m
 
 
 @pytest.mark.parametrize("n,l", [(4, 2), (4, 3), (6, 2)])
-def test_harmonic_basis_is_annihilated(n, l):
-    basis = harmonic_basis(n, l)
-    assert len(basis) == harmonic_dimension(n, l)
-    for h in basis:
-        assert laplacian(h).is_zero()
-        assert h.is_homogeneous() and h.degree() == l
-
-
-def test_harmonic_basis_is_independent():
-    n, l = 4, 2
-    exps = monomial_exponents(n, l)
-    index = {e: i for i, e in enumerate(exps)}
-    cols = []
-    for h in basis_polys(n, l):
-        denom = 1
-        for c in h.terms.values():
-            denom = denom * c.denominator // __import__("math").gcd(denom, c.denominator)
-        cols.append({index[e]: int(c * denom) for e, c in h.terms.items()})
-    assert len(cols) - len(exact_kernel(cols)) == harmonic_dimension(n, l)
-
-
-def basis_polys(n, l):
-    for h in harmonic_basis(n, l):
-        yield SparsePolynomial(n, {e: Q(c) for e, c in h.terms.items()})
+def test_laplacian_columns_are_the_laplacian(n, l):
+    # the full-matrix oracle against `laplacian`, column by column
+    source, target = monomial_exponents(n, l), monomial_exponents(n, l - 2)
+    for exps, col in zip(source, hm._laplacian_columns(n, l)):
+        image = SparsePolynomial(n, {target[r]: c for r, c in col.items()})
+        assert image == laplacian(SparsePolynomial.monomial(n, exps))
 
 
 def test_radial_shift_identity():

@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 from lieball.root_data import (
     add,
     as_weight,
-    basis_vector,
     build_root_sets,
-    dolbeault_degree,
     dot,
     half_sum,
-    neg,
     rho_c,
     rho_g,
     rho_l,
     rho_u,
-    rho_u_cap_k,
-    scale,
     sub,
 )
 
@@ -40,67 +35,30 @@ def test_vector_helpers():
     b = as_weight((Q(1, 2), -1))
     assert add(a, b) == (Q(3, 2), Q(1))
     assert sub(a, b) == (Q(1, 2), Q(3))
-    assert neg(b) == (Q(-1, 2), Q(1))
-    assert scale(Q(2), b) == (Q(1), Q(-2))
     assert dot(a, b) == Q(1, 2) - 2
-    assert basis_vector(3, 1) == (Q(0), Q(1), Q(0))
 
 
-# counts for m=2: |g| = 2*3*2 = 12, |p+| = 4, |u| = 3, |u cap k| = 1.
+# counts for m=2: |u| = 3, |k| = 2.
 ROOT_COUNTS = {
-    "g": lambda m: 2 * m * (m + 1),
-    "p+": lambda m: 2 * m,
-    "p-": lambda m: 2 * m,
     "u": lambda m: m * (m - 1) // 2 + m,
-    "u∩k": lambda m: m * (m - 1) // 2,
-    "u∩p": lambda m: m,
-    "l": lambda m: m * (m + 1),
     "k": lambda m: m * (m - 1),
-    "l∩k": lambda m: m * (m - 1) // 2,
 }
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_root_set_cardinalities(m):
     data = build_root_sets(m)
-    assert len(data.g) == ROOT_COUNTS["g"](m)
-    assert len(data.p_plus) == ROOT_COUNTS["p+"](m)
-    assert len(data.p_minus) == ROOT_COUNTS["p-"](m)
     assert len(data.u) == ROOT_COUNTS["u"](m)
-    assert len(data.u_cap_k) == ROOT_COUNTS["u∩k"](m)
-    assert len(data.u_cap_p) == ROOT_COUNTS["u∩p"](m)
-    assert len(data.l) == ROOT_COUNTS["l"](m)
     assert len(data.k_pos) == ROOT_COUNTS["k"](m)
-    assert len(data.l_cap_k_pos) == ROOT_COUNTS["l∩k"](m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_root_set_decompositions(m):
     data = build_root_sets(m)
-    u_roots = set(data.u)
-    assert u_roots == set(data.u_cap_k) | set(data.u_cap_p)
-    # p+ splits as (u cap p) and its partner family e_0 - e_j
-    assert set(data.u_cap_p) <= set(data.p_plus)
-    # g is the disjoint union of p+, p-, and the k-part copied into rank m+1
-    assert len(set(data.g)) == len(data.g)
-    assert set(data.p_plus).isdisjoint(set(data.p_minus))
-    assert set(data.p_plus) | set(data.p_minus) <= set(data.g)
-
-
-def test_m2_u_cap_k_explicit():
-    data = build_root_sets(2)
-    assert list(data.u_cap_k) == [(Q(0), Q(1), Q(1))]
-
-
-def test_m2_p_plus_explicit():
-    data = build_root_sets(2)
-    expected = {
-        (Q(1), Q(1), Q(0)),
-        (Q(1), Q(-1), Q(0)),
-        (Q(1), Q(0), Q(1)),
-        (Q(1), Q(0), Q(-1)),
-    }
-    assert set(data.p_plus) == expected
+    # u splits into the e_0 + e_j and a copy of the e_i + e_j among k_pos
+    with_e0 = {r for r in data.u if r[0] != 0}
+    assert len(with_e0) == m
+    assert {r[1:] for r in set(data.u) - with_e0} == {r for r in data.k_pos if -1 not in r}
 
 
 @pytest.mark.parametrize(
@@ -112,17 +70,6 @@ def test_m2_p_plus_explicit():
 )
 def test_rho_u(m, expected):
     assert rho_u(m) == expected
-
-
-@pytest.mark.parametrize(
-    "m,expected",
-    [
-        (2, (Q(0), Q(1, 2), Q(1, 2))),
-        (3, (Q(0), Q(1), Q(1), Q(1))),
-    ],
-)
-def test_rho_u_cap_k(m, expected):
-    assert rho_u_cap_k(m) == expected
 
 
 @pytest.mark.parametrize("m,expected", [(2, (Q(1), Q(0))), (4, (Q(3), Q(2), Q(1), Q(0)))])
@@ -140,15 +87,7 @@ def test_rho_l_and_rho_g():
 def test_rho_functions_are_half_sums(m):
     data = build_root_sets(m)
     assert rho_u(m) == half_sum(data.u)
-    assert rho_u_cap_k(m) == half_sum(data.u_cap_k)
     assert rho_c(m) == half_sum(data.k_pos)
-
-
-@pytest.mark.parametrize("m,expected", [(2, 2), (3, 6), (5, 20)])
-def test_dolbeault_degree(m, expected):
-    assert dolbeault_degree(m) == expected
-    # the stated top degree is twice the complex dimension of u cap k
-    assert dolbeault_degree(m) == 2 * len(build_root_sets(m).u_cap_k)
 
 
 @given(
@@ -166,4 +105,4 @@ def test_add_sub_roundtrip(xs, ys):
 @given(st.lists(st.fractions(max_denominator=2), min_size=1, max_size=6))
 def test_dot_neg(xs):
     a = as_weight(tuple(xs))
-    assert dot(a, neg(a)) == -dot(a, a)
+    assert dot(a, tuple(-x for x in a)) == -dot(a, a)

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,8 @@ from lieball.root_data import build_root_sets
 from lieball.weyl import (
     SignedPermutation,
     act,
-    compose,
     enumerate_coset_reps,
     enumerate_group,
-    flip_pattern,
-    group_order,
-    identity,
     inverse,
     inversion_set,
     is_coset_rep,
@@ -29,6 +26,15 @@ from lieball.weyl import (
 
 def sp(perm, signs):
     return SignedPermutation(tuple(perm), tuple(signs))
+
+
+def identity(m):
+    return sp(range(m), (1,) * m)
+
+
+def sum_roots(m):
+    """The roots e_i + e_j (i < j) of rank m, where coset inversions lie."""
+    return {r for r in build_root_sets(m).k_pos if -1 not in r}
 
 
 def test_validation_rejects_odd_flip_count():
@@ -59,21 +65,17 @@ def test_act_identity():
 def test_inverse_example():
     w = sp((1, 2, 0), (1, -1, -1))
     wi = inverse(w)
-    assert compose(w, wi) == identity(3)
-    assert compose(wi, w) == identity(3)
-
-
-def test_group_order():
-    assert group_order(2) == 4
-    assert group_order(3) == 24
-    assert group_order(4) == 192
+    assert wi == sp((2, 0, 1), (-1, -1, 1))
+    # only the identity fixes a vector with distinct nonzero entries
+    mu = (Q(1), Q(2), Q(3))
+    assert act(w, act(wi, mu)) == mu
+    assert act(wi, act(w, mu)) == mu
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_enumerate_group_is_exhaustive(m):
     elems = list(enumerate_group(m))
-    assert len(elems) == group_order(m)
-    assert len(set(elems)) == group_order(m)
+    assert len(elems) == len(set(elems)) == factorial(m) * 2 ** (m - 1)
 
 
 @st.composite
@@ -89,30 +91,13 @@ def signed_permutations(draw, max_rank=4):
     return SignedPermutation(perm, signs)
 
 
-def same_rank_pair():
-    return signed_permutations().flatmap(
-        lambda w: st.tuples(
-            st.just(w),
-            signed_permutations(max_rank=w.rank).filter(lambda v: v.rank == w.rank),
-        )
-    )
-
-
-@settings(max_examples=150)
-@given(same_rank_pair())
-def test_compose_matches_action(pair):
-    w1, w2 = pair
-    mu = tuple(Q(i + 1) for i in range(w1.rank))
-    assert act(compose(w1, w2), mu) == act(w1, act(w2, mu))
-
-
 @settings(max_examples=150)
 @given(signed_permutations())
 def test_inverse_is_two_sided(w):
-    assert compose(w, inverse(w)) == identity(w.rank)
-    assert compose(inverse(w), w) == identity(w.rank)
+    assert inverse(inverse(w)) == w
     mu = tuple(Q(i + 1) for i in range(w.rank))
     assert act(inverse(w), act(w, mu)) == mu
+    assert act(w, act(inverse(w), mu)) == mu
 
 
 @settings(max_examples=150)
@@ -125,7 +110,7 @@ def test_length_equals_inversion_count(w):
 def test_coset_filter_matches_definition(m):
     # the definitional filter: every inverted positive root lies among the
     # e_i + e_j with i < j
-    allowed = set(build_root_sets(m).u_cap_k_so)
+    allowed = sum_roots(m)
     for w in enumerate_group(m):
         definitional = set(inversion_set(w)) <= allowed
         assert is_coset_rep(w) == definitional
@@ -177,7 +162,9 @@ def test_coset_reps_flip_patterns(m):
     # flipped source positions form exactly the even-size subsets of 1..m,
     # and the length only depends on the pattern
     reps = enumerate_coset_reps(m)
-    patterns = {flip_pattern(w): length(w) for w in reps}
+    patterns = {
+        tuple(j + 1 for j in range(m) if w.signs[w.perm[j]] < 0): length(w) for w in reps
+    }
     expected = {
         tuple(sorted(fs)): sum(m - j for j in fs)
         for r in range(0, m + 1, 2)
@@ -188,7 +175,7 @@ def test_coset_reps_flip_patterns(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_coset_reps_inversions_avoid_short_roots(m):
-    allowed = set(build_root_sets(m).u_cap_k_so)
+    allowed = sum_roots(m)
     for w in enumerate_coset_reps(m):
         assert set(inversion_set(w)) <= allowed
 
