@@ -1,18 +1,17 @@
 """Harmonic polynomials for the holomorphic Laplacian Δ = Σ ∂²/∂z_i².
 
 Polynomials carry exact rational coefficients on integer exponent tuples.
-Kernel dimensions are certified one torus-weight block at a time: in the
+Kernel dimensions are certified one block shape at a time: in the
 coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) the
-Laplacian has integer coefficients and keeps the weight of each monomial,
-and each block's rank is certified from its leading rows.  Permuting the
-pairs and swapping u_j ↔ v_j fix Δ, so only one block per orbit of
-weights, the one of its dominant weight, is built and certified; it counts
-once for every weight in its orbit.  Every row of the resulting K-type
-table, the analytic counterpart of the algebraic Euler-sum table, is then
-checked to be the expected SO(2m) constituent: the kernel holds its
-highest-weight vector u_1^l and has its Weyl dimension.  The stream of
-every weight's block and the full matrix over the z-monomials serve the
-tests as references.
+Laplacian has integer coefficients and keeps the weight w of each monomial,
+and where the block of w has entries depends only on k = l − |w|₁.  So the
+rank is certified from the leading rows once per k and counted once for
+every weight with that k.  Every row of the resulting K-type table, the
+analytic counterpart of the algebraic Euler-sum table, is then checked to
+be the expected SO(2m) constituent: the kernel holds its highest-weight
+vector u_1^l and has its Weyl dimension.  The stream of every weight's
+block and the full matrix over the z-monomials serve the tests as
+references.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import groupby, product
-from math import comb, factorial
+from itertools import islice, product
+from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .blattner import KTypeTable
@@ -73,36 +72,14 @@ class SparsePolynomial:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars: int) -> "SparsePolynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, c: object) -> "SparsePolynomial":
-        return cls(nvars, {(0,) * nvars: Q(c)})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "SparsePolynomial":
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exps: Q(1)})
 
-    @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff: object = 1) -> "SparsePolynomial":
-        return cls(nvars, {tuple(exps): Q(coeff)})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; −1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
 
     def partial(self, i: int) -> "SparsePolynomial":
         if not 0 <= i < self.nvars:
@@ -251,98 +228,57 @@ def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
 
 
 Weight = Tuple[int, ...]
-# Per block column: its label (b', c), the (row, j) of each 4 a_j b_j entry,
+# One block column: its label (b', c), the (row, j) of each 4 a_j b_j entry,
 # and the row of its c(c − 1) entry (None when c < 2).
-Shape = List[Tuple[Exponents, List[Tuple[int, int]], Optional[int]]]
+Column = Tuple[Exponents, List[Tuple[int, int]], Optional[int]]
 
 
-def _block_labels(m: int, odd: int, k: int) -> List[Exponents]:
+def _block_labels(m: int, odd: int, k: int) -> Iterable[Exponents]:
     """Labels b' (with c appended when n = 2m + 1 is odd) of the monomials
     u^(b'+w⁺) v^(b'+w⁻) z_n^c of a weight-w block, 2|b'| + c = k = l − |w|₁,
-    in decreasing lexicographic order."""
+    in decreasing lexicographic order; lazily when n is even."""
     if not odd:
-        return list(_compositions(m, k // 2))
+        return _compositions(m, k // 2)
     return sorted(
         (b + (k - 2 * s,) for s in range(k // 2 + 1) for b in _compositions(m, s)),
         reverse=True,
     )
 
 
-def _block_shape(m: int, odd: int, k: int) -> Tuple[Shape, int]:
-    """Where the entries of every weight block with l − |w|₁ = k sit, and
-    its row count.  A row index depends only on the row's label, so all
-    these blocks share one index; their coefficients differ."""
+def _block_shape(m: int, odd: int, k: int) -> Tuple[int, Iterator[Column]]:
+    """The row count of every weight block with l − |w|₁ = k, and its
+    columns one at a time: where their entries sit.  A row index depends
+    only on the row's label, so all these blocks share one shape; their
+    coefficients differ."""
     index = {t: i for i, t in enumerate(_block_labels(m, odd, k - 2))}
-    shape: Shape = []
-    for t in _block_labels(m, odd, k):
-        entries = [(index[t[:j] + (t[j] - 1,) + t[j + 1 :]], j) for j in range(m) if t[j]]
-        down = index[t[:m] + (t[m] - 2,)] if odd and t[m] >= 2 else None
-        shape.append((t, entries, down))
-    return shape, len(index)
+
+    def columns() -> Iterator[Column]:
+        for t in _block_labels(m, odd, k):
+            entries = [(index[t[:j] + (t[j] - 1,) + t[j + 1 :]], j) for j in range(m) if t[j]]
+            down = index[t[:m] + (t[m] - 2,)] if odd and t[m] >= 2 else None
+            yield t, entries, down
+
+    return len(index), columns()
 
 
-def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, Shape, int]]:
+def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, List[Column], int]]:
     """Every torus weight w of Pol^l in n variables, with its block's shape
     and row count.  For odd n the extra variable z_n has weight 0.  No CLI
-    path walks it; the tests check `_dominant_blocks` against it."""
+    path walks it; it is the tests' per-weight oracle."""
     m, odd = divmod(n, 2)
     for k in range(0, l + 1, 1 if odd else 2):
-        shape, rows = _block_shape(m, odd, k)
+        rows, columns = _block_shape(m, odd, k)
+        shape = list(columns)
         for size in _compositions(m, l - k):
             for w in product(*[(x, -x) if x else (0,) for x in size]):
                 yield w, shape, rows
 
 
-def _partitions(m: int, total: int) -> Iterator[Weight]:
-    """Partitions of `total` into at most m parts, as nonincreasing m-tuples
-    padded with zeros, in decreasing lexicographic order, one successor step
-    at a time (no recursion)."""
-    if total < 0:
-        return
-    x = [total] + [0] * (m - 1)
-    while True:
-        yield tuple(x)
-        # The rightmost part that can give up a unit to the parts after it,
-        # none of them outgrowing it, does; they are refilled greedily.
-        rest = 0
-        for i in range(m - 1, -1, -1):
-            if rest < (x[i] - 1) * (m - 1 - i):
-                break
-            rest += x[i]
-        else:
-            return
-        x[i] -= 1
-        rest += 1
-        for j in range(i + 1, m):
-            x[j] = min(x[i], rest)
-            rest -= x[j]
-
-
-def _orbit_size(w: Weight) -> int:
-    """Number of weights in the orbit of the dominant weight w: m!/∏ mult!
-    pair permutations (the multiplicities of its values, zeros included)
-    times 2^#nonzero sign changes."""
-    size = factorial(len(w))
-    for _, run in groupby(w):
-        size //= factorial(len(list(run)))
-    return size << sum(1 for x in w if x)
-
-
-def _dominant_blocks(n: int, l: int) -> Iterator[Tuple[Weight, int, Shape, int]]:
-    """One weight per orbit of the torus weights of Pol^l in n variables,
-    the dominant one (nonincreasing, nonnegative: a partition of l − k into
-    at most m parts), with its orbit size, its block's shape and row count."""
-    m, odd = divmod(n, 2)
-    for k in range(0, l + 1, 1 if odd else 2):
-        shape, rows = _block_shape(m, odd, k)
-        for w in _partitions(m, l - k):
-            yield w, _orbit_size(w), shape, rows
-
-
-def _block_columns(w: Weight, shape: Shape) -> List[Dict[int, int]]:
+def _block_columns(w: Weight, shape: Iterable[Column]) -> List[Dict[int, int]]:
     """Columns of Δ on the block of weight w.  With a = b' + w⁺, b = b' + w⁻,
     Δ(u^a v^b z_n^c) = Σ_j 4 a_j b_j u^(a−e_j) v^(b−e_j) z_n^c
-    + c(c − 1) u^a v^b z_n^(c−2); every coefficient is a positive integer."""
+    + c(c − 1) u^a v^b z_n^(c−2); every coefficient is a positive integer.
+    No CLI path builds them; they are the tests' per-weight reference."""
     plus = [x if x > 0 else 0 for x in w]
     minus = [-x if x < 0 else 0 for x in w]
     cols = []
@@ -354,75 +290,89 @@ def _block_columns(w: Weight, shape: Shape) -> List[Dict[int, int]]:
     return cols
 
 
-def _block_kernel_dimension(
-    n: int, l: int, w: Weight, size: int, cols: List[Dict[int, int]], rows: int
-) -> int:
-    """Certified kernel dimension of one block, whose weight w has an orbit
-    of `size` weights.  The columns are passed in and live only for this
-    call, so one block's columns exist at a time."""
-    leads = {max(col) for col in cols if col}
-    if len(leads) != rows:
+@lru_cache(maxsize=None)
+def _shape_kernel_dimension(n: int, k: int) -> int:
+    """Certified kernel dimension of every weight block of Pol^l in n
+    variables with l − |w|₁ = k, from its shape's distinct last rows; the
+    columns stream past, so one column exists at a time."""
+    m, odd = divmod(n, 2)
+    rows, columns = _block_shape(m, odd, k)
+    led = bytearray(rows)
+    count = 0
+    for _, entries, down in columns:
+        count += 1
+        col = [r for r, _ in entries]
+        if down is not None:
+            col.append(down)
+        if col:
+            led[max(col)] = 1
+    leads = sum(led)
+    if leads != rows:
+        first = led.index(0)
+        label = next(islice(_block_labels(m, odd, k - 2), first, None))
         raise CertificationError(
-            f"Laplacian columns lead in {len(leads)} of {rows} rows "
-            f"of the block of weight w={w} for n={n}, l={l}, orbit size {size}"
+            f"Laplacian columns lead in {leads} of {rows} rows of the k={k} "
+            f"shape for n={n}; no column leads in row {label}"
         )
-    return len(cols) - rows
+    return count - rows
+
+
+def _weight_count(m: int, s: int) -> int:
+    """Number of torus weights w ∈ Z^m with |w|₁ = s: j nonzero entries in
+    C(m, j) places, 2^j signs and C(s − 1, j − 1) sizes."""
+    if s == 0:
+        return 1
+    return sum(comb(m, j) * comb(s - 1, j - 1) << j for j in range(1, min(m, s) + 1))
 
 
 @lru_cache(maxsize=None)
 def harmonic_dimension(n: int, l: int) -> int:
-    """dim ker(Δ) on degree-l polynomials in n variables, certified block by
-    block over one torus weight per Weyl orbit.
+    """dim ker(Δ) on degree-l polynomials in n variables, certified once per
+    block shape and counted once per torus weight.
 
     In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) (j ≤ m = n // 2)
     and, for odd n, z_n, Δ = 4 Σ_j ∂_(u_j) ∂_(v_j) + ∂²_(z_n) has integer
     coefficients and keeps the weight w = a − b of u^a v^b z_n^c.  So its
     matrix is the direct sum of one block per weight.  With b' = min(a, b),
     the columns of the block of w are labelled by (b', c) with
-    2|b'| + c = l − |w|₁ and its rows by the labels of degree l − 2.
+    2|b'| + c = k = l − |w|₁ and its rows by the labels of k − 2.
 
-    Only the dominant weights' blocks are built, certified and dropped, each
-    counted once per weight of its orbit.  Permuting the pairs
-    (z_(2j−1), z_(2j)) and sending z_(2j) ↦ −z_(2j), which swaps u_j and v_j,
-    are orthogonal maps, so they fix Δ; they act on weights by permuting
-    the entries and changing signs w_j ↦ −w_j, and every orbit holds exactly
-    one nonincreasing, nonnegative weight.  A sign change maps the block of
-    w onto the block of the changed weight with the same labels and the same
-    entries 4(b'_j + w⁺_j)(b'_j + w⁻_j), which are symmetric in w⁺_j and
-    w⁻_j; a permutation maps it onto the permuted weight's block up to the
-    same relabelling of its rows and columns.  So the blocks of one orbit
-    have equal rank and equal kernel dimension.
+    The support of block w is its shape, which depends on k alone: the
+    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row (b' − e_j, c) exists only where
+    b'_j ≥ 1 (one of w⁺_j, w⁻_j is 0), and then it is at least 4; the entry
+    c(c − 1) of row (b', c − 2) exists only where c ≥ 2.  Every entry is a
+    positive integer, so every block with this k has nonzero entries exactly
+    where the shape places them.
 
     Columns with pairwise distinct last nonzero rows are triangular, hence
     independent, so the rank of a block is at least the number of distinct
     last rows and at most the number of rows; when the two agree the rank
-    is exact.  They always do: over the decreasing-lexicographic order of
-    (b', c), the last row of column (b', c), b' ≠ 0, is (b' − e_j, c) for
-    the first j with b'_j > 0, and b'' ↦ b'' + e_1 reaches every row
-    exactly once.
+    is exact.  Those last rows are read from the shape, so the rank, and
+    with it the kernel dimension, holds for every weight with this k, and
+    there are `_weight_count(m, l − k)` of them.  The rows are always
+    covered: over the decreasing-lexicographic order of (b', c), the last
+    row of column (b', c), b' ≠ 0, is (b' − e_j, c) for the first j with
+    b'_j > 0, and b'' ↦ b'' + e_1 reaches every row exactly once.
 
-    The top weight (l, 0, ..., 0) is dominant; its block holds the single
+    The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
-    why).  Any failed check raises CertificationError naming n, l, the
-    dominant weight and its orbit size.
+    why).  Any failed check raises CertificationError naming n and k.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    top = (l,) + (0,) * (n // 2 - 1)
-    kernel = top_kernel = 0
-    for w, size, shape, rows in _dominant_blocks(n, l):
-        dim = _block_kernel_dimension(n, l, w, size, _block_columns(w, shape), rows)
-        kernel += size * dim
-        if w == top:
-            top_kernel = dim
+    m, odd = divmod(n, 2)
+    top_kernel = _shape_kernel_dimension(n, 0)
     if top_kernel != 1:
         raise CertificationError(
-            f"the block of weight w={top} has {top_kernel} kernel vectors, "
-            f"not u_1^{l} alone, for n={n}, l={l}, orbit size {_orbit_size(top)}"
+            f"the k=0 shape has {top_kernel} kernel vectors, not u_1^{l} alone, "
+            f"for n={n}, l={l}"
         )
-    return kernel
+    return sum(
+        _weight_count(m, l - k) * _shape_kernel_dimension(n, k)
+        for k in range(0, l + 1, 1 if odd else 2)
+    )
 
 
 def harmonic_dimension_formula(n: int, l: int) -> int:

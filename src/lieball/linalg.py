@@ -46,8 +46,9 @@ def exact_kernel(vectors: List[Vector]) -> List[Vector]:
     with positive leading entry.  Column c carries its tag, the combination
     it stands for, as the entry 1 at position top + c below every row, so
     one elimination clears rows and tracks tags together; a column reduced
-    to its tag is a kernel element.  It is the full-matrix oracle that the
-    tests hold `harmonic_dimension` to, over `harmonic._laplacian_columns`.
+    to its tag is a kernel element.  It is the oracle that the tests hold
+    the kernel dimensions to, over `harmonic._laplacian_columns` and over
+    each weight block's `harmonic._block_columns`.
     """
     top = 1 + max((k for v in vectors for k in v), default=-1)
     pivots: Dict[int, Vector] = {}

@@ -73,9 +73,6 @@ class RootSet:
                 raise ValueError(f"duplicate root {r}")
             seen.add(r)
 
-    def __contains__(self, w: Weight) -> bool:
-        return w in set(self.roots)
-
     def __len__(self) -> int:
         return len(self.roots)
 

@@ -1,6 +1,7 @@
 """Polynomial Laplacian kernels and their certification against Weyl dimensions."""
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import comb
 
@@ -28,22 +29,27 @@ from lieball.kostant import KTypeParam
 from lieball.linalg import exact_kernel
 
 
+def clear_caches():
+    hm.harmonic_dimension.cache_clear()
+    hm._shape_kernel_dimension.cache_clear()
+
+
 def var(n, i):
     return SparsePolynomial.variable(n, i)
 
 
 def radial_square(n):
     """The quadric Σ z_i²."""
-    return sum((var(n, i) * var(n, i) for i in range(n)), SparsePolynomial.zero(n))
+    return sum((var(n, i) * var(n, i) for i in range(n)), SparsePolynomial(n))
 
 
 class TestSparsePolynomial:
     def test_zero_and_constant(self):
-        z = SparsePolynomial.zero(3)
+        z = SparsePolynomial(3)
         assert z.is_zero()
-        assert z.degree() == -1
-        c = SparsePolynomial.constant(3, Q(5, 2))
-        assert c.degree() == 0
+        assert not z.terms
+        c = SparsePolynomial(3, {(0, 0, 0): Q(5, 2)})
+        assert {sum(e) for e in c.terms} == {0}
         assert (c + z) == c
 
     def test_drop_zero_terms(self):
@@ -74,12 +80,6 @@ class TestSparsePolynomial:
         assert p.partial(0) == 2 * (x * y)
         assert p.partial(1) == x * x
         assert p.partial(0).partial(1) == 2 * x
-
-    def test_homogeneity(self):
-        x, y = var(2, 0), var(2, 1)
-        assert (x * y + y * y).is_homogeneous()
-        assert not (x + y * y).is_homogeneous()
-        assert SparsePolynomial.zero(2).is_homogeneous()
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
@@ -113,12 +113,12 @@ def test_many_variables_do_not_recurse():
 def test_laplacian_on_r4():
     r2 = radial_square(4)
     assert laplacian(r2 * r2) == 24 * r2
-    assert laplacian_power(r2 * r2, 2) == SparsePolynomial.constant(4, 192)
+    assert laplacian_power(r2 * r2, 2) == SparsePolynomial(4, {(0, 0, 0, 0): 192})
 
 
 def test_laplacian_on_quadratics():
     x, y = var(2, 0), var(2, 1)
-    assert laplacian(x * x) == SparsePolynomial.constant(2, 2)
+    assert laplacian(x * x) == SparsePolynomial(2, {(0, 0): 2})
     assert laplacian(x * y).is_zero()
     assert laplacian(x * x - y * y).is_zero()
 
@@ -127,7 +127,7 @@ def test_laplacian_power_degree_drop():
     r2 = radial_square(4)
     f = r2 * r2 * r2
     assert laplacian_power(f, 0) == f
-    assert laplacian_power(f, 3).degree() == 0
+    assert {sum(e) for e in laplacian_power(f, 3).terms} == {0}
     assert laplacian_power(f, 4).is_zero()
 
 
@@ -176,7 +176,7 @@ def uv_exponents(w, label):
 
 def uv_laplacian(f, m):
     """4 Σ_j ∂_(u_j) ∂_(v_j) f, plus ∂²f/∂z_n² when there is a z_n."""
-    out = SparsePolynomial.zero(f.nvars)
+    out = SparsePolynomial(f.nvars)
     for j in range(m):
         out = out + 4 * f.partial(j).partial(m + j)
     if f.nvars > 2 * m:
@@ -189,7 +189,7 @@ def test_block_columns_are_the_uv_laplacian(n):
     m, odd = divmod(n, 2)
     for l in range(5):
         for w, shape, rows in hm._weight_blocks(n, l):
-            row_labels = hm._block_labels(m, odd, l - sum(map(abs, w)) - 2)
+            row_labels = list(hm._block_labels(m, odd, l - sum(map(abs, w)) - 2))
             assert len(row_labels) == rows
             for (label, _, _), col in zip(shape, hm._block_columns(w, shape)):
                 source = uv_exponents(w, label)
@@ -197,72 +197,46 @@ def test_block_columns_are_the_uv_laplacian(n):
                 image = {uv_exponents(w, row_labels[r]): c for r, c in col.items()}
                 assert all(c > 0 for c in col.values())
                 assert SparsePolynomial(n, image) == uv_laplacian(
-                    SparsePolynomial.monomial(n, source), m
+                    SparsePolynomial(n, {source: 1}), m
                 )
 
 
-def block_map(n, l, w, shape):
-    """The block of weight w as {source monomial: {target monomial: entry}},
-    over the exponents of (u_1..u_m, v_1..v_m, z_n)."""
-    m, odd = divmod(n, 2)
-    row_labels = hm._block_labels(m, odd, l - sum(map(abs, w)) - 2)
-    return {
-        uv_exponents(w, label): {uv_exponents(w, row_labels[r]): c for r, c in col.items()}
-        for (label, _, _), col in zip(shape, hm._block_columns(w, shape))
-    }
-
-
-def to_dominant(w, exps):
-    """A (u, v, z_n) exponent tuple of weight w, mapped by the swaps u_j <-> v_j
-    for w_j < 0 and then by the pair permutation that sorts |w| decreasingly."""
-    m = len(w)
-    a, b = list(exps[:m]), list(exps[m : 2 * m])
-    for j in range(m):
-        if w[j] < 0:
-            a[j], b[j] = b[j], a[j]
-    order = sorted(range(m), key=lambda j: -abs(w[j]))
-    return tuple(a[j] for j in order) + tuple(b[j] for j in order) + exps[2 * m :]
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-def test_every_block_is_its_dominant_block_relabelled(n):
-    for l in range(7):
-        stream = list(hm._dominant_blocks(n, l))
-        dominant = {w: (size, shape, rows) for w, size, shape, rows in stream}
-        assert len(dominant) == len(stream)
-        for w in dominant:
-            assert list(w) == sorted(w, reverse=True) and min(w) >= 0
-        weights = 0
-        for w, shape, rows in hm._weight_blocks(n, l):
-            weights += 1
-            rep = tuple(sorted(map(abs, w), reverse=True))
-            _, rep_shape, rep_rows = dominant[rep]
-            assert rows == rep_rows
-            image = {
-                to_dominant(w, source): {to_dominant(w, t): c for t, c in col.items()}
-                for source, col in block_map(n, l, w, shape).items()
-            }
-            assert image == block_map(n, l, rep, rep_shape)
-        assert sum(size for size, _, _ in dominant.values()) == weights
-        assert sum(
-            size * len(shape) for size, shape, _ in dominant.values()
-        ) == polynomial_space_dimension(n, l)
-        assert sum(
-            size * rows for size, _, rows in dominant.values()
-        ) == polynomial_space_dimension(n, l - 2)
+def test_every_block_has_its_shapes_rank(n):
+    m, odd = divmod(n, 2)
+    clear_caches()
+    try:
+        for l in range(7):
+            sizes = Counter()
+            for w, shape, _ in hm._weight_blocks(n, l):
+                s = sum(map(abs, w))
+                sizes[s] += 1
+                cols = hm._block_columns(w, shape)
+                # the elimination oracle, block by block
+                assert len(exact_kernel(cols)) == hm._shape_kernel_dimension(n, l - s)
+                assert all(c > 0 for col in cols for c in col.values())
+                # the entries sit where the shape puts them, and so the
+                # leading rows are the shape's
+                for (_, entries, down), col in zip(shape, cols):
+                    assert set(col) == {r for r, _ in entries} | ({down} - {None})
+            steps = range(0, l + 1, 1 if odd else 2)
+            assert sizes == {l - k: hm._weight_count(m, l - k) for k in steps}
+    finally:
+        clear_caches()
 
 
 def test_cli_path_walks_dominant_weights_only(monkeypatch):
     def refuse(*args):
-        raise AssertionError("every torus weight walked")
+        raise AssertionError("a weight block built")
 
     monkeypatch.setattr(hm, "_weight_blocks", refuse)
-    hm.harmonic_dimension.cache_clear()
+    monkeypatch.setattr(hm, "_block_columns", refuse)
+    clear_caches()
     try:
         assert main(["harmonic", "--m", "3", "--max-l", "5"]) == 0
         assert main(["verify", "--m", "2", "--max-l", "3"]) == 0
     finally:
-        hm.harmonic_dimension.cache_clear()
+        clear_caches()
 
 
 def test_cli_path_builds_no_full_matrix(monkeypatch):
@@ -271,57 +245,62 @@ def test_cli_path_builds_no_full_matrix(monkeypatch):
 
     monkeypatch.setattr(hm, "monomial_exponents", refuse)
     monkeypatch.setattr(hm, "_laplacian_columns", refuse)
-    hm.harmonic_dimension.cache_clear()
+    clear_caches()
     try:
         assert main(["harmonic", "--m", "3", "--max-l", "5"]) == 0
     finally:
-        hm.harmonic_dimension.cache_clear()
+        clear_caches()
 
 
-def test_uncertified_rank_is_refused(monkeypatch):
-    columns = hm._block_columns
-    monkeypatch.setattr(hm, "_block_columns", lambda w, shape: [{} for _ in columns(w, shape)])
-    hm.harmonic_dimension.cache_clear()
+def break_shape(monkeypatch, broken, fault):
+    """Patch `_block_shape` so that the columns of each shape whose k
+    satisfies `broken` pass through `fault`."""
+    block_shape = hm._block_shape
+
+    def faulty(m, odd, k):
+        rows, columns = block_shape(m, odd, k)
+        return (rows, fault(columns)) if broken(k) else (rows, columns)
+
+    monkeypatch.setattr(hm, "_block_shape", faulty)
+
+
+def no_entries(columns):
+    return ((t, [], None) for t, _, _ in columns)
+
+
+def test_uncertified_rank_is_refused(monkeypatch, capsys):
+    break_shape(monkeypatch, lambda k: True, no_entries)
+    clear_caches()
     try:
         with pytest.raises(CertificationError):
             hm.harmonic_dimension(4, 2)
         assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
+        assert "k=2" in capsys.readouterr().err
     finally:
-        hm.harmonic_dimension.cache_clear()
+        clear_caches()
 
 
 @pytest.mark.parametrize(
     "broken,fault,message",
     [
-        # The weight-0 block loses its entries, so it leads in no row.
-        ((0, 0), lambda cols: [{} for _ in cols],
-         r"lead in 0 of 1 rows of the block of weight w=\(0, 0\) for n=4, l=2"),
-        # The top-weight block loses u_1^2, its only column.
-        ((2, 0), lambda cols: cols[1:],
-         r"block of weight w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2"),
-        # The same faults, with the orbit size of the dominant weight.
-        ((0, 0), lambda cols: [{} for _ in cols],
-         r"w=\(0, 0\) for n=4, l=2, orbit size 1$"),
-        ((2, 0), lambda cols: cols[1:],
-         r"w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2, orbit size 4$"),
+        # The k = 2 shape loses its entries, so it leads in no row.
+        (2, no_entries,
+         r"lead in 0 of 1 rows of the k=2 shape for n=4; no column leads in row \(0, 0\)$"),
+        # The k = 0 shape loses u_1^l, its only column.
+        (0, lambda columns: iter(()), r"the k=0 shape has 0 kernel vectors, not u_1\^2 alone"),
     ],
+    ids=["k2_no_entries", "k0_no_top"],
 )
 def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
-    columns = hm._block_columns
-
-    def faulty(w, shape):
-        cols = columns(w, shape)
-        return fault(cols) if w == broken else cols
-
-    monkeypatch.setattr(hm, "_block_columns", faulty)
-    hm.harmonic_dimension.cache_clear()
+    break_shape(monkeypatch, lambda k: k == broken, fault)
+    clear_caches()
     try:
         with pytest.raises(CertificationError, match=message):
             hm.harmonic_dimension(4, 2)
         assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
-        assert "w=" + str(broken) in capsys.readouterr().err
+        assert f"k={broken}" in capsys.readouterr().err
     finally:
-        hm.harmonic_dimension.cache_clear()
+        clear_caches()
 
 
 @pytest.mark.parametrize("n,l", [(4, 2), (4, 3), (6, 2)])
@@ -330,7 +309,7 @@ def test_laplacian_columns_are_the_laplacian(n, l):
     source, target = monomial_exponents(n, l), monomial_exponents(n, l - 2)
     for exps, col in zip(source, hm._laplacian_columns(n, l)):
         image = SparsePolynomial(n, {target[r]: c for r, c in col.items()})
-        assert image == laplacian(SparsePolynomial.monomial(n, exps))
+        assert image == laplacian(SparsePolynomial(n, {exps: 1}))
 
 
 def test_radial_shift_identity():
@@ -339,7 +318,7 @@ def test_radial_shift_identity():
     r2 = radial_square(n)
     for k, h in [(1, var(n, 0)), (2, var(n, 0) * var(n, 1))]:
         assert laplacian(h).is_zero()
-        power = SparsePolynomial.constant(n, 1)  # r^{2(j-1)}
+        power = SparsePolynomial(n, {(0,) * n: 1})  # r^{2(j-1)}
         for j in (1, 2, 3):
             lhs = laplacian(power * r2 * h)
             rhs = (2 * j * (n + 2 * k + 2 * j - 2)) * (power * h)
@@ -360,7 +339,7 @@ def test_random_homogeneous_properties():
     for n, d in [(4, 1), (4, 3), (6, 2), (8, 4)]:
         f = random_homogeneous(n, d, rng)
         assert not f.is_zero()
-        assert f.is_homogeneous() and f.degree() == d
+        assert {sum(e) for e in f.terms} == {d}
 
 
 def test_random_homogeneous_is_seed_deterministic():
