@@ -356,22 +356,38 @@ def harmonic_dimension(n: int, l: int) -> int:
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
-    why).  Any failed check raises CertificationError naming n and k.
+    why).  Any failed check raises CertificationError naming n, l, the
+    shape's k and its dominant weight (l − k, 0, ..., 0), and how many
+    weights share the shape.
     """
     if n < 2:
         raise ValueError("need at least two variables")
     if l < 0:
         raise ValueError("degree must be nonnegative")
     m, odd = divmod(n, 2)
-    top_kernel = _shape_kernel_dimension(n, 0)
+
+    def dominant(k: int) -> Weight:
+        return (l - k,) + (0,) * (m - 1)
+
+    def where(k: int) -> str:
+        return f"for n={n}, l={l}, 1 of {_weight_count(m, l - k)} weights of the k={k} shape"
+
+    def certified(k: int) -> int:
+        try:
+            return _shape_kernel_dimension(n, k)
+        except CertificationError as e:
+            raise CertificationError(
+                f"{e}; it is the block of weight w={dominant(k)} {where(k)}"
+            ) from e
+
+    top_kernel = certified(0)
     if top_kernel != 1:
         raise CertificationError(
-            f"the k=0 shape has {top_kernel} kernel vectors, not u_1^{l} alone, "
-            f"for n={n}, l={l}"
+            f"the block of weight w={dominant(0)} has {top_kernel} kernel vectors, "
+            f"not u_1^{l} alone, {where(0)}"
         )
     return sum(
-        _weight_count(m, l - k) * _shape_kernel_dimension(n, k)
-        for k in range(0, l + 1, 1 if odd else 2)
+        _weight_count(m, l - k) * certified(k) for k in range(0, l + 1, 1 if odd else 2)
     )
 
 

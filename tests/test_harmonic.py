@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import islice
 from math import comb
 
 import pytest
@@ -283,22 +284,31 @@ def test_uncertified_rank_is_refused(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "broken,fault,message",
     [
-        # The k = 2 shape loses its entries, so it leads in no row.
-        (2, no_entries,
-         r"lead in 0 of 1 rows of the k=2 shape for n=4; no column leads in row \(0, 0\)$"),
-        # The k = 0 shape loses u_1^l, its only column.
-        (0, lambda columns: iter(()), r"the k=0 shape has 0 kernel vectors, not u_1\^2 alone"),
+        # The shape of weight 0 (k = 2) loses its entries, so it leads in no row.
+        ((0, 0), lambda columns: ((t, [], None) for t, _, _ in columns),
+         r"lead in 0 of 1 rows of the k=2 shape for n=4; no column leads in row \(0, 0\);"),
+        # The shape of the top weight (k = 0) loses u_1^2, its only column.
+        ((2, 0), lambda columns: islice(columns, 1, None),
+         r"block of weight w=\(2, 0\) has 0 kernel vectors, not u_1\^2 alone, for n=4, l=2"),
+        # The same faults, with the number of weights that share the shape.
+        ((0, 0), lambda columns: ((t, [], None) for t, _, _ in columns),
+         r"w=\(0, 0\) for n=4, l=2, 1 of 1 weights of the k=2 shape$"),
+        ((2, 0), lambda columns: islice(columns, 1, None),
+         r"w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2, 1 of 8 weights of the k=0 shape$"),
     ],
-    ids=["k2_no_entries", "k0_no_top"],
 )
 def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
-    break_shape(monkeypatch, lambda k: k == broken, fault)
+    k = 2 - sum(broken)
+    break_shape(monkeypatch, lambda j: j == k, fault)
     clear_caches()
     try:
         with pytest.raises(CertificationError, match=message):
             hm.harmonic_dimension(4, 2)
         assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
-        assert f"k={broken}" in capsys.readouterr().err
+        # the CLI stops at l = k, the first degree with this shape, whose
+        # dominant weight there is 0
+        err = capsys.readouterr().err
+        assert "block of weight w=(0, 0)" in err and f"k={k} shape" in err
     finally:
         clear_caches()
 
