@@ -46,6 +46,10 @@ DEFAULT_MAX_L = 6
 VERIFY_GRID_BOUND = 4
 VERIFY_VERMA_DEGREES = 5
 VERIFY_EQUIVARIANCE_TRIALS = 15
+# Python's default limit on int <-> str conversion.  A rational flag written
+# out in digits meets it inside Fraction; one in exponent notation would meet
+# it only when the report is rendered, after building a value of any size.
+RATIONAL_DIGIT_BOUND = 4300
 
 
 def _fmt_weight(w) -> str:
@@ -414,7 +418,11 @@ def _nonnegative_int(raw: str) -> int:
 
 
 def _rational(raw: str) -> Q:
+    mantissa, _, exponent = raw.lower().partition("e")
     try:
+        digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent)) if exponent else 0
+        if digits > RATIONAL_DIGIT_BOUND:
+            raise argparse.ArgumentTypeError(f"more than {RATIONAL_DIGIT_BOUND} digits: {raw!r}")
         return Q(raw)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from None

@@ -1,9 +1,9 @@
 """Harmonic polynomials for the holomorphic Laplacian Δ = Σ ∂²/∂z_i².
 
 Polynomials carry exact rational coefficients on integer exponent tuples.
-Kernel dimensions are certified one block shape at a time: in the
-coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) the
-Laplacian has integer coefficients and keeps the weight w of each monomial,
+Kernel dimensions in n = 2m variables are certified one block shape at a
+time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
+the Laplacian has integer coefficients and keeps the weight w of each monomial,
 and where the block of w has entries depends only on k = l − |w|₁.  So the
 rank is certified from the leading rows once per k and counted once for
 every weight with that k.  Every row of the resulting K-type table, the
@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import islice, product
 from math import comb
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .blattner import KTypeTable
 from .kostant import KTypeParam
@@ -228,46 +228,31 @@ def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
 
 
 Weight = Tuple[int, ...]
-# One block column: its label (b', c), the (row, j) of each 4 a_j b_j entry,
-# and the row of its c(c − 1) entry (None when c < 2).
-Column = Tuple[Exponents, List[Tuple[int, int]], Optional[int]]
+# One block column: its label b' and the (row, j) of each 4 a_j b_j entry.
+Column = Tuple[Exponents, List[Tuple[int, int]]]
 
 
-def _block_labels(m: int, odd: int, k: int) -> Iterable[Exponents]:
-    """Labels b' (with c appended when n = 2m + 1 is odd) of the monomials
-    u^(b'+w⁺) v^(b'+w⁻) z_n^c of a weight-w block, 2|b'| + c = k = l − |w|₁,
-    in decreasing lexicographic order; lazily when n is even."""
-    if not odd:
-        return _compositions(m, k // 2)
-    return sorted(
-        (b + (k - 2 * s,) for s in range(k // 2 + 1) for b in _compositions(m, s)),
-        reverse=True,
-    )
-
-
-def _block_shape(m: int, odd: int, k: int) -> Tuple[int, Iterator[Column]]:
-    """The row count of every weight block with l − |w|₁ = k, and its
+def _block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
+    """The row count of every weight block with l − |w|₁ = 2s, and its
     columns one at a time: where their entries sit.  A row index depends
     only on the row's label, so all these blocks share one shape; their
     coefficients differ."""
-    index = {t: i for i, t in enumerate(_block_labels(m, odd, k - 2))}
+    index = {t: i for i, t in enumerate(_compositions(m, s - 1))}
 
     def columns() -> Iterator[Column]:
-        for t in _block_labels(m, odd, k):
-            entries = [(index[t[:j] + (t[j] - 1,) + t[j + 1 :]], j) for j in range(m) if t[j]]
-            down = index[t[:m] + (t[m] - 2,)] if odd and t[m] >= 2 else None
-            yield t, entries, down
+        for t in _compositions(m, s):
+            yield t, [(index[t[:j] + (t[j] - 1,) + t[j + 1 :]], j) for j in range(m) if t[j]]
 
     return len(index), columns()
 
 
 def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, List[Column], int]]:
-    """Every torus weight w of Pol^l in n variables, with its block's shape
-    and row count.  For odd n the extra variable z_n has weight 0.  No CLI
-    path walks it; it is the tests' per-weight oracle."""
-    m, odd = divmod(n, 2)
-    for k in range(0, l + 1, 1 if odd else 2):
-        rows, columns = _block_shape(m, odd, k)
+    """Every torus weight w of Pol^l in n = 2m variables, with its block's
+    shape and row count.  No CLI path walks it; it is the tests' per-weight
+    oracle."""
+    m = n // 2
+    for k in range(0, l + 1, 2):
+        rows, columns = _block_shape(m, k // 2)
         shape = list(columns)
         for size in _compositions(m, l - k):
             for w in product(*[(x, -x) if x else (0,) for x in size]):
@@ -276,43 +261,36 @@ def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, List[Column], int]]
 
 def _block_columns(w: Weight, shape: Iterable[Column]) -> List[Dict[int, int]]:
     """Columns of Δ on the block of weight w.  With a = b' + w⁺, b = b' + w⁻,
-    Δ(u^a v^b z_n^c) = Σ_j 4 a_j b_j u^(a−e_j) v^(b−e_j) z_n^c
-    + c(c − 1) u^a v^b z_n^(c−2); every coefficient is a positive integer.
-    No CLI path builds them; they are the tests' per-weight reference."""
+    Δ(u^a v^b) = Σ_j 4 a_j b_j u^(a−e_j) v^(b−e_j); every coefficient is a
+    positive integer.  No CLI path builds them; they are the tests'
+    per-weight reference."""
     plus = [x if x > 0 else 0 for x in w]
     minus = [-x if x < 0 else 0 for x in w]
-    cols = []
-    for t, entries, down in shape:
-        col = {r: 4 * (t[j] + plus[j]) * (t[j] + minus[j]) for r, j in entries}
-        if down is not None:
-            col[down] = t[-1] * (t[-1] - 1)
-        cols.append(col)
-    return cols
+    return [
+        {r: 4 * (t[j] + plus[j]) * (t[j] + minus[j]) for r, j in entries}
+        for t, entries in shape
+    ]
 
 
 @lru_cache(maxsize=None)
-def _shape_kernel_dimension(n: int, k: int) -> int:
-    """Certified kernel dimension of every weight block of Pol^l in n
-    variables with l − |w|₁ = k, from its shape's distinct last rows; the
+def _shape_kernel_dimension(m: int, s: int) -> int:
+    """Certified kernel dimension of every weight block of Pol^l in 2m
+    variables with l − |w|₁ = 2s, from its shape's distinct last rows; the
     columns stream past, so one column exists at a time."""
-    m, odd = divmod(n, 2)
-    rows, columns = _block_shape(m, odd, k)
+    rows, columns = _block_shape(m, s)
     led = bytearray(rows)
     count = 0
-    for _, entries, down in columns:
+    for _, entries in columns:
         count += 1
-        col = [r for r, _ in entries]
-        if down is not None:
-            col.append(down)
-        if col:
-            led[max(col)] = 1
+        if entries:
+            led[max(r for r, _ in entries)] = 1
     leads = sum(led)
     if leads != rows:
         first = led.index(0)
-        label = next(islice(_block_labels(m, odd, k - 2), first, None))
+        label = next(islice(_compositions(m, s - 1), first, None))
         raise CertificationError(
-            f"Laplacian columns lead in {leads} of {rows} rows of the k={k} "
-            f"shape for n={n}; no column leads in row {label}"
+            f"Laplacian columns lead in {leads} of {rows} rows of the k={2 * s} "
+            f"shape for n={2 * m}; no column leads in row {label}"
         )
     return count - rows
 
@@ -325,46 +303,45 @@ def _weight_count(m: int, s: int) -> int:
     return sum(comb(m, j) * comb(s - 1, j - 1) << j for j in range(1, min(m, s) + 1))
 
 
-@lru_cache(maxsize=None)
 def harmonic_dimension(n: int, l: int) -> int:
-    """dim ker(Δ) on degree-l polynomials in n variables, certified once per
-    block shape and counted once per torus weight.
+    """dim ker(Δ) on degree-l polynomials in n = 2m variables, certified once
+    per block shape and counted once per torus weight.
 
-    In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j) (j ≤ m = n // 2)
-    and, for odd n, z_n, Δ = 4 Σ_j ∂_(u_j) ∂_(v_j) + ∂²_(z_n) has integer
-    coefficients and keeps the weight w = a − b of u^a v^b z_n^c.  So its
-    matrix is the direct sum of one block per weight.  With b' = min(a, b),
-    the columns of the block of w are labelled by (b', c) with
-    2|b'| + c = k = l − |w|₁ and its rows by the labels of k − 2.
+    In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j), Δ = 4 Σ_j
+    ∂_(u_j) ∂_(v_j) has integer coefficients and keeps the weight w = a − b
+    of u^a v^b.  So its matrix is the direct sum of one block per weight.
+    With b' = min(a, b), the columns of the block of w are labelled by the b'
+    with |b'| = s, where 2s = k = l − |w|₁, and its rows by those with
+    |b'| = s − 1.
 
-    The support of block w is its shape, which depends on k alone: the
-    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row (b' − e_j, c) exists only where
-    b'_j ≥ 1 (one of w⁺_j, w⁻_j is 0), and then it is at least 4; the entry
-    c(c − 1) of row (b', c − 2) exists only where c ≥ 2.  Every entry is a
-    positive integer, so every block with this k has nonzero entries exactly
-    where the shape places them.
+    The support of block w is its shape, which depends on s alone: the
+    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row b' − e_j exists only where
+    b'_j ≥ 1 (one of w⁺_j, w⁻_j is 0), and then it is at least 4.  Every
+    entry is a positive integer, so every block with this s has nonzero
+    entries exactly where the shape places them.
 
     Columns with pairwise distinct last nonzero rows are triangular, hence
     independent, so the rank of a block is at least the number of distinct
     last rows and at most the number of rows; when the two agree the rank
     is exact.  Those last rows are read from the shape, so the rank, and
-    with it the kernel dimension, holds for every weight with this k, and
-    there are `_weight_count(m, l − k)` of them.  The rows are always
-    covered: over the decreasing-lexicographic order of (b', c), the last
-    row of column (b', c), b' ≠ 0, is (b' − e_j, c) for the first j with
-    b'_j > 0, and b'' ↦ b'' + e_1 reaches every row exactly once.
+    with it the kernel dimension, holds for every weight with this s, and
+    there are `_weight_count(m, l − 2s)` of them.  The rows are always
+    covered: over the decreasing-lexicographic order of b', the last row of
+    column b' ≠ 0 is b' − e_j for the first j with b'_j > 0, and
+    b'' ↦ b'' + e_1 reaches every row exactly once.
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
     why).  Any failed check raises CertificationError naming n, l, the
     shape's k and its dominant weight (l − k, 0, ..., 0), and how many
-    weights share the shape.
+    weights share the shape.  An n that is not even and at least 2 raises
+    ValueError.
     """
-    if n < 2:
-        raise ValueError("need at least two variables")
+    if n < 2 or n % 2:
+        raise ValueError(f"need an even number n = 2m >= 2 of variables, got {n}")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    m, odd = divmod(n, 2)
+    m = n // 2
 
     def dominant(k: int) -> Weight:
         return (l - k,) + (0,) * (m - 1)
@@ -374,7 +351,7 @@ def harmonic_dimension(n: int, l: int) -> int:
 
     def certified(k: int) -> int:
         try:
-            return _shape_kernel_dimension(n, k)
+            return _shape_kernel_dimension(m, k // 2)
         except CertificationError as e:
             raise CertificationError(
                 f"{e}; it is the block of weight w={dominant(k)} {where(k)}"
@@ -386,9 +363,7 @@ def harmonic_dimension(n: int, l: int) -> int:
             f"the block of weight w={dominant(0)} has {top_kernel} kernel vectors, "
             f"not u_1^{l} alone, {where(0)}"
         )
-    return sum(
-        _weight_count(m, l - k) * certified(k) for k in range(0, l + 1, 1 if odd else 2)
-    )
+    return sum(_weight_count(m, l - k) * certified(k) for k in range(0, l + 1, 2))
 
 
 def harmonic_dimension_formula(n: int, l: int) -> int:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -265,6 +266,45 @@ def test_zero_denominator_is_usage_error(capsys, argv, flag):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert errors == [f"lieball {argv[0]}: error: argument {flag}: not a rational number: '1/0'"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["ranges", "--m", "2", "--lambda", "1e5000"], "--lambda"),
+        (["ehw", "--n", "4", "--z", "1e-5000"], "--z"),
+        (["verma", "--m", "2", "--lambda", "1e20000000", "--nu", "4"], "--lambda"),
+    ],
+)
+def test_huge_exponent_is_usage_error(capsys, argv, flag):
+    # refused before Fraction builds the value, which for 1e20000000 alone
+    # takes tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    raw = argv[argv.index(flag) + 1]
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"lieball {argv[0]}: error: argument {flag}: more than 4300 digits: '{raw}'"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ranges", "--m", "2", "--lambda", "1e3"],
+        ["ehw", "--n", "4", "--z", "5/2"],
+        # a 4300-digit numerator or denominator still renders
+        ["ehw", "--n", "4", "--z", "1e4299"],
+        ["ehw", "--n", "4", "--z=-1E-4299", "--format", "json"],
+    ],
+)
+def test_exponent_notation_within_bound_is_accepted(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
