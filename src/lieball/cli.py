@@ -50,6 +50,8 @@ VERIFY_EQUIVARIANCE_TRIALS = 15
 # out in digits meets it inside Fraction; one in exponent notation would meet
 # it only when the report is rendered, after building a value of any size.
 RATIONAL_DIGIT_BOUND = 4300
+# The flags whose value may be a negative fraction such as -3/2.
+RATIONAL_FLAGS = ("--lambda", "--nu", "--z")
 
 
 def _fmt_weight(w) -> str:
@@ -496,9 +498,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> List[str]:
+    """`--lambda -3/2` as `--lambda=-3/2`, and likewise for --nu and --z.
+
+    argparse takes a token that starts with '-' as a value only if it reads
+    as a plain negative decimal, so it would take -3/2 for an option.  A
+    token that starts with '--' is left alone, as is every other token.
+    """
+    out: List[str] = []
+    for token in argv:
+        negative = token.startswith("-") and not token.startswith("--")
+        if negative and out and out[-1] in RATIONAL_FLAGS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         report = args.func(args, parser)
     except CertificationError as exc:

@@ -53,7 +53,11 @@ class SparsePolynomial:
     """A polynomial in nvars variables with exact rational coefficients.
 
     Terms map exponent tuples to nonzero Fractions; arithmetic never leaves
-    exact rationals.
+    exact rationals.  No CLI path calls `variable`, `partial` or the ring
+    operations (+, −, negation, products); `laplacian` and
+    `rotation_generator` work on the terms directly.  They stay because the
+    tests build their polynomials and the generator's product-form oracle
+    from them.
     """
 
     __slots__ = ("nvars", "terms")
@@ -73,6 +77,7 @@ class SparsePolynomial:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "SparsePolynomial":
+        """The coordinate z_i; only the tests build it."""
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
@@ -82,6 +87,7 @@ class SparsePolynomial:
         return not self.terms
 
     def partial(self, i: int) -> "SparsePolynomial":
+        """∂f/∂z_i; only the tests' product-form generator calls it."""
         if not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
         out: Dict[Exponents, Q] = {}
@@ -97,6 +103,7 @@ class SparsePolynomial:
             raise ValueError("mixed variable counts")
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        """f + g; only the tests add polynomials."""
         self._check_same_ring(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
@@ -104,12 +111,15 @@ class SparsePolynomial:
         return SparsePolynomial(self.nvars, out)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        """f − g; only the tests subtract polynomials."""
         return self + (-other)
 
     def __neg__(self) -> "SparsePolynomial":
+        """−f; only the tests and `__sub__` negate."""
         return SparsePolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        """f · g, or f times a rational; only the tests multiply."""
         if isinstance(other, SparsePolynomial):
             self._check_same_ring(other)
             out: Dict[Exponents, Q] = {}
@@ -121,6 +131,7 @@ class SparsePolynomial:
         return SparsePolynomial(self.nvars, {e: c * Q(other) for e, c in self.terms.items()})
 
     def __rmul__(self, other):
+        """A rational times f; only the tests multiply."""
         return self.__mul__(other)
 
     def __eq__(self, other) -> bool:
@@ -204,10 +215,20 @@ def laplacian_power(f: SparsePolynomial, l: int) -> SparsePolynomial:
 
 
 def rotation_generator(f: SparsePolynomial, a: int, b: int) -> SparsePolynomial:
-    """The infinitesimal rotation (z_a ∂_b − z_b ∂_a) applied to f."""
-    za = SparsePolynomial.variable(f.nvars, a)
-    zb = SparsePolynomial.variable(f.nvars, b)
-    return za * f.partial(b) - zb * f.partial(a)
+    """The infinitesimal rotation (z_a ∂_b − z_b ∂_a) applied to f, term by
+    term: z_a ∂_b sends z^e to e_b z^(e − δ_b + δ_a), and z_b ∂_a sends it to
+    e_a z^(e − δ_a + δ_b).  For a = b the two cancel to 0."""
+    out: Dict[Exponents, Q] = {}
+    for src, dst, sign in ((b, a, 1), (a, b, -1)):
+        for exps, c in f.terms.items():
+            e = exps[src]
+            if e:
+                moved = list(exps)
+                moved[src] -= 1
+                moved[dst] += 1
+                key = tuple(moved)
+                out[key] = out.get(key, 0) + sign * e * c
+    return SparsePolynomial(f.nvars, out)
 
 
 def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
@@ -412,9 +433,10 @@ def so_invariance_check(
     for _ in range(trials):
         degree = rng.randint(1, 4)
         f = random_homogeneous(n, degree, rng)
+        lap_f = laplacian(f)
         for a in range(n):
             for b in range(a + 1, n):
-                if laplacian(generator(f, a, b)) != generator(laplacian(f), a, b):
+                if laplacian(generator(f, a, b)) != generator(lap_f, a, b):
                     return False
     return True
 

@@ -103,7 +103,11 @@ def _is_negative_root(v: Sequence) -> bool:
 
 
 def inversion_set(w: SignedPermutation) -> RootSet:
-    """The roots {α ∈ Δ+(k) : w⁻¹α ∈ Δ−(k)}; its size is the length of w."""
+    """The roots {α ∈ Δ+(k) : w⁻¹α ∈ Δ−(k)}; its size is the length of w.
+
+    Only the `weyl` listing, which prints these roots, calls it; `length`
+    counts them on integers instead, and the tests keep this as its oracle.
+    """
     m = w.rank
     roots = build_root_sets(m).k_pos.roots if m >= 2 else ()
     winv = inverse(w)
@@ -113,7 +117,25 @@ def inversion_set(w: SignedPermutation) -> RootSet:
 
 @lru_cache(maxsize=None)
 def length(w: SignedPermutation) -> int:
-    return len(inversion_set(w))
+    """The size of the inversion set, counted on integers.
+
+    With q = perm⁻¹ and t the signs of w⁻¹, w⁻¹(e_i + σe_j) = t[q_i] e_(q_i)
+    + σ t[q_j] e_(q_j), so its first nonzero coefficient is t[q_i] if
+    q_i < q_j and σ t[q_j] otherwise; the root is inverted iff that is
+    negative.  Since perm(q_i) = i, t[q_i] = signs_i.
+    """
+    m = w.rank
+    q = [0] * m
+    for j in range(m):
+        q[w.perm[j]] = j
+    count = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            for sigma in (1, -1):
+                lead = w.signs[i] if q[i] < q[j] else sigma * w.signs[j]
+                if lead < 0:
+                    count += 1
+    return count
 
 
 def is_coset_rep(w: SignedPermutation) -> bool:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -216,6 +218,18 @@ def test_ehw_rejects_odd_rank_with_lambda():
     assert exc.value.code == 2
 
 
+def test_negative_fraction_as_its_own_argument(capsys):
+    code, joined = run(capsys, ["verma", "--m", "3", "--lambda=-3/2", "--nu", "1"])
+    assert code == 0
+    assert run(capsys, ["verma", "--m", "3", "--lambda", "-3/2", "--nu", "1"]) == (0, joined)
+
+
+def test_negative_z_as_its_own_argument_matches_golden(capsysbinary):
+    assert main(["ehw", "--n", "4", "--z", "-1/3", "--format", "text"]) == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "ehw_n4_z-1o3.txt"
+    assert capsysbinary.readouterr().out == golden.read_bytes()
+
+
 def test_ktypes_rejects_fractional_lambda():
     with pytest.raises(SystemExit) as exc:
         main(["ktypes", "--m", "2", "--lambda", "3/2"])
@@ -255,6 +269,7 @@ def test_bad_max_l_is_usage_error(capsys, argv):
         (["ranges", "--m", "3", "--lambda", "1/0"], "--lambda"),
         (["verma", "--m", "3", "--nu", "1/0"], "--nu"),
         (["ehw", "--n", "4", "--z", "1/0"], "--z"),
+        (["verma", "--m", "3", "--lambda", "-1/0"], "--lambda"),
     ],
 )
 def test_zero_denominator_is_usage_error(capsys, argv, flag):
@@ -263,8 +278,9 @@ def test_zero_denominator_is_usage_error(capsys, argv, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    raw = argv[argv.index(flag) + 1]
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert errors == [f"lieball {argv[0]}: error: argument {flag}: not a rational number: '1/0'"]
+    assert errors == [f"lieball {argv[0]}: error: argument {flag}: not a rational number: '{raw}'"]
     assert "Traceback" not in captured.err
 
 
@@ -338,14 +354,17 @@ def cli_argv(draw):
     sub = draw(st.sampled_from(sorted(OPTIONAL_FLAGS)))
     argv = [sub]
     if sub == "ehw":
-        argv += [f"--n={draw(st.integers(2, 8))}", f"--z={draw(SMALL_PARAMS)}"]
+        z = draw(SMALL_PARAMS)
+        argv.append(f"--n={draw(st.integers(2, 8))}")
+        argv += ["--z", z] if draw(st.booleans()) else [f"--z={z}"]
     else:
         argv.append(f"--m={draw(st.integers(-1, 4))}")
     if sub in ("ktypes", "harmonic", "verify", "verma"):
         argv.append(f"--max-l={draw(st.integers(-3, 4))}")
     for flag in OPTIONAL_FLAGS[sub]:
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(SMALL_PARAMS)}")
+            value = draw(SMALL_PARAMS)
+            argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
     argv.append(f"--format={draw(st.sampled_from(['text', 'json', 'csv']))}")
     if draw(st.integers(0, 4)) == 0:
         junk = draw(st.sampled_from(["--bogus", "7", "--m", "--nu=1", "--format=xml", "--z"]))
@@ -354,9 +373,10 @@ def cli_argv(draw):
 
 
 def _invoke(argv):
-    """Exit code and stdout of main(argv); usage errors must be SystemExit(2)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code, stdout and stderr of main(argv); usage errors must be
+    SystemExit(2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -364,13 +384,20 @@ def _invoke(argv):
             code = 2
         else:
             assert code in (0, 1, 3), argv
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
 @given(cli_argv())
 def test_random_argv_maps_to_an_exit_code(argv):
-    assert _invoke(argv) == _invoke(argv)
+    result = _invoke(argv)
+    assert result == _invoke(argv)
+    # a drawn -p/q given as its own argument is read as the flag's value (a
+    # junk copy of the flag elsewhere may still lack one)
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--lambda", "--nu", "--z") and argv.count(flag) == 1:
+            if re.fullmatch(r"-\d+/\d+", value):
+                assert f"argument {flag}: expected one argument" not in result[2], argv
 
 
 def test_subprocess_entry_point(tmp_path):

@@ -333,6 +333,25 @@ def test_radial_shift_identity():
             power = power * r2
 
 
+def product_form(f, a, b):
+    """The generator as z_a·∂_b f − z_b·∂_a f, built with polynomial products:
+    the slow reference for the term-by-term `rotation_generator`."""
+    return var(f.nvars, a) * f.partial(b) - var(f.nvars, b) * f.partial(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2 ** 30),
+)
+def test_rotation_generator_matches_product_form(n, d, seed):
+    f = random_homogeneous(n, d, random.Random(seed))
+    for a in range(n):
+        for b in range(n):
+            assert rotation_generator(f, a, b) == product_form(f, a, b)
+
+
 def test_rotation_generator_kills_radius():
     for n in (4, 6):
         r2 = radial_square(n)

@@ -106,6 +106,12 @@ def test_length_equals_inversion_count(w):
     assert length(w) == len(inversion_set(w))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_length_matches_inversion_set_on_the_whole_group(m):
+    for w in enumerate_group(m):
+        assert length(w) == len(inversion_set(w))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_coset_filter_matches_definition(m):
     # the definitional filter: every inverted positive root lies among the
