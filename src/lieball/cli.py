@@ -274,7 +274,7 @@ def cmd_weyl(args, parser) -> Report:
     elements = []
     for idx, w in enumerate(reps):
         window = list(one_line_window(w))
-        inversions = [[int(c) for c in alpha] for alpha in inversion_set(w)]
+        inversions = [list(alpha) for alpha in inversion_set(w)]
         elements.append(
             {"index": idx, "length": length(w), "window": window, "inversions": inversions}
         )
@@ -292,7 +292,7 @@ def cmd_weyl(args, parser) -> Report:
 
 
 def _witnesses_json(witnesses) -> List[dict]:
-    return [{"root": [int(c) for c in root], "pairing": _json_q(p)} for root, p in witnesses]
+    return [{"root": list(root), "pairing": _json_q(p)} for root, p in witnesses]
 
 
 def cmd_ranges(args, parser) -> Report:
@@ -453,12 +453,45 @@ def _add_common(sub: argparse.ArgumentParser, *, with_m=True, with_lambda=False,
     sub.add_argument("--out", default=None, help="write output to this path")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that reads `--lambda -3/2` as `--lambda=-3/2`,
+    and likewise for --nu and --z.
+
+    argparse takes a token that starts with '-' as a value only if it reads
+    as a plain negative decimal, so it would take -3/2 for an option.  Such a
+    token is joined to the flag before it when that flag names one of the
+    rational flags the way argparse reads it: in full, or as a prefix that no
+    other option of the subcommand shares, such as --lamb.  A token that
+    starts with '--' is left alone, as is every other token.
+    """
+
+    def _long_option(self, token: str) -> Optional[str]:
+        """The option string argparse reads `token` as, or None."""
+        options = self._option_string_actions
+        if token in options:
+            return token
+        matches = [o for o in options if o.startswith(token)]
+        return matches[0] if len(matches) == 1 else None
+
+    def parse_known_args(self, args=None, namespace=None):
+        out: List[str] = []
+        for token in args:
+            negative = token.startswith("-") and not token.startswith("--")
+            if negative and out and self._long_option(out[-1]) in RATIONAL_FLAGS:
+                out[-1] += "=" + token
+            else:
+                out.append(token)
+        return super().parse_known_args(out, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieball",
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     p = subs.add_parser("ktypes", help="K-type table from the Euler sum")
     _add_common(p, with_lambda=True, with_max_l=True)
@@ -498,26 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_values(argv: Sequence[str]) -> List[str]:
-    """`--lambda -3/2` as `--lambda=-3/2`, and likewise for --nu and --z.
-
-    argparse takes a token that starts with '-' as a value only if it reads
-    as a plain negative decimal, so it would take -3/2 for an option.  A
-    token that starts with '--' is left alone, as is every other token.
-    """
-    out: List[str] = []
-    for token in argv:
-        negative = token.startswith("-") and not token.startswith("--")
-        if negative and out and out[-1] in RATIONAL_FLAGS:
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         report = args.func(args, parser)
     except CertificationError as exc:

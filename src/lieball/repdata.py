@@ -18,12 +18,12 @@ from .kostant import KTypeParam, is_dominant
 from .root_data import (
     Weight,
     as_weight,
-    build_root_sets,
-    dot,
+    pairing,
     rho_g,
     rho_l,
     rho_u,
-    sub,
+    root_vector,
+    u_roots,
 )
 
 __all__ = [
@@ -96,15 +96,16 @@ class RangeVerdict:
     """Positivity verdicts for a scalar parameter, with exact witnesses.
 
     Each witness is a pair (root, pairing) recording a violated inequality:
-    a root of u whose pairing with the shifted parameter fails the bound.
+    a root of u, as an int vector, whose pairing with the shifted parameter
+    fails the bound.
     """
 
     m: int
     lam: int
     weakly_fair: bool
     good: bool
-    weakly_fair_witnesses: Tuple[Tuple[Weight, Q], ...] = field(default_factory=tuple)
-    good_witnesses: Tuple[Tuple[Weight, Q], ...] = field(default_factory=tuple)
+    weakly_fair_witnesses: Tuple[Tuple[Tuple[int, ...], Q], ...] = field(default_factory=tuple)
+    good_witnesses: Tuple[Tuple[Tuple[int, ...], Q], ...] = field(default_factory=tuple)
 
 
 def range_verdict(m: int, lam: int) -> RangeVerdict:
@@ -115,18 +116,17 @@ def range_verdict(m: int, lam: int) -> RangeVerdict:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    ones = as_weight((lam,) * (m + 1))
-    wf_shift = sub(ones, rho_u(m))
+    wf_shift = as_weight(lam - c for c in rho_u(m))
     good_shift = tuple(a + b for a, b in zip(wf_shift, rho_l(m)))
     wf_witnesses = []
     good_witnesses = []
-    for alpha in build_root_sets(m).u:
-        pairing = dot(wf_shift, alpha)
-        if pairing < 0:
-            wf_witnesses.append((alpha, pairing))
-        pairing = dot(good_shift, alpha)
-        if pairing <= 0:
-            good_witnesses.append((alpha, pairing))
+    for alpha in u_roots(m):
+        p = pairing(wf_shift, alpha)
+        if p < 0:
+            wf_witnesses.append((root_vector(m + 1, alpha), p))
+        p = pairing(good_shift, alpha)
+        if p <= 0:
+            good_witnesses.append((root_vector(m + 1, alpha), p))
     return RangeVerdict(
         m=m,
         lam=lam,

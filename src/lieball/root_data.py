@@ -1,28 +1,30 @@
-"""Root data for so(2, 2m): the nilradical u of the parabolic and the compact roots.
+"""Root data for so(2, 2m): the nilradical u of the parabolic and the half-sums.
 
 Coordinates are exact rationals in an orthonormal basis.  G-weights live in
 rank m+1 (basis e_0..e_m, with e_0 attached to the so(2) factor); weights of
 the maximal compact factor SO(2m) live in rank m (basis e_1..e_m).  All
 half-sums are half-integral, so every coordinate has denominator 1 or 2.
+
+A root e_i + σ·e_j (i < j, σ = ±1) is stored as the int triple (i, j, σ).
+Only this module reads that storage: `pairing` gives ⟨a, α⟩ = a_i + σ·a_j
+and `root_vector` writes α out as an int vector.  The half-sums have closed
+forms (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plate IV); the tests
+check each one against the sum of its roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterable, Tuple
 
 __all__ = [
     "Weight",
-    "RootSet",
-    "RootData",
+    "Root",
     "as_weight",
-    "add",
-    "sub",
-    "dot",
-    "build_root_sets",
-    "half_sum",
+    "u_roots",
+    "pairing",
+    "root_vector",
     "rho_u",
     "rho_c",
     "rho_l",
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 Weight = Tuple[Q, ...]
+Root = Tuple[int, int, int]
 
 
 def as_weight(coords: Iterable[object]) -> Weight:
@@ -41,126 +44,52 @@ def as_weight(coords: Iterable[object]) -> Weight:
     return w
 
 
-def add(x: Weight, y: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def sub(x: Weight, y: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def dot(x: Weight, y: Weight) -> Q:
-    """Standard inner product; the basis e_i is orthonormal."""
-    return sum((a * b for a, b in zip(x, y, strict=True)), Q(0))
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """A finite set of roots, stored in a fixed deterministic order."""
-
-    rank: int
-    roots: Tuple[Weight, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for r in self.roots:
-            if len(r) != self.rank:
-                raise ValueError("root rank mismatch")
-            support = [c for c in r if c != 0]
-            if len(support) != 2 or any(abs(c) != 1 for c in support):
-                raise ValueError(f"{r} is not a root of type B/D shape ±e_i±e_j")
-            if r in seen:
-                raise ValueError(f"duplicate root {r}")
-            seen.add(r)
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-
-def _root(rank: int, i: int, si: int, j: int, sj: int) -> Weight:
-    out = [Q(0)] * rank
-    out[i] = Q(si)
-    out[j] = Q(sj)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class RootData:
-    """The root sets used downstream, for one rank parameter m >= 2.
-
-    u has rank m+1 (basis e_0..e_m); k_pos has rank m (basis e_1..e_m, the
-    SO(2m) factor) and is the positive system {e_i ± e_j : i < j}.
-    """
-
-    m: int
-    u: RootSet
-    k_pos: RootSet
-
-
-@lru_cache(maxsize=None)
-def build_root_sets(m: int) -> RootData:
-    """Construct the root sets of so(2m+2, C) cut out by the grading element.
+def u_roots(m: int) -> Tuple[Root, ...]:
+    """The roots of u, in rank m+1, for m >= 2.
 
     The grading element is 1_{m+1} = e_0 + ... + e_m: u collects the roots
     pairing positively with it, {e_i + e_j : i < j}.
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    n = m + 1
-    u = [_root(n, i, 1, j, 1) for i in range(n) for j in range(i + 1, n)]
-    k_pos = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            k_pos.append(_root(m, i, 1, j, 1))
-            k_pos.append(_root(m, i, 1, j, -1))
-    return RootData(m=m, u=RootSet(n, tuple(u)), k_pos=RootSet(m, tuple(k_pos)))
+    return tuple((i, j, 1) for i in range(m + 1) for j in range(i + 1, m + 1))
 
 
-def half_sum(rs: RootSet) -> Weight:
-    """Half the sum of the roots in the set."""
-    total = tuple(Q(0) for _ in range(rs.rank))
-    for r in rs:
-        total = add(total, r)
-    return tuple(c / 2 for c in total)
+def pairing(a: Weight, alpha: Root) -> Q:
+    """⟨a, α⟩ = a_i + σ·a_j for α = e_i + σ·e_j; the basis is orthonormal."""
+    i, j, sigma = alpha
+    return a[i] + sigma * a[j]
+
+
+def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
+    """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
+    i, j, sigma = alpha
+    out = [0] * rank
+    out[i] = 1
+    out[j] = sigma
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def rho_u(m: int) -> Weight:
-    """Half-sum over u; equals (m/2)·1_{m+1}."""
-    return half_sum(build_root_sets(m).u)
+    """Half-sum over u: (m/2)·1_{m+1}."""
+    return (Q(m, 2),) * (m + 1)
 
 
 @lru_cache(maxsize=None)
 def rho_c(m: int) -> Weight:
-    """Half-sum of the positive compact roots; equals (m−1, m−2, ..., 1, 0)."""
-    return half_sum(build_root_sets(m).k_pos)
+    """Half-sum of the positive compact roots: (m−1, m−2, ..., 1, 0)."""
+    return tuple(Q(m - 1 - i) for i in range(m))
 
 
 @lru_cache(maxsize=None)
 def rho_l(m: int) -> Weight:
-    """Half-sum of the positive roots of the Levi factor gl(m+1)."""
-    pos = RootSet(
-        m + 1,
-        tuple(
-            _root(m + 1, i, 1, j, -1)
-            for i in range(m + 1)
-            for j in range(i + 1, m + 1)
-        ),
-    )
-    return half_sum(pos)
+    """Half-sum of the positive roots of the Levi factor gl(m+1):
+    ((m − 2i)/2) for i = 0..m."""
+    return tuple(Q(m - 2 * i, 2) for i in range(m + 1))
 
 
 @lru_cache(maxsize=None)
 def rho_g(m: int) -> Weight:
-    """Half-sum of the positive roots of so(2m+2); equals (m, m−1, ..., 1, 0)."""
-    n = m + 1
-    pos = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos.append(_root(n, i, 1, j, 1))
-            pos.append(_root(n, i, 1, j, -1))
-    return half_sum(RootSet(n, tuple(pos)))
-
+    """Half-sum of the positive roots of so(2m+2): (m, m−1, ..., 1, 0)."""
+    return tuple(Q(m - i) for i in range(m + 1))

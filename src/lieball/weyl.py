@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .root_data import RootSet, build_root_sets
+from .root_data import Root, root_vector
 
 __all__ = [
     "SignedPermutation",
@@ -94,30 +94,8 @@ def enumerate_group(m: int) -> Iterator[SignedPermutation]:
             yield SignedPermutation(perm, signs)
 
 
-def _is_negative_root(v: Sequence) -> bool:
-    """Negative for the positive system {e_i ± e_j : i < j}: first nonzero < 0."""
-    for c in v:
-        if c != 0:
-            return c < 0
-    raise ValueError("zero vector is not a root")
-
-
-def inversion_set(w: SignedPermutation) -> RootSet:
-    """The roots {α ∈ Δ+(k) : w⁻¹α ∈ Δ−(k)}; its size is the length of w.
-
-    Only the `weyl` listing, which prints these roots, calls it; `length`
-    counts them on integers instead, and the tests keep this as its oracle.
-    """
-    m = w.rank
-    roots = build_root_sets(m).k_pos.roots if m >= 2 else ()
-    winv = inverse(w)
-    inv = [alpha for alpha in roots if _is_negative_root(act(winv, alpha))]
-    return RootSet(m, tuple(inv))
-
-
-@lru_cache(maxsize=None)
-def length(w: SignedPermutation) -> int:
-    """The size of the inversion set, counted on integers.
+def _inversions(w: SignedPermutation) -> Iterator[Root]:
+    """The roots α = e_i + σe_j (i < j) of Δ+(k) with w⁻¹α ∈ Δ−(k).
 
     With q = perm⁻¹ and t the signs of w⁻¹, w⁻¹(e_i + σe_j) = t[q_i] e_(q_i)
     + σ t[q_j] e_(q_j), so its first nonzero coefficient is t[q_i] if
@@ -128,14 +106,27 @@ def length(w: SignedPermutation) -> int:
     q = [0] * m
     for j in range(m):
         q[w.perm[j]] = j
-    count = 0
     for i in range(m):
         for j in range(i + 1, m):
             for sigma in (1, -1):
                 lead = w.signs[i] if q[i] < q[j] else sigma * w.signs[j]
                 if lead < 0:
-                    count += 1
-    return count
+                    yield (i, j, sigma)
+
+
+def inversion_set(w: SignedPermutation) -> Tuple[Tuple[int, ...], ...]:
+    """The roots {α ∈ Δ+(k) : w⁻¹α ∈ Δ−(k)} as int vectors, e_i + e_j
+    before e_i − e_j for each i < j; its size is the length of w.
+
+    Only the `weyl` listing, which prints these roots, calls it.
+    """
+    return tuple(root_vector(w.rank, alpha) for alpha in _inversions(w))
+
+
+@lru_cache(maxsize=None)
+def length(w: SignedPermutation) -> int:
+    """The size of the inversion set, counted on integers."""
+    return sum(1 for _ in _inversions(w))
 
 
 def is_coset_rep(w: SignedPermutation) -> bool:

@@ -221,7 +221,20 @@ def test_ehw_rejects_odd_rank_with_lambda():
 def test_negative_fraction_as_its_own_argument(capsys):
     code, joined = run(capsys, ["verma", "--m", "3", "--lambda=-3/2", "--nu", "1"])
     assert code == 0
-    assert run(capsys, ["verma", "--m", "3", "--lambda", "-3/2", "--nu", "1"]) == (0, joined)
+    # argparse also reads an unambiguous prefix of the flag as the flag
+    for flag in ("--lambda", "--lambd", "--lamb", "--la", "--l"):
+        assert run(capsys, ["verma", "--m", "3", flag, "-3/2", "--nu", "1"]) == (0, joined)
+    assert run(capsys, ["verma", "--m", "3", "--lamb=-3/2", "--n", "1"]) == (0, joined)
+
+
+def test_prefix_is_joined_only_where_it_names_a_rational_flag(capsys):
+    # --n abbreviates --nu for verma, but is ehw's own integer flag
+    _, joined = run(capsys, ["verma", "--m", "3", "--lambda", "1", "--nu=-1/2"])
+    assert run(capsys, ["verma", "--m", "3", "--lambda", "1", "--n", "-1/2"]) == (0, joined)
+    with pytest.raises(SystemExit) as exc:
+        main(["ehw", "--n", "-1/3", "--z", "1"])
+    assert exc.value.code == 2
+    assert "argument --n: expected one argument" in capsys.readouterr().err
 
 
 def test_negative_z_as_its_own_argument_matches_golden(capsysbinary):

@@ -1,4 +1,4 @@
-"""Root sets, half sums, and weight helpers."""
+"""Root triples and half sums, against the roots built as dense vectors."""
 
 from fractions import Fraction as Q
 
@@ -7,17 +7,45 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieball.root_data import (
-    add,
     as_weight,
-    build_root_sets,
-    dot,
-    half_sum,
+    pairing,
     rho_c,
     rho_g,
     rho_l,
     rho_u,
-    sub,
+    root_vector,
+    u_roots,
 )
+
+
+def dense_root(rank, i, si, j, sj):
+    """si·e_i + sj·e_j as a dense vector of Fractions."""
+    out = [Q(0)] * rank
+    out[i] = Q(si)
+    out[j] = Q(sj)
+    return tuple(out)
+
+
+def dense_roots(rank, signs):
+    """e_i + s·e_j for i < j and each s in signs, in that order."""
+    return [
+        dense_root(rank, i, 1, j, s)
+        for i in range(rank)
+        for j in range(i + 1, rank)
+        for s in signs
+    ]
+
+
+def half_sum(roots, rank):
+    total = [Q(0)] * rank
+    for r in roots:
+        total = [a + b for a, b in zip(total, r, strict=True)]
+    return tuple(c / 2 for c in total)
+
+
+def k_pos(m):
+    """The positive compact roots e_i ± e_j (i < j) of SO(2m) as triples."""
+    return [(i, j, s) for i in range(m) for j in range(i + 1, m) for s in (1, -1)]
 
 
 def test_as_weight_accepts_half_integers():
@@ -30,14 +58,6 @@ def test_as_weight_rejects_other_denominators():
         as_weight((Q(1, 3),))
 
 
-def test_vector_helpers():
-    a = as_weight((1, 2))
-    b = as_weight((Q(1, 2), -1))
-    assert add(a, b) == (Q(3, 2), Q(1))
-    assert sub(a, b) == (Q(1, 2), Q(3))
-    assert dot(a, b) == Q(1, 2) - 2
-
-
 # counts for m=2: |u| = 3, |k| = 2.
 ROOT_COUNTS = {
     "u": lambda m: m * (m - 1) // 2 + m,
@@ -47,18 +67,37 @@ ROOT_COUNTS = {
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_root_set_cardinalities(m):
-    data = build_root_sets(m)
-    assert len(data.u) == ROOT_COUNTS["u"](m)
-    assert len(data.k_pos) == ROOT_COUNTS["k"](m)
+    assert len(u_roots(m)) == len(set(u_roots(m))) == ROOT_COUNTS["u"](m)
+    assert len(k_pos(m)) == ROOT_COUNTS["k"](m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_root_set_decompositions(m):
-    data = build_root_sets(m)
+    u = set(u_roots(m))
     # u splits into the e_0 + e_j and a copy of the e_i + e_j among k_pos
-    with_e0 = {r for r in data.u if r[0] != 0}
+    with_e0 = {(i, j, s) for i, j, s in u if i == 0}
     assert len(with_e0) == m
-    assert {r[1:] for r in set(data.u) - with_e0} == {r for r in data.k_pos if -1 not in r}
+    assert {(i - 1, j - 1, s) for i, j, s in u - with_e0} == {r for r in k_pos(m) if r[2] == 1}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_u_roots_are_the_dense_roots(m):
+    assert [root_vector(m + 1, a) for a in u_roots(m)] == dense_roots(m + 1, (1,))
+
+
+def test_u_roots_need_rank_two():
+    with pytest.raises(ValueError):
+        u_roots(1)
+
+
+@given(st.lists(st.fractions(max_denominator=2), min_size=2, max_size=6))
+def test_pairing_is_the_dense_inner_product(xs):
+    a = as_weight(xs)
+    rank = len(a)
+    triples = [(i, j, s) for i in range(rank) for j in range(i + 1, rank) for s in (1, -1)]
+    for alpha, dense in zip(triples, dense_roots(rank, (1, -1)), strict=True):
+        assert root_vector(rank, alpha) == dense
+        assert pairing(a, alpha) == sum((x * y for x, y in zip(a, dense)), Q(0))
 
 
 @pytest.mark.parametrize(
@@ -83,26 +122,10 @@ def test_rho_l_and_rho_g():
     assert rho_g(3) == (Q(3), Q(2), Q(1), Q(0))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", range(2, 9))
 def test_rho_functions_are_half_sums(m):
-    data = build_root_sets(m)
-    assert rho_u(m) == half_sum(data.u)
-    assert rho_c(m) == half_sum(data.k_pos)
-
-
-@given(
-    st.lists(st.fractions(max_denominator=2), min_size=1, max_size=6),
-    st.lists(st.fractions(max_denominator=2), min_size=1, max_size=6),
-)
-def test_add_sub_roundtrip(xs, ys):
-    n = min(len(xs), len(ys))
-    a = as_weight(tuple(xs[:n]))
-    b = as_weight(tuple(ys[:n]))
-    assert sub(add(a, b), b) == a
-    assert add(sub(a, b), b) == a
-
-
-@given(st.lists(st.fractions(max_denominator=2), min_size=1, max_size=6))
-def test_dot_neg(xs):
-    a = as_weight(tuple(xs))
-    assert dot(a, tuple(-x for x in a)) == -dot(a, a)
+    n = m + 1
+    assert rho_u(m) == half_sum(dense_roots(n, (1,)), n)
+    assert rho_c(m) == half_sum(dense_roots(m, (1, -1)), m)
+    assert rho_l(m) == half_sum(dense_roots(n, (-1,)), n)
+    assert rho_g(m) == half_sum(dense_roots(n, (1, -1)), n)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieball.root_data import build_root_sets
 from lieball.weyl import (
     SignedPermutation,
     act,
@@ -34,7 +33,25 @@ def identity(m):
 
 def sum_roots(m):
     """The roots e_i + e_j (i < j) of rank m, where coset inversions lie."""
-    return {r for r in build_root_sets(m).k_pos if -1 not in r}
+    return {
+        tuple(int(k in (i, j)) for k in range(m)) for i in range(m) for j in range(i + 1, m)
+    }
+
+
+def dense_inversion_set(w):
+    """The definition of the inversion set, on Fraction vectors: the roots
+    e_i + e_j, e_i − e_j (i < j, in that order) whose image under w⁻¹ has
+    its first nonzero coordinate negative."""
+    m = w.rank
+    winv = inverse(w)
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for s in (1, -1):
+                alpha = tuple(Q(1) if k == i else Q(s) if k == j else Q(0) for k in range(m))
+                if next(c for c in act(winv, alpha) if c != 0) < 0:
+                    out.append(alpha)
+    return tuple(out)
 
 
 def test_validation_rejects_odd_flip_count():
@@ -109,7 +126,9 @@ def test_length_equals_inversion_count(w):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_length_matches_inversion_set_on_the_whole_group(m):
     for w in enumerate_group(m):
-        assert length(w) == len(inversion_set(w))
+        oracle = dense_inversion_set(w)
+        assert inversion_set(w) == oracle
+        assert length(w) == len(oracle)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
