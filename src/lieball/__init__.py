@@ -2,8 +2,8 @@
 
 Two independent routes to the same table: an alternating cohomology sum
 over minimal-length coset representatives, and Laplacian kernels on
-polynomial spaces whose dimension comes from a rank certified by the
-matrix's leading rows.  Everything runs in rational
+polynomial spaces whose dimension comes from a rank certified by one
+witness column per row.  Everything runs in rational
 arithmetic; no floats anywhere.  Everything else is imported from its
 submodule (`lieball.weyl`, `lieball.kostant`, ...).
 """

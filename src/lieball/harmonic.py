@@ -5,13 +5,13 @@ Kernel dimensions in n = 2m variables are certified one block shape at a
 time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
 and where the block of w has entries depends only on k = l − |w|₁.  So the
-rank is certified from the leading rows once per k and counted once for
-every weight with that k.  Every row of the resulting K-type table, the
-analytic counterpart of the algebraic Euler-sum table, is then checked to
-be the expected SO(2m) constituent: the kernel holds its highest-weight
-vector u_1^l and has its Weyl dimension.  The stream of every weight's
-block and the full matrix over the z-monomials serve the tests as
-references.
+rank is certified once per k, by one witness column per row, and counted
+once for every weight with that k.  Every row of the resulting K-type
+table, the analytic counterpart of the algebraic Euler-sum table, is then
+checked to be the expected SO(2m) constituent: the kernel holds its
+highest-weight vector u_1^l and has its Weyl dimension.  The stream of
+every weight's block and the full matrix over the z-monomials serve the
+tests as references.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
@@ -253,16 +253,22 @@ Weight = Tuple[int, ...]
 Column = Tuple[Exponents, List[Tuple[int, int]]]
 
 
+def _column_rows(t: Exponents) -> Iterator[Tuple[int, Exponents]]:
+    """The support rule of every block shape: column t has its (j, row)
+    entries at the rows t − e_j, one for each j with t_j ≥ 1."""
+    return ((j, t[:j] + (x - 1,) + t[j + 1 :]) for j, x in enumerate(t) if x)
+
+
 def _block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
     """The row count of every weight block with l − |w|₁ = 2s, and its
     columns one at a time: where their entries sit.  A row index depends
     only on the row's label, so all these blocks share one shape; their
-    coefficients differ."""
+    coefficients differ.  No CLI path streams it; it is the tests' oracle."""
     index = {t: i for i, t in enumerate(_compositions(m, s - 1))}
 
     def columns() -> Iterator[Column]:
         for t in _compositions(m, s):
-            yield t, [(index[t[:j] + (t[j] - 1,) + t[j + 1 :]], j) for j in range(m) if t[j]]
+            yield t, [(index[row], j) for j, row in _column_rows(t)]
 
     return len(index), columns()
 
@@ -296,24 +302,18 @@ def _block_columns(w: Weight, shape: Iterable[Column]) -> List[Dict[int, int]]:
 @lru_cache(maxsize=None)
 def _shape_kernel_dimension(m: int, s: int) -> int:
     """Certified kernel dimension of every weight block of Pol^l in 2m
-    variables with l − |w|₁ = 2s, from its shape's distinct last rows; the
-    columns stream past, so one column exists at a time."""
-    rows, columns = _block_shape(m, s)
-    led = bytearray(rows)
-    count = 0
-    for _, entries in columns:
-        count += 1
-        if entries:
-            led[max(r for r, _ in entries)] = 1
-    leads = sum(led)
-    if leads != rows:
-        first = led.index(0)
-        label = next(islice(_compositions(m, s - 1), first, None))
-        raise CertificationError(
-            f"Laplacian columns lead in {leads} of {rows} rows of the k={2 * s} "
-            f"shape for n={2 * m}; no column leads in row {label}"
-        )
-    return count - rows
+    variables with l − |w|₁ = 2s: each row r, walked once, must be the last
+    row of its witness column r + e_1 under the support rule."""
+    rows = 0
+    for r in _compositions(m, s - 1):
+        t = (r[0] + 1,) + r[1:]
+        if min((row for _, row in _column_rows(t)), default=None) != r:
+            raise CertificationError(
+                f"row {r} is not the last row of its witness column {t} in the "
+                f"k={2 * s} shape for n={2 * m}"
+            )
+        rows += 1
+    return polynomial_space_dimension(m, s) - rows
 
 
 def _weight_count(m: int, s: int) -> int:
@@ -341,15 +341,14 @@ def harmonic_dimension(n: int, l: int) -> int:
     entry is a positive integer, so every block with this s has nonzero
     entries exactly where the shape places them.
 
-    Columns with pairwise distinct last nonzero rows are triangular, hence
-    independent, so the rank of a block is at least the number of distinct
-    last rows and at most the number of rows; when the two agree the rank
-    is exact.  Those last rows are read from the shape, so the rank, and
-    with it the kernel dimension, holds for every weight with this s, and
-    there are `_weight_count(m, l − 2s)` of them.  The rows are always
-    covered: over the decreasing-lexicographic order of b', the last row of
-    column b' ≠ 0 is b' − e_j for the first j with b'_j > 0, and
-    b'' ↦ b'' + e_1 reaches every row exactly once.
+    The certificate walks the rows b'' once.  The witness of row b'' is
+    column b'' + e_1, and the support rule must make b'' its last nonzero
+    row in decreasing-lexicographic order (b' − e_j for the first j with
+    b'_j > 0).  The witnesses, with pairwise distinct last rows, are
+    independent, so the rank is the row count and the kernel dimension is
+    C(m + s − 1, s) minus it, for each of the `_weight_count(m, l − 2s)`
+    weights with this s.  So the check can catch a wrong support rule or a
+    wrong witness rule; the column count is the closed form.
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for

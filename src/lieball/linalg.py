@@ -4,7 +4,7 @@ Vectors are dicts mapping row index to a nonzero integer.  Elimination uses
 integer cross-multiplication with gcd normalization after every combination,
 so all arithmetic is exact; no floating point and no modular arithmetic
 anywhere.  No CLI path eliminates: `harmonic_dimension` certifies its ranks
-from leading rows, and this kernel is the tests' full-matrix oracle for it.
+from witness columns, and this kernel is the tests' full-matrix oracle for it.
 """
 
 from __future__ import annotations

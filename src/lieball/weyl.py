@@ -130,27 +130,11 @@ def length(w: SignedPermutation) -> int:
 
 
 def is_coset_rep(w: SignedPermutation) -> bool:
-    """True iff the inversion set of w lies inside the u∩k roots {e_i + e_j}.
-
-    Equivalent direct test: no root e_i − e_j (i < j) maps under w⁻¹ to a
-    negative root.  Writing q = perm⁻¹, w⁻¹(e_i − e_j) = signs_i e_{q(i)} −
-    signs_j e_{q(j)}, which is positive iff the coefficient on the smaller
-    target index is +1.  No CLI path calls it; it stays as that filter in
-    the acceptance gate and in the tests' coset oracle.
+    """True iff the inversion set of w lies inside the u∩k roots {e_i + e_j},
+    i.e. no inverted root is an e_i − e_j.  No CLI path calls it; it stays as
+    that filter in the acceptance gate and in the tests' coset oracle.
     """
-    m = w.rank
-    q = [0] * m
-    for j in range(m):
-        q[w.perm[j]] = j
-    for i in range(m):
-        for j in range(i + 1, m):
-            if q[i] < q[j]:
-                if w.signs[i] != 1:
-                    return False
-            else:
-                if w.signs[j] != -1:
-                    return False
-    return True
+    return all(sigma == 1 for _, _, sigma in _inversions(w))
 
 
 def lehmer_code(perm: Sequence[int]) -> int:

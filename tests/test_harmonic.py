@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import islice
 from math import comb
 
 import pytest
@@ -215,7 +214,7 @@ def test_every_block_has_its_shapes_rank(n):
                 assert len(exact_kernel(cols)) == hm._shape_kernel_dimension(m, (l - s) // 2)
                 assert all(c > 0 for col in cols for c in col.values())
                 # the entries sit where the shape puts them, and so the
-                # leading rows are the shape's
+                # witnesses' last rows are the shape's
                 for (_, entries), col in zip(shape, cols):
                     assert set(col) == {r for r, _ in entries}
             assert sizes == {l - k: hm._weight_count(m, l - k) for k in range(0, l + 1, 2)}
@@ -229,6 +228,7 @@ def test_cli_path_builds_no_weight_block(monkeypatch):
 
     monkeypatch.setattr(hm, "_weight_blocks", refuse)
     monkeypatch.setattr(hm, "_block_columns", refuse)
+    monkeypatch.setattr(hm, "_block_shape", refuse)
     clear_caches()
     try:
         assert main(["harmonic", "--m", "3", "--max-l", "5"]) == 0
@@ -250,24 +250,26 @@ def test_cli_path_builds_no_full_matrix(monkeypatch):
         clear_caches()
 
 
-def break_shape(monkeypatch, broken, fault):
-    """Patch `_block_shape` so that the columns of each shape whose k
-    satisfies `broken` pass through `fault`."""
-    block_shape = hm._block_shape
-
-    def faulty(m, s):
-        rows, columns = block_shape(m, s)
-        return (rows, fault(columns)) if broken(2 * s) else (rows, columns)
-
-    monkeypatch.setattr(hm, "_block_shape", faulty)
+def drop_entries(monkeypatch, broken):
+    """Patch the support rule so that the columns of each shape whose k
+    satisfies `broken` have no entries."""
+    column_rows = hm._column_rows
+    monkeypatch.setattr(
+        hm, "_column_rows", lambda t: () if broken(2 * sum(t)) else column_rows(t)
+    )
 
 
-def no_entries(columns):
-    return ((t, []) for t, _ in columns)
+def drop_a_column(monkeypatch, broken):
+    """Patch the column count so that each shape whose k satisfies `broken`
+    loses a column."""
+    dimension = hm.polynomial_space_dimension
+    monkeypatch.setattr(
+        hm, "polynomial_space_dimension", lambda m, s: dimension(m, s) - broken(2 * s)
+    )
 
 
 def test_uncertified_rank_is_refused(monkeypatch, capsys):
-    break_shape(monkeypatch, lambda k: True, no_entries)
+    drop_entries(monkeypatch, lambda k: True)
     clear_caches()
     try:
         with pytest.raises(CertificationError):
@@ -281,22 +283,24 @@ def test_uncertified_rank_is_refused(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "broken,fault,message",
     [
-        # The shape of weight 0 (k = 2) loses its entries, so it leads in no row.
-        ((0, 0), lambda columns: ((t, []) for t, _ in columns),
-         r"lead in 0 of 1 rows of the k=2 shape for n=4; no column leads in row \(0, 0\);"),
+        # The shape of weight 0 (k = 2) loses its entries, so its one row is
+        # not the last row of its witness.
+        ((0, 0), lambda mp, broken: drop_entries(mp, broken),
+         r"row \(0, 0\) is not the last row of its witness column \(1, 0\) in the k=2 "
+         r"shape for n=4;"),
         # The shape of the top weight (k = 0) loses u_1^2, its only column.
-        ((2, 0), lambda columns: islice(columns, 1, None),
+        ((2, 0), lambda mp, broken: drop_a_column(mp, broken),
          r"block of weight w=\(2, 0\) has 0 kernel vectors, not u_1\^2 alone, for n=4, l=2"),
         # The same faults, with the number of weights that share the shape.
-        ((0, 0), lambda columns: ((t, []) for t, _ in columns),
+        ((0, 0), lambda mp, broken: drop_entries(mp, broken),
          r"w=\(0, 0\) for n=4, l=2, 1 of 1 weights of the k=2 shape$"),
-        ((2, 0), lambda columns: islice(columns, 1, None),
+        ((2, 0), lambda mp, broken: drop_a_column(mp, broken),
          r"w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2, 1 of 8 weights of the k=0 shape$"),
     ],
 )
 def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
     k = 2 - sum(broken)
-    break_shape(monkeypatch, lambda j: j == k, fault)
+    fault(monkeypatch, lambda j: j == k)
     clear_caches()
     try:
         with pytest.raises(CertificationError, match=message):
