@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .kostant import KTypeParam, LKTypeParam, _dominant_preimages, _shifted_weight
+from .kostant import KTypeParam, LKTypeParam, _dominant_preimage, _shifted_weight
 from .weyl import enumerate_coset_reps, length
 
 __all__ = [
@@ -63,8 +63,9 @@ def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
 
     Zero whenever μ_0 < λ, since the charge pins the symmetric power degree
     μ_0 − λ, which must be a nonnegative integer.  This is the forward
-    signed count over every coset representative; `ktype_table` reaches the
-    same numbers from the target side.
+    signed count over every coset representative, kept as the reference
+    for `ktype_table`, which reads the one nonzero term off the target by
+    straightening and walks no group element.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -133,15 +134,16 @@ def ktype_table(m: int, lam: int, max_mu0: int, max_mu1: int) -> KTypeTable:
     """All K-types with nonzero signed multiplicity in the scan window.
 
     Computed from the target side: for each charge μ_0 the target weight of
-    S^{μ_0−λ}(u∩p) ⊗ C_{μ_λ} has at most one dominant preimage μ.
+    S^{μ_0−λ}(u∩p) ⊗ C_{μ_λ} has at most one dominant preimage μ, which
+    straightening names together with its sign.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     entries: Dict[KTypeParam, int] = {}
     for mu0 in range(lam, max_mu0 + 1):
-        for mu, sign in _dominant_preimages(m, _target_hw(m, lam, mu0 - lam)):
-            if mu[0] <= max_mu1:
-                entries[KTypeParam(mu0, mu)] = sign
+        found = _dominant_preimage(m, _target_hw(m, lam, mu0 - lam))
+        if found and found[0][0] <= max_mu1:
+            entries[KTypeParam(mu0, found[0])] = found[1]
     return KTypeTable(m=m, lam=lam, entries=entries, max_mu0=max_mu0, max_mu1=max_mu1)
 
 
@@ -151,9 +153,10 @@ def unique_scalar_match_check(m: int, grid_bound: int) -> bool:
     Over every dominant μ with entries in [−grid_bound, grid_bound], every
     l in [0, 2·grid_bound] and every coset representative w, the equality
     w(μ+ρ_c) − ρ_c = (l, 0, ..., 0) holds exactly when w = 1
-    and μ = (l, 0, ..., 0).  Checked from the target side: the only
+    and μ = (l, 0, ..., 0).  Checked from the target side, where
+    straightening names the one pair (μ, w) that could match: the
     preimage of (l, 0, ..., 0) in the grid is itself, with sign +1, and
-    only when it lies in the grid.
+    exists only when it lies in the grid.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -161,7 +164,8 @@ def unique_scalar_match_check(m: int, grid_bound: int) -> bool:
         raise ValueError("grid bound must be nonnegative")
     for l in range(0, 2 * grid_bound + 1):
         target = (l,) + (0,) * (m - 1)
-        found = [(mu, sign) for mu, sign in _dominant_preimages(m, target) if mu[0] <= grid_bound]
-        if found != ([(target, 1)] if l <= grid_bound else []):
+        found = _dominant_preimage(m, target)
+        in_grid = found if found and found[0][0] <= grid_bound else None
+        if in_grid != ((target, 1) if l <= grid_bound else None):
             return False
     return True

@@ -127,7 +127,7 @@ def _integer_lambda(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_ktypes(args, parser) -> Report:
-    _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
+    _check_m(parser, args.m)
     lam = _integer_lambda(args, parser)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
     semantics = (
@@ -242,7 +242,7 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
 
 
 def cmd_verify(args, parser) -> Report:
-    _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
+    _check_m(parser, args.m)
     checks, ok = _verify_checks(args.m, args.max_l, args.seed)
     passed = sum(1 for c in checks if c["pass"])
     text = [

@@ -10,10 +10,10 @@ coset representatives of length j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .root_data import rho_c
-from .weyl import SignedPermutation, act, enumerate_coset_reps, inverse, length
+from .weyl import SignedPermutation, act, enumerate_coset_reps, length
 
 __all__ = [
     "is_dominant",
@@ -79,20 +79,24 @@ def _shifted_weight(m: int, mu: Tuple[int, ...], w: SignedPermutation) -> Tuple[
     return tuple(a - b for a, b in zip(moved, rc))
 
 
-def _dominant_preimages(m: int, target: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
-    """The dominant μ with w(μ+ρ_c) − ρ_c = target, each with the sign (−1)^len(w).
+def _dominant_preimage(m: int, target: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The dominant μ with w(μ+ρ_c) − ρ_c = target for a coset representative
+    w, with the sign (−1)^len(w), or None; at most one w qualifies.
 
-    μ = w⁻¹(target+ρ_c) − ρ_c over the coset representatives w.  Since μ+ρ_c
-    is regular for dominant μ, at most one w qualifies.
+    Bott's straightening of s = target + ρ_c, with no walk over the group: s
+    must be strictly decreasing with distinct |s_i|; μ+ρ_c is then the sorted
+    |s_i|, the last negated when s has an odd number of negative entries, and
+    w inverts the roots e_i + e_j with s_i + s_j < 0.
     """
     rc = _integral_rho_c(m)
-    shifted = tuple(a + b for a, b in zip(target, rc))
-    out = []
-    for w in enumerate_coset_reps(m):
-        mu = tuple(a - b for a, b in zip(act(inverse(w), shifted), rc))
-        if is_dominant(mu):
-            out.append((mu, (-1) ** length(w)))
-    return out
+    s = [a + b for a, b in zip(target, rc)]
+    sizes = sorted((abs(c) for c in s), reverse=True)
+    if any(a <= b for a, b in zip(s, s[1:])) or len(set(sizes)) < m:
+        return None
+    if sum(1 for c in s if c < 0) % 2:
+        sizes[-1] = -sizes[-1]
+    inverted = sum(1 for i in range(m) for j in range(i + 1, m) if s[i] + s[j] < 0)
+    return tuple(a - b for a, b in zip(sizes, rc)), (-1) ** inverted
 
 
 def cohomology(m: int, pi: KTypeParam, j: int) -> List[LKTypeParam]:

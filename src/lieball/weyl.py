@@ -24,8 +24,6 @@ __all__ = [
     "length",
     "is_coset_rep",
     "enumerate_coset_reps",
-    "lehmer_code",
-    "sign_bits",
     "one_line_window",
 ]
 
@@ -137,27 +135,6 @@ def is_coset_rep(w: SignedPermutation) -> bool:
     return all(sigma == 1 for _, _, sigma in _inversions(w))
 
 
-def lehmer_code(perm: Sequence[int]) -> int:
-    """The permutation's Lehmer code packed in factorial base."""
-    m = len(perm)
-    code = 0
-    for j in range(m):
-        smaller_later = sum(1 for k in range(j + 1, m) if perm[k] < perm[j])
-        base = 1
-        for t in range(1, m - j):
-            base *= t
-        code += smaller_later * base
-    return code
-
-
-def sign_bits(signs: Sequence[int]) -> int:
-    """Sign vector as a bitmask, position 0 in the most significant bit."""
-    bits = 0
-    for s in signs:
-        bits = (bits << 1) | (1 if s < 0 else 0)
-    return bits
-
-
 @lru_cache(maxsize=None)
 def enumerate_coset_reps(m: int) -> Tuple[SignedPermutation, ...]:
     """Minimal-length representatives of W(D_m) modulo the gl(m) Weyl group.
@@ -165,8 +142,10 @@ def enumerate_coset_reps(m: int) -> Tuple[SignedPermutation, ...]:
     One per even set N of flipped coordinates: w is a representative iff
     w⁻¹(e_i − e_j) is positive for i < j, so w⁻¹ sends e_1, ..., e_m first to
     the +e_k with k ∉ N in increasing k, then to the −e_k with k ∈ N in
-    decreasing k.  Sorted by (length, Lehmer code of perm, sign bitmask);
-    there are 2^{m−1} of them.
+    decreasing k.  Sorted by length, then perm, then the negated signs, each
+    tuple compared lexicographically (the order of the perm's Lehmer code and
+    of the sign bitmask with position 0 most significant); there are 2^{m−1}
+    of them.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -176,7 +155,7 @@ def enumerate_coset_reps(m: int) -> Tuple[SignedPermutation, ...]:
             kept = tuple(k for k in range(m) if k not in flipped)
             signs = tuple(-1 if k in flipped else 1 for k in range(m))
             reps.append(inverse(SignedPermutation(kept + flipped[::-1], signs)))
-    reps.sort(key=lambda w: (length(w), lehmer_code(w.perm), sign_bits(w.signs)))
+    reps.sort(key=lambda w: (length(w), w.perm, tuple(-s for s in w.signs)))
     return tuple(reps)
 
 

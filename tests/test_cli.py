@@ -147,6 +147,19 @@ def test_weyl_rejects_large_rank():
     assert exc.value.code == 2
 
 
+def test_ktypes_beyond_the_weyl_listing_bound(capsys):
+    code, out = run(capsys, ["ktypes", "--m", "12", "--max-l", "4"])
+    assert code == 0
+    rows = out.splitlines()[3:-1]
+    assert rows == [f"{l + 11}  ({l}, {', '.join(['0'] * 11)})  1" for l in range(5)]
+
+
+def test_verify_beyond_the_weyl_listing_bound(capsys):
+    code, out = run(capsys, ["verify", "--m", "12", "--max-l", "4"])
+    assert code == 0
+    assert out.strip().endswith("result: PASS (6/6)")
+
+
 def test_rejects_small_rank():
     for sub in ("ktypes", "weyl", "verify", "harmonic", "ranges"):
         with pytest.raises(SystemExit) as exc:

@@ -1,21 +1,30 @@
 """Lie algebra cohomology constituents via the shifted Weyl action."""
 
+import functools
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lieball.blattner as bl
+import lieball.kostant as ks
+import lieball.weyl as wl
+from lieball.cli import main
 from lieball.kostant import (
     KTypeParam,
     LKTypeParam,
+    _dominant_preimage,
+    _integral_rho_c,
     _shifted_weight,
     cohomology,
     euler_character,
+    is_dominant,
 )
 from lieball.root_data import as_weight, rho_c
-from lieball.weyl import act, enumerate_coset_reps, length
+from lieball.weyl import act, enumerate_coset_reps, inverse, length
 
 
 def test_ktype_param_validation():
@@ -146,3 +155,91 @@ def test_shifted_weight_requires_integral_shift(monkeypatch):
     monkeypatch.setattr(ks, "rho_c", lambda m: (Q(1, 2),) * m)
     with pytest.raises(ValueError):
         ks._shifted_weight(2, (1, 0), enumerate_coset_reps(2)[0])
+
+
+def walked_preimages(m, target):
+    """The oracle for the straightening: μ = w⁻¹(target+ρ_c) − ρ_c over every
+    coset representative w, kept when dominant, with the sign (−1)^len(w)."""
+    rc = _integral_rho_c(m)
+    shifted = tuple(a + b for a, b in zip(target, rc))
+    out = []
+    for winv, sign in signed_inverse_reps(m):
+        mu = tuple(a - b for a, b in zip(act(winv, shifted), rc))
+        if is_dominant(mu):
+            out.append((mu, sign))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def signed_inverse_reps(m):
+    """Each coset representative's inverse with the sign (−1)^len(w)."""
+    return [(inverse(w), (-1) ** length(w)) for w in enumerate_coset_reps(m)]
+
+
+def assert_straightening_walks(m, targets):
+    """The straightening equals the walk on every target; returns the
+    preimages found, so a caller can check which cases were reached."""
+    found = []
+    for target in targets:
+        walked = walked_preimages(m, target)
+        assert len(walked) <= 1
+        assert _dominant_preimage(m, target) == (walked[0] if walked else None), target
+        found += walked
+    return found
+
+
+@pytest.mark.parametrize("m,box", [(2, 4), (3, 4), (4, 4), (5, 3)])
+def test_straightening_matches_walk_on_a_box(m, box):
+    targets = itertools.product(range(-box, box + 1), repeat=m)
+    signs = {sign for _, sign in assert_straightening_walks(m, targets)}
+    assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_straightening_matches_walk_on_random_targets(m):
+    # a random target rarely has a preimage; its sorted copy, whose s is
+    # strictly decreasing, reaches the sign and the last-entry flip
+    rng = random.Random(m)
+    targets = [tuple(rng.randint(-8, 8) for _ in range(m)) for _ in range(2000)]
+    assert_straightening_walks(m, targets)
+    found = assert_straightening_walks(m, [tuple(sorted(t, reverse=True)) for t in targets])
+    assert {sign for _, sign in found} == {1, -1}
+    assert any(mu[-1] < 0 for mu, _ in found)
+
+
+@pytest.mark.parametrize(
+    "s,expected",
+    [
+        # a zero in s with an odd number of negative entries: the flip lands on 0
+        ((3, 0, -1), ((1, 0, 0), -1)),
+        # odd number of negative entries and no zero: the last entry is
+        # negated; two inverted roots
+        ((2, 1, -3), ((1, 1, -1), 1)),
+        # two negative entries: no flip, one inverted root
+        ((3, -1, -2), ((1, 1, 1), -1)),
+        # s not strictly decreasing
+        ((1, 2, 0), None),
+        ((1, 1, 0), None),
+        # a repeated |s_i|
+        ((2, 0, -2), None),
+    ],
+)
+def test_straightening_explicit_cases(s, expected):
+    target = tuple(a - b for a, b in zip(s, _integral_rho_c(3)))
+    assert _dominant_preimage(3, target) == expected
+    assert_straightening_walks(3, [target])
+
+
+def test_cli_path_walks_no_group_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group element walked")
+
+    for module, names in (
+        (ks, ("enumerate_coset_reps", "act", "length")),
+        (bl, ("enumerate_coset_reps", "length")),
+        (wl, ("enumerate_coset_reps", "inverse")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    assert main(["ktypes", "--m", "8"]) == 0
+    assert main(["verify", "--m", "6", "--max-l", "10"]) == 0

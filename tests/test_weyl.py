@@ -16,10 +16,8 @@ from lieball.weyl import (
     inverse,
     inversion_set,
     is_coset_rep,
-    lehmer_code,
     length,
     one_line_window,
-    sign_bits,
 )
 
 
@@ -29,6 +27,30 @@ def sp(perm, signs):
 
 def identity(m):
     return sp(range(m), (1,) * m)
+
+
+def lehmer_code(perm):
+    """The permutation's Lehmer code packed in factorial base."""
+    m = len(perm)
+    code = 0
+    for j in range(m):
+        smaller_later = sum(1 for k in range(j + 1, m) if perm[k] < perm[j])
+        code += smaller_later * factorial(m - 1 - j)
+    return code
+
+
+def sign_bits(signs):
+    """Sign vector as a bitmask, position 0 in the most significant bit."""
+    bits = 0
+    for s in signs:
+        bits = (bits << 1) | (1 if s < 0 else 0)
+    return bits
+
+
+def documented_order(w):
+    """The documented order of the coset representatives: length, then
+    Lehmer code of the permutation, then sign bitmask."""
+    return (length(w), lehmer_code(w.perm), sign_bits(w.signs))
 
 
 def sum_roots(m):
@@ -146,7 +168,7 @@ def test_coset_reps_match_full_group_filter(m):
     # oracle: filter the whole group by the inversion test and sort the same way
     reps = sorted(
         (w for w in enumerate_group(m) if is_coset_rep(w)),
-        key=lambda w: (length(w), lehmer_code(w.perm), sign_bits(w.signs)),
+        key=documented_order,
     )
     assert list(enumerate_coset_reps(m)) == reps
 
@@ -206,10 +228,10 @@ def test_coset_reps_inversions_avoid_short_roots(m):
 
 
 def test_coset_reps_sorted_by_length_then_code():
-    for m in (3, 4):
-        reps = enumerate_coset_reps(m)
-        keys = [(length(w), lehmer_code(w.perm), sign_bits(w.signs)) for w in reps]
+    for m in range(2, 9):
+        keys = [documented_order(w) for w in enumerate_coset_reps(m)]
         assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 def test_one_line_window_m2():
@@ -218,7 +240,14 @@ def test_one_line_window_m2():
 
 
 def test_lehmer_code_orders_permutations():
-    perms = sorted(itertools.permutations(range(3)))
-    codes = [lehmer_code(p) for p in perms]
-    assert codes == sorted(codes)
-    assert len(set(codes)) == len(codes)
+    # lexicographic order on permutations is the order of their Lehmer codes
+    for m in range(1, 7):
+        perms = sorted(itertools.permutations(range(m)))
+        assert [lehmer_code(p) for p in perms] == list(range(factorial(m)))
+
+
+def test_sign_bits_order_negated_signs():
+    # lexicographic order on the negated signs is the order of the bitmask
+    for m in range(1, 8):
+        signs = sorted(itertools.product((1, -1), repeat=m), key=lambda t: tuple(-s for s in t))
+        assert [sign_bits(t) for t in signs] == list(range(2**m))
