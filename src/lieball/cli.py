@@ -55,7 +55,7 @@ RATIONAL_FLAGS = ("--lambda", "--nu", "--z")
 
 
 def _fmt_weight(w) -> str:
-    return "(" + ", ".join(str(Q(c)) for c in w) + ")"
+    return "(" + ", ".join(map(str, w)) + ")"
 
 
 def _json_q(x: Q):

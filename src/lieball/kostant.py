@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .root_data import rho_c
 from .weyl import SignedPermutation, act, enumerate_coset_reps, length
 
 __all__ = [
     "is_dominant",
+    "rho_c",
     "KTypeParam",
     "LKTypeParam",
     "cohomology",
@@ -64,17 +64,15 @@ class LKTypeParam:
             raise ValueError(f"{self.hw} is not weakly decreasing")
 
 
-def _integral_rho_c(m: int) -> Tuple[int, ...]:
-    """ρ_c as integers; it is integral in type D."""
-    half_integral = rho_c(m)
-    if any(c.denominator != 1 for c in half_integral):
-        raise ValueError("compact half-sum must be integral in type D")
-    return tuple(int(c) for c in half_integral)
+def rho_c(m: int) -> Tuple[int, ...]:
+    """Half-sum of the positive compact roots e_i ± e_j of SO(2m):
+    (m−1, ..., 1, 0), integral in type D."""
+    return tuple(range(m - 1, -1, -1))
 
 
 def _shifted_weight(m: int, mu: Tuple[int, ...], w: SignedPermutation) -> Tuple[int, ...]:
     """w(μ+ρ_c) − ρ_c with everything exact; the result is integral."""
-    rc = _integral_rho_c(m)
+    rc = rho_c(m)
     moved = act(w, tuple(a + b for a, b in zip(mu, rc)))
     return tuple(a - b for a, b in zip(moved, rc))
 
@@ -88,7 +86,7 @@ def _dominant_preimage(m: int, target: Tuple[int, ...]) -> Optional[Tuple[Tuple[
     |s_i|, the last negated when s has an odd number of negative entries, and
     w inverts the roots e_i + e_j with s_i + s_j < 0.
     """
-    rc = _integral_rho_c(m)
+    rc = rho_c(m)
     s = [a + b for a, b in zip(target, rc)]
     sizes = sorted((abs(c) for c in s), reverse=True)
     if any(a <= b for a, b in zip(s, s[1:])) or len(set(sizes)) < m:

@@ -10,23 +10,17 @@ in type D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Optional, Tuple
+from itertools import combinations
+from typing import Iterable, Optional, Tuple
 
 from .kostant import KTypeParam, is_dominant
-from .root_data import (
-    Weight,
-    as_weight,
-    pairing,
-    rho_g,
-    rho_l,
-    rho_u,
-    root_vector,
-    u_roots,
-)
+from .weyl import root_vector
 
 __all__ = [
+    "Weight",
+    "as_weight",
     "weyl_dim_so2m",
     "inf_char",
     "is_regular_type_d",
@@ -41,6 +35,19 @@ __all__ = [
     "borel_weil_bott_ktype",
     "orbit_equal",
 ]
+
+# G-weights in rank m+1 (basis e_0..e_m, e_0 attached to the so(2) factor),
+# exact, with denominators 1 or 2.
+Weight = Tuple[Q, ...]
+
+
+def as_weight(coords: Iterable[object]) -> Weight:
+    """Coerce coordinates to an exact weight; denominators must divide 2."""
+    w = tuple(Q(c) for c in coords)
+    for c in w:
+        if c.denominator not in (1, 2):
+            raise ValueError(f"weight coordinate {c} is not half-integral")
+    return w
 
 
 def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
@@ -104,37 +111,32 @@ class RangeVerdict:
     lam: int
     weakly_fair: bool
     good: bool
-    weakly_fair_witnesses: Tuple[Tuple[Tuple[int, ...], Q], ...] = field(default_factory=tuple)
-    good_witnesses: Tuple[Tuple[Tuple[int, ...], Q], ...] = field(default_factory=tuple)
+    weakly_fair_witnesses: Tuple[Tuple[Tuple[int, ...], int], ...]
+    good_witnesses: Tuple[Tuple[Tuple[int, ...], int], ...]
 
 
 def range_verdict(m: int, lam: int) -> RangeVerdict:
     """Weakly fair and good range tests for the scalar parameter λ.
 
-    Weakly fair requires ⟨λ·1 − ρ(u), α⟩ ≥ 0 for every root α of u; good
-    requires ⟨λ·1 − ρ(u) + ρ_l, α⟩ > 0.
+    Weakly fair requires ⟨λ·1 − ρ(u), α⟩ ≥ 0 for every root α = e_i + e_j
+    (0 ≤ i < j ≤ m) of u; good requires ⟨λ·1 − ρ(u) + ρ_l, α⟩ > 0.  With
+    ρ(u) = (m/2)·1 and ρ_l = ((m − 2i)/2)_i (Bourbaki, Lie Groups and Lie
+    Algebras, ch. VI, plate IV) the two pairings are 2λ − m and 2λ − i − j,
+    so every root witnesses the first failing when 2λ < m, and the roots with
+    i + j ≥ 2λ witness the second.  Witnesses come in (i, j) order.
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    wf_shift = as_weight(lam - c for c in rho_u(m))
-    good_shift = tuple(a + b for a, b in zip(wf_shift, rho_l(m)))
-    wf_witnesses = []
-    good_witnesses = []
-    for alpha in u_roots(m):
-        p = pairing(wf_shift, alpha)
-        if p < 0:
-            wf_witnesses.append((root_vector(m + 1, alpha), p))
-        p = pairing(good_shift, alpha)
-        if p <= 0:
-            good_witnesses.append((root_vector(m + 1, alpha), p))
-    return RangeVerdict(
-        m=m,
-        lam=lam,
-        weakly_fair=not wf_witnesses,
-        good=not good_witnesses,
-        weakly_fair_witnesses=tuple(wf_witnesses),
-        good_witnesses=tuple(good_witnesses),
+    fair = 2 * lam >= m
+    wf_witnesses = () if fair else tuple(
+        (root_vector(m + 1, (i, j, 1)), 2 * lam - m) for i, j in combinations(range(m + 1), 2)
     )
+    good_witnesses = tuple(
+        (root_vector(m + 1, (i, j, 1)), 2 * lam - i - j)
+        for i, j in combinations(range(m + 1), 2)
+        if i + j >= 2 * lam
+    )
+    return RangeVerdict(m, lam, fair, not good_witnesses, wf_witnesses, good_witnesses)
 
 
 def verma_hom_condition(m: int, lam: object, nu: object) -> Optional[int]:
@@ -156,12 +158,11 @@ def verma_hom_condition(m: int, lam: object, nu: object) -> Optional[int]:
 
 
 def verma_inf_char(m: int, lam: object) -> Weight:
-    """Harish-Chandra parameter −λ·e_0 + ρ of the scalar Verma module."""
+    """Harish-Chandra parameter −λ·e_0 + ρ of the scalar Verma module, with ρ
+    = (m, m−1, ..., 1, 0) the half-sum of the positive roots of so(2m+2)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    rg = rho_g(m)
-    lam_q = Q(lam)
-    return as_weight((rg[0] - lam_q,) + rg[1:])
+    return as_weight((m - Q(lam), *range(m - 1, -1, -1)))
 
 
 def knapp_stein_residue_degree(n: int, lam: object) -> Optional[int]:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .root_data import Root, root_vector
-
 __all__ = [
+    "Root",
+    "root_vector",
     "SignedPermutation",
     "inverse",
     "act",
@@ -26,6 +26,18 @@ __all__ = [
     "enumerate_coset_reps",
     "one_line_window",
 ]
+
+# A root e_i + σ·e_j (i < j, σ = ±1) stored as the int triple (i, j, σ).
+Root = Tuple[int, int, int]
+
+
+def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
+    """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
+    i, j, sigma = alpha
+    out = [0] * rank
+    out[i] = 1
+    out[j] = sigma
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import time
-from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -100,7 +99,7 @@ def test_verify_is_byte_stable(capsys):
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     import lieball.kostant as ks
 
-    monkeypatch.setattr(ks, "rho_c", lambda m: tuple(Q(0) for _ in range(m)))
+    monkeypatch.setattr(ks, "rho_c", lambda m: (0,) * m)
     code, out = run(capsys, ["verify", "--m", "2", "--max-l", "3"])
     assert code == 1
     assert "[FAIL] ktype tables" in out

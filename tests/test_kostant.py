@@ -3,7 +3,6 @@
 import functools
 import itertools
 import random
-from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +16,13 @@ from lieball.kostant import (
     KTypeParam,
     LKTypeParam,
     _dominant_preimage,
-    _integral_rho_c,
     _shifted_weight,
     cohomology,
     euler_character,
     is_dominant,
+    rho_c,
 )
-from lieball.root_data import as_weight, rho_c
+from lieball.repdata import as_weight
 from lieball.weyl import act, enumerate_coset_reps, inverse, length
 
 
@@ -149,18 +148,10 @@ def test_cohomology_rejects_negative_degree():
         cohomology(2, KTypeParam(0, (1, 1)), -1)
 
 
-def test_shifted_weight_requires_integral_shift(monkeypatch):
-    import lieball.kostant as ks
-
-    monkeypatch.setattr(ks, "rho_c", lambda m: (Q(1, 2),) * m)
-    with pytest.raises(ValueError):
-        ks._shifted_weight(2, (1, 0), enumerate_coset_reps(2)[0])
-
-
 def walked_preimages(m, target):
     """The oracle for the straightening: μ = w⁻¹(target+ρ_c) − ρ_c over every
     coset representative w, kept when dominant, with the sign (−1)^len(w)."""
-    rc = _integral_rho_c(m)
+    rc = rho_c(m)
     shifted = tuple(a + b for a, b in zip(target, rc))
     out = []
     for winv, sign in signed_inverse_reps(m):
@@ -225,7 +216,7 @@ def test_straightening_matches_walk_on_random_targets(m):
     ],
 )
 def test_straightening_explicit_cases(s, expected):
-    target = tuple(a - b for a, b in zip(s, _integral_rho_c(3)))
+    target = tuple(a - b for a, b in zip(s, rho_c(3)))
     assert _dominant_preimage(3, target) == expected
     assert_straightening_walks(3, [target])
 

@@ -23,6 +23,7 @@ from lieball.repdata import (
     weyl_dim_so2m,
 )
 from lieball.weyl import act, enumerate_group
+from test_root_data import dense_roots, dot, half_sum
 
 
 def root_set_weyl_dim(m, mu):
@@ -127,7 +128,39 @@ class TestInfChar:
             assert is_regular_type_d(chi) == (not expect_singular)
 
 
+def walked_range_verdict(m, lam):
+    """The oracle for `range_verdict`: walk every root α of u, densely, and
+    keep those with ⟨λ·1 − ρ(u), α⟩ < 0 (weakly fair witnesses) and with
+    ⟨λ·1 − ρ(u) + ρ_l, α⟩ ≤ 0 (good witnesses), the half sums taken over the
+    dense roots."""
+    n = m + 1
+    u = dense_roots(n, (1,))
+    wf_shift = tuple(lam - c for c in half_sum(u, n))
+    good_shift = tuple(a + b for a, b in zip(wf_shift, half_sum(dense_roots(n, (-1,)), n)))
+    wf_witnesses = []
+    good_witnesses = []
+    for alpha in u:
+        root = tuple(int(c) for c in alpha)
+        p = dot(wf_shift, alpha)
+        if p < 0:
+            wf_witnesses.append((root, p))
+        p = dot(good_shift, alpha)
+        if p <= 0:
+            good_witnesses.append((root, p))
+    return not wf_witnesses, not good_witnesses, wf_witnesses, good_witnesses
+
+
 class TestRanges:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_closed_forms_match_the_walk(self, m):
+        for lam in range(-m - 3, 2 * m + 4):
+            v = range_verdict(m, lam)
+            fair, good, wf_witnesses, good_witnesses = walked_range_verdict(m, lam)
+            assert (v.m, v.lam, v.weakly_fair, v.good) == (m, lam, fair, good)
+            # tuples compare entrywise, so this checks root order and pairings
+            assert list(v.weakly_fair_witnesses) == wf_witnesses, lam
+            assert list(v.good_witnesses) == good_witnesses, lam
+
     def test_weakly_fair_threshold(self):
         for m in (2, 3, 4, 5, 6):
             for lam in range(-1, m + 3):
