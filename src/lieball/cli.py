@@ -37,6 +37,7 @@ from .weyl import (
     inversion_set,
     length,
     one_line_window,
+    root_vector,
 )
 
 __all__ = ["main"]
@@ -203,7 +204,7 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
     detail = f"lambda={lam} weakly_fair={verdict.weakly_fair} good={verdict.good}"
     if witness_ok:
         root, pairing = verdict.good_witnesses[0]
-        detail += f"; good witness <shift, {_fmt_weight(root)}> = {pairing}"
+        detail += f"; good witness <shift, {_fmt_weight(root_vector(m + 1, root))}> = {pairing}"
     record(
         "positivity ranges",
         verdict.weakly_fair and not verdict.good and witness_ok,
@@ -291,8 +292,10 @@ def cmd_weyl(args, parser) -> Report:
     return Report(text, rows, {"m": args.m, "count": len(reps), "elements": elements})
 
 
-def _witnesses_json(witnesses) -> List[dict]:
-    return [{"root": list(root), "pairing": _json_q(p)} for root, p in witnesses]
+def _witnesses_json(m: int, witnesses) -> List[dict]:
+    return [
+        {"root": list(root_vector(m + 1, root)), "pairing": _json_q(p)} for root, p in witnesses
+    ]
 
 
 def cmd_ranges(args, parser) -> Report:
@@ -307,7 +310,10 @@ def cmd_ranges(args, parser) -> Report:
         ("good", verdict.good, verdict.good_witnesses),
     ):
         text.append(f"{name}: {_cell(holds)}")
-        text += [f"  violated: <shift, {_fmt_weight(root)}> = {p}" for root, p in witnesses]
+        text += [
+            f"  violated: <shift, {_fmt_weight(root_vector(args.m + 1, root))}> = {p}"
+            for root, p in witnesses
+        ]
     text.append(
         f"infinitesimal character: {_fmt_weight(chi)} "
         f"({'regular' if regular else 'singular'})"
@@ -327,8 +333,8 @@ def cmd_ranges(args, parser) -> Report:
         "lambda": lam,
         "weakly_fair": verdict.weakly_fair,
         "good": verdict.good,
-        "weakly_fair_witnesses": _witnesses_json(verdict.weakly_fair_witnesses),
-        "good_witnesses": _witnesses_json(verdict.good_witnesses),
+        "weakly_fair_witnesses": _witnesses_json(args.m, verdict.weakly_fair_witnesses),
+        "good_witnesses": _witnesses_json(args.m, verdict.good_witnesses),
         "inf_char": [_json_q(Q(c)) for c in chi],
         "inf_char_regular": regular,
     }

@@ -9,9 +9,8 @@ rank is certified once per k, by one witness column per row, and counted
 once for every weight with that k.  Every row of the resulting K-type
 table, the analytic counterpart of the algebraic Euler-sum table, is then
 checked to be the expected SO(2m) constituent: the kernel holds its
-highest-weight vector u_1^l and has its Weyl dimension.  The stream of
-every weight's block and the full matrix over the z-monomials serve the
-tests as references.
+highest-weight vector u_1^l and has its Weyl dimension.  No matrix is
+built: neither a weight's block nor the full matrix over the z-monomials.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import product
 from math import comb
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .blattner import KTypeTable
 from .kostant import KTypeParam
@@ -30,7 +28,6 @@ from .repdata import weyl_dim_so2m
 __all__ = [
     "SparsePolynomial",
     "CertificationError",
-    "monomial_exponents",
     "polynomial_space_dimension",
     "laplacian",
     "laplacian_power",
@@ -52,12 +49,9 @@ class CertificationError(RuntimeError):
 class SparsePolynomial:
     """A polynomial in nvars variables with exact rational coefficients.
 
-    Terms map exponent tuples to nonzero Fractions; arithmetic never leaves
-    exact rationals.  No CLI path calls `variable`, `partial` or the ring
-    operations (+, −, negation, products); `laplacian` and
-    `rotation_generator` work on the terms directly.  They stay because the
-    tests build their polynomials and the generator's product-form oracle
-    from them.
+    Terms map exponent tuples to nonzero Fractions.  It has no ring
+    operations: `laplacian` and `rotation_generator` work on the terms
+    directly, exactly.
     """
 
     __slots__ = ("nvars", "terms")
@@ -75,64 +69,8 @@ class SparsePolynomial:
         self.nvars = nvars
         self.terms = clean
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "SparsePolynomial":
-        """The coordinate z_i; only the tests build it."""
-        if not 0 <= i < nvars:
-            raise ValueError("variable index out of range")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Q(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def partial(self, i: int) -> "SparsePolynomial":
-        """∂f/∂z_i; only the tests' product-form generator calls it."""
-        if not 0 <= i < self.nvars:
-            raise ValueError("variable index out of range")
-        out: Dict[Exponents, Q] = {}
-        for exps, c in self.terms.items():
-            a = exps[i]
-            if a:
-                e2 = exps[:i] + (a - 1,) + exps[i + 1 :]
-                out[e2] = out.get(e2, Q(0)) + c * a
-        return SparsePolynomial(self.nvars, out)
-
-    def _check_same_ring(self, other: "SparsePolynomial") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        """f + g; only the tests add polynomials."""
-        self._check_same_ring(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Q(0)) + c
-        return SparsePolynomial(self.nvars, out)
-
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        """f − g; only the tests subtract polynomials."""
-        return self + (-other)
-
-    def __neg__(self) -> "SparsePolynomial":
-        """−f; only the tests and `__sub__` negate."""
-        return SparsePolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        """f · g, or f times a rational; only the tests multiply."""
-        if isinstance(other, SparsePolynomial):
-            self._check_same_ring(other)
-            out: Dict[Exponents, Q] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Q(0)) + c1 * c2
-            return SparsePolynomial(self.nvars, out)
-        return SparsePolynomial(self.nvars, {e: c * Q(other) for e, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        """A rational times f; only the tests multiply."""
-        return self.__mul__(other)
 
     def __eq__(self, other) -> bool:
         return (
@@ -179,15 +117,6 @@ def _compositions(n: int, total: int) -> Iterator[Exponents]:
         x[i + 1] = tail + 1
 
 
-@lru_cache(maxsize=None)
-def monomial_exponents(n: int, degree: int) -> Tuple[Exponents, ...]:
-    """Exponent tuples of total degree `degree`, in decreasing lexicographic
-    order; the graded-lexicographic basis enumerates degrees separately."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    return tuple(_compositions(n, degree))
-
-
 def polynomial_space_dimension(n: int, degree: int) -> int:
     """Dimension of the homogeneous polynomials of the given degree."""
     if degree < 0:
@@ -231,72 +160,13 @@ def rotation_generator(f: SparsePolynomial, a: int, b: int) -> SparsePolynomial:
     return SparsePolynomial(f.nvars, out)
 
 
-def _laplacian_columns(n: int, l: int) -> List[Dict[int, int]]:
-    """Columns of Δ: Pol^l → Pol^{l−2} over the z-monomial bases, all at once.
-    No CLI path builds them; they are the tests' full-matrix oracle."""
-    source = monomial_exponents(n, l)
-    target = monomial_exponents(n, l - 2)
-    index = {e: i for i, e in enumerate(target)}
-    cols = []
-    for exps in source:
-        col: Dict[int, int] = {}
-        for i, a in enumerate(exps):
-            if a >= 2:
-                e2 = exps[:i] + (a - 2,) + exps[i + 1 :]
-                col[index[e2]] = a * (a - 1)
-        cols.append(col)
-    return cols
-
-
 Weight = Tuple[int, ...]
-# One block column: its label b' and the (row, j) of each 4 a_j b_j entry.
-Column = Tuple[Exponents, List[Tuple[int, int]]]
 
 
 def _column_rows(t: Exponents) -> Iterator[Tuple[int, Exponents]]:
     """The support rule of every block shape: column t has its (j, row)
     entries at the rows t − e_j, one for each j with t_j ≥ 1."""
     return ((j, t[:j] + (x - 1,) + t[j + 1 :]) for j, x in enumerate(t) if x)
-
-
-def _block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
-    """The row count of every weight block with l − |w|₁ = 2s, and its
-    columns one at a time: where their entries sit.  A row index depends
-    only on the row's label, so all these blocks share one shape; their
-    coefficients differ.  No CLI path streams it; it is the tests' oracle."""
-    index = {t: i for i, t in enumerate(_compositions(m, s - 1))}
-
-    def columns() -> Iterator[Column]:
-        for t in _compositions(m, s):
-            yield t, [(index[row], j) for j, row in _column_rows(t)]
-
-    return len(index), columns()
-
-
-def _weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, List[Column], int]]:
-    """Every torus weight w of Pol^l in n = 2m variables, with its block's
-    shape and row count.  No CLI path walks it; it is the tests' per-weight
-    oracle."""
-    m = n // 2
-    for k in range(0, l + 1, 2):
-        rows, columns = _block_shape(m, k // 2)
-        shape = list(columns)
-        for size in _compositions(m, l - k):
-            for w in product(*[(x, -x) if x else (0,) for x in size]):
-                yield w, shape, rows
-
-
-def _block_columns(w: Weight, shape: Iterable[Column]) -> List[Dict[int, int]]:
-    """Columns of Δ on the block of weight w.  With a = b' + w⁺, b = b' + w⁻,
-    Δ(u^a v^b) = Σ_j 4 a_j b_j u^(a−e_j) v^(b−e_j); every coefficient is a
-    positive integer.  No CLI path builds them; they are the tests'
-    per-weight reference."""
-    plus = [x if x > 0 else 0 for x in w]
-    minus = [-x if x < 0 else 0 for x in w]
-    return [
-        {r: 4 * (t[j] + plus[j]) * (t[j] + minus[j]) for r, j in entries}
-        for t, entries in shape
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -413,17 +283,9 @@ def random_homogeneous(n: int, degree: int, rng: random.Random) -> SparsePolynom
     return SparsePolynomial(n, terms)
 
 
-def so_invariance_check(
-    n: int,
-    trials: int,
-    seed: int = 0,
-    generator: Callable[[SparsePolynomial, int, int], SparsePolynomial] = rotation_generator,
-) -> bool:
-    """Check Δ(Gf) = G(Δf) for every pair generator G on random polynomials.
-
-    With the default rotation generators this is the SO(n)-equivariance of
-    the Laplacian; a deliberately broken generator makes the check fail.
-    """
+def so_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
+    """Check Δ(Gf) = G(Δf) for every rotation generator G = z_a ∂_b − z_b ∂_a
+    on random polynomials: the SO(n)-equivariance of the Laplacian."""
     if n < 2:
         raise ValueError("need at least two variables")
     if trials < 1:
@@ -435,7 +297,7 @@ def so_invariance_check(
         lap_f = laplacian(f)
         for a in range(n):
             for b in range(a + 1, n):
-                if laplacian(generator(f, a, b)) != generator(lap_f, a, b):
+                if laplacian(rotation_generator(f, a, b)) != rotation_generator(lap_f, a, b):
                     return False
     return True
 

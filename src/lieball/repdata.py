@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
 from .kostant import KTypeParam, is_dominant
-from .weyl import root_vector
+from .weyl import Root
 
 __all__ = [
     "Weight",
@@ -103,16 +103,16 @@ class RangeVerdict:
     """Positivity verdicts for a scalar parameter, with exact witnesses.
 
     Each witness is a pair (root, pairing) recording a violated inequality:
-    a root of u, as an int vector, whose pairing with the shifted parameter
-    fails the bound.
+    a root e_i + e_j of u, as the triple (i, j, 1) of rank m + 1, whose
+    pairing with the shifted parameter fails the bound.
     """
 
     m: int
     lam: int
     weakly_fair: bool
     good: bool
-    weakly_fair_witnesses: Tuple[Tuple[Tuple[int, ...], int], ...]
-    good_witnesses: Tuple[Tuple[Tuple[int, ...], int], ...]
+    weakly_fair_witnesses: Tuple[Tuple[Root, int], ...]
+    good_witnesses: Tuple[Tuple[Root, int], ...]
 
 
 def range_verdict(m: int, lam: int) -> RangeVerdict:
@@ -129,10 +129,10 @@ def range_verdict(m: int, lam: int) -> RangeVerdict:
         raise ValueError("need m >= 2")
     fair = 2 * lam >= m
     wf_witnesses = () if fair else tuple(
-        (root_vector(m + 1, (i, j, 1)), 2 * lam - m) for i, j in combinations(range(m + 1), 2)
+        ((i, j, 1), 2 * lam - m) for i, j in combinations(range(m + 1), 2)
     )
     good_witnesses = tuple(
-        (root_vector(m + 1, (i, j, 1)), 2 * lam - i - j)
+        ((i, j, 1), 2 * lam - i - j)
         for i, j in combinations(range(m + 1), 2)
         if i + j >= 2 * lam
     )

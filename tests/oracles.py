@@ -1,0 +1,252 @@
+"""Slow reference computations that the tests hold `lieball` to.
+
+The package keeps one path per computation: the straightened Euler sum,
+the per-shape witness walk for the Laplacian's rank, and the term-wise
+`laplacian` and `rotation_generator`.  The paths they replaced, or that
+they are checked against, live here:
+
+- `exact_kernel`, a fraction-free elimination, the kernel oracle over the
+  full Laplacian matrix and over each weight block;
+- `Polynomial` and `partial`, the polynomial ring the tests build their
+  inputs and the product-form generator with;
+- the full matrix over the z-monomials (`monomial_exponents`,
+  `laplacian_columns`) and the stream of every weight's block
+  (`block_shape`, `weight_blocks`, `block_columns`);
+- the roots built as dense Fraction vectors (`dense_roots`, `half_sum`,
+  `dot`), against which the closed-form pairings are checked.
+
+Everything is exact; nothing here is fast.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+from itertools import product
+from math import gcd
+from typing import Dict, Iterable, Iterator, List, Tuple
+
+import lieball.harmonic as hm
+from lieball.harmonic import Exponents, SparsePolynomial, Weight
+
+Vector = Dict[int, int]
+# One block column: its label b' and the (row, j) of each 4 a_j b_j entry.
+Column = Tuple[Exponents, List[Tuple[int, int]]]
+
+
+# --- Exact kernel of sparse integer columns -------------------------------
+
+
+def _content(v: Vector) -> int:
+    """gcd of the entries, signed so the leading entry comes out positive."""
+    g = 0
+    for x in v.values():
+        g = gcd(g, x)
+    return -g if v[min(v)] < 0 else g
+
+
+def _combine(v: Vector, pivot: Vector, key: int) -> Vector:
+    """pivot[key]·v − v[key]·pivot, which clears position key."""
+    a, b = pivot[key], v[key]
+    out = {k: a * x for k, x in v.items()}
+    for k, x in pivot.items():
+        y = out.get(k, 0) - b * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
+    return out
+
+
+def exact_kernel(vectors: List[Vector]) -> List[Vector]:
+    """A basis of the kernel of the matrix whose columns are the vectors.
+
+    Vectors map row index to an integer.  Each basis element maps column
+    index to an integer coefficient; the corresponding combination of
+    columns vanishes.  Coefficients are coprime with positive leading
+    entry.  Column c carries its tag, the combination it stands for, as the
+    entry 1 at position top + c below every row, so one elimination clears
+    rows and tracks tags together; a column reduced to its tag is a kernel
+    element.  Integer cross-multiplication with gcd normalization after
+    every combination keeps all arithmetic exact.
+    """
+    top = 1 + max((k for v in vectors for k in v), default=-1)
+    pivots: Dict[int, Vector] = {}
+    kernel: List[Vector] = []
+    for c, v0 in enumerate(vectors):
+        v = {k: x for k, x in v0.items() if x}
+        v[top + c] = 1
+        while (key := min(v)) < top:
+            pivot = pivots.get(key)
+            if pivot is None:
+                pivots[key] = v
+                break
+            v = _combine(v, pivot, key)
+            g = _content(v)
+            v = {k: x // g for k, x in v.items()}
+        else:
+            kernel.append({k - top: x for k, x in v.items()})
+    return kernel
+
+
+# --- The polynomial ring ----------------------------------------------------
+
+
+class Polynomial(SparsePolynomial):
+    """A `SparsePolynomial` with the ring operations (+, −, negation,
+    products with polynomials and rationals).  The other operand may be any
+    `SparsePolynomial`, such as a result of `laplacian`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def variable(cls, nvars: int, i: int) -> "Polynomial":
+        """The coordinate z_i."""
+        if not 0 <= i < nvars:
+            raise ValueError("variable index out of range")
+        exps = tuple(1 if j == i else 0 for j in range(nvars))
+        return cls(nvars, {exps: Q(1)})
+
+    def _check_same_ring(self, other: SparsePolynomial) -> None:
+        if self.nvars != other.nvars:
+            raise ValueError("mixed variable counts")
+
+    def __add__(self, other: SparsePolynomial) -> "Polynomial":
+        self._check_same_ring(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, Q(0)) + c
+        return Polynomial(self.nvars, out)
+
+    def __sub__(self, other: SparsePolynomial) -> "Polynomial":
+        return self + Polynomial(other.nvars, {e: -c for e, c in other.terms.items()})
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, SparsePolynomial):
+            self._check_same_ring(other)
+            out: Dict[Exponents, Q] = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, Q(0)) + c1 * c2
+            return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, {e: c * Q(other) for e, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+def partial(f: SparsePolynomial, i: int) -> Polynomial:
+    """∂f/∂z_i, for any `SparsePolynomial` f."""
+    if not 0 <= i < f.nvars:
+        raise ValueError("variable index out of range")
+    out: Dict[Exponents, Q] = {}
+    for exps, c in f.terms.items():
+        a = exps[i]
+        if a:
+            e2 = exps[:i] + (a - 1,) + exps[i + 1 :]
+            out[e2] = out.get(e2, Q(0)) + c * a
+    return Polynomial(f.nvars, out)
+
+
+# --- The full Laplacian matrix over the z-monomials --------------------------
+
+
+def monomial_exponents(n: int, degree: int) -> Tuple[Exponents, ...]:
+    """Exponent tuples of total degree `degree` in n variables, in decreasing
+    lexicographic order."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    return tuple(hm._compositions(n, degree))
+
+
+def laplacian_columns(n: int, l: int) -> List[Vector]:
+    """Columns of Δ: Pol^l → Pol^{l−2} over the z-monomial bases, all at once."""
+    source = monomial_exponents(n, l)
+    target = monomial_exponents(n, l - 2)
+    index = {e: i for i, e in enumerate(target)}
+    cols = []
+    for exps in source:
+        col: Vector = {}
+        for i, a in enumerate(exps):
+            if a >= 2:
+                e2 = exps[:i] + (a - 2,) + exps[i + 1 :]
+                col[index[e2]] = a * (a - 1)
+        cols.append(col)
+    return cols
+
+
+# --- Every weight's block ------------------------------------------------------
+
+
+def block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
+    """The row count of every weight block with l − |w|₁ = 2s, and its
+    columns one at a time: where their entries sit.  A row index depends
+    only on the row's label, so all these blocks share one shape; their
+    coefficients differ.  The entries are placed by `harmonic._column_rows`,
+    looked up on the module, so a test that patches the support rule
+    reaches this stream too."""
+    index = {t: i for i, t in enumerate(hm._compositions(m, s - 1))}
+
+    def columns() -> Iterator[Column]:
+        for t in hm._compositions(m, s):
+            yield t, [(index[row], j) for j, row in hm._column_rows(t)]
+
+    return len(index), columns()
+
+
+def weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, List[Column], int]]:
+    """Every torus weight w of Pol^l in n = 2m variables, with its block's
+    shape and row count."""
+    m = n // 2
+    for k in range(0, l + 1, 2):
+        rows, columns = block_shape(m, k // 2)
+        shape = list(columns)
+        for size in hm._compositions(m, l - k):
+            for w in product(*[(x, -x) if x else (0,) for x in size]):
+                yield w, shape, rows
+
+
+def block_columns(w: Weight, shape: Iterable[Column]) -> List[Vector]:
+    """Columns of Δ on the block of weight w.  With a = b' + w⁺, b = b' + w⁻,
+    Δ(u^a v^b) = Σ_j 4 a_j b_j u^(a−e_j) v^(b−e_j); every coefficient is a
+    positive integer."""
+    plus = [x if x > 0 else 0 for x in w]
+    minus = [-x if x < 0 else 0 for x in w]
+    return [
+        {r: 4 * (t[j] + plus[j]) * (t[j] + minus[j]) for r, j in entries}
+        for t, entries in shape
+    ]
+
+
+# --- Dense roots ----------------------------------------------------------------
+
+
+def dense_root(rank, i, si, j, sj):
+    """si·e_i + sj·e_j as a dense vector of Fractions."""
+    out = [Q(0)] * rank
+    out[i] = Q(si)
+    out[j] = Q(sj)
+    return tuple(out)
+
+
+def dense_roots(rank, signs):
+    """e_i + s·e_j for i < j and each s in signs, in that order."""
+    return [
+        dense_root(rank, i, 1, j, s)
+        for i in range(rank)
+        for j in range(i + 1, rank)
+        for s in signs
+    ]
+
+
+def half_sum(roots, rank):
+    total = [Q(0)] * rank
+    for r in roots:
+        total = [a + b for a, b in zip(total, r, strict=True)]
+    return tuple(c / 2 for c in total)
+
+
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieball.linalg import exact_kernel
+from oracles import exact_kernel
 
 
 def rank(cols):

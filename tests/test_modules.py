@@ -1,5 +1,5 @@
 """Every `lieball` module's `__all__` names only what the module defines, and
-the `verify` path leaves the slow references to the tests."""
+the slow references live with the tests, not in the package."""
 
 import importlib
 import pkgutil
@@ -25,13 +25,23 @@ def test_all_names_resolve(name):
     assert set(module.__all__) <= set(namespace)
 
 
-def test_verify_calls_neither_the_generator_nor_the_length_oracle(monkeypatch):
-    # rotation_generator works on the terms and length counts on integers;
-    # the product form and the Fraction inversion set are the tests' oracles
-    def refuse(*args, **kwargs):
-        raise AssertionError("an oracle was called on the verify path")
+def test_oracles_are_not_in_the_package():
+    # tests/oracles.py holds them; the package keeps one path per computation
+    moved = ["monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
+             "_block_columns"]
+    assert [name for name in moved if hasattr(harmonic, name)] == []
+    ring = ["variable", "partial", "_check_same_ring", "__add__", "__sub__", "__neg__",
+            "__mul__", "__rmul__"]
+    assert [name for name in ring if hasattr(harmonic.SparsePolynomial, name)] == []
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("lieball.linalg")
 
-    monkeypatch.setattr(harmonic.SparsePolynomial, "variable", refuse)
+
+def test_verify_calls_no_inversion_set(monkeypatch):
+    # length counts on integers; only the `weyl` listing prints inversion sets
+    def refuse(*args, **kwargs):
+        raise AssertionError("inversion_set was called on the verify path")
+
     monkeypatch.setattr(weyl, "inversion_set", refuse)
     weyl.length.cache_clear()
     weyl.enumerate_coset_reps.cache_clear()

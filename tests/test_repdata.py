@@ -22,8 +22,8 @@ from lieball.repdata import (
     verma_inf_char,
     weyl_dim_so2m,
 )
-from lieball.weyl import act, enumerate_group
-from test_root_data import dense_roots, dot, half_sum
+from lieball.weyl import act, enumerate_group, root_vector
+from oracles import dense_roots, dot, half_sum
 
 
 def root_set_weyl_dim(m, mu):
@@ -150,6 +150,11 @@ def walked_range_verdict(m, lam):
     return not wf_witnesses, not good_witnesses, wf_witnesses, good_witnesses
 
 
+def dense(m, witnesses):
+    """Witnesses with each root triple written out as its vector."""
+    return [(root_vector(m + 1, root), p) for root, p in witnesses]
+
+
 class TestRanges:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_closed_forms_match_the_walk(self, m):
@@ -158,8 +163,8 @@ class TestRanges:
             fair, good, wf_witnesses, good_witnesses = walked_range_verdict(m, lam)
             assert (v.m, v.lam, v.weakly_fair, v.good) == (m, lam, fair, good)
             # tuples compare entrywise, so this checks root order and pairings
-            assert list(v.weakly_fair_witnesses) == wf_witnesses, lam
-            assert list(v.good_witnesses) == good_witnesses, lam
+            assert dense(m, v.weakly_fair_witnesses) == wf_witnesses, lam
+            assert dense(m, v.good_witnesses) == good_witnesses, lam
 
     def test_weakly_fair_threshold(self):
         for m in (2, 3, 4, 5, 6):

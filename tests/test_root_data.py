@@ -15,35 +15,7 @@ from hypothesis import strategies as st
 from lieball.kostant import rho_c
 from lieball.repdata import as_weight, range_verdict, verma_inf_char
 from lieball.weyl import root_vector
-
-
-def dense_root(rank, i, si, j, sj):
-    """si·e_i + sj·e_j as a dense vector of Fractions."""
-    out = [Q(0)] * rank
-    out[i] = Q(si)
-    out[j] = Q(sj)
-    return tuple(out)
-
-
-def dense_roots(rank, signs):
-    """e_i + s·e_j for i < j and each s in signs, in that order."""
-    return [
-        dense_root(rank, i, 1, j, s)
-        for i in range(rank)
-        for j in range(i + 1, rank)
-        for s in signs
-    ]
-
-
-def half_sum(roots, rank):
-    total = [Q(0)] * rank
-    for r in roots:
-        total = [a + b for a, b in zip(total, r, strict=True)]
-    return tuple(c / 2 for c in total)
-
-
-def dot(a, b):
-    return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
+from oracles import dense_roots, dot, half_sum
 
 
 def k_pos(m):
@@ -54,7 +26,7 @@ def k_pos(m):
 def u_roots(m):
     """The roots of u as int vectors, read off `range_verdict` far below the
     weakly fair range, where every root witnesses its failure."""
-    return [root for root, _ in range_verdict(m, -m).weakly_fair_witnesses]
+    return [root_vector(m + 1, root) for root, _ in range_verdict(m, -m).weakly_fair_witnesses]
 
 
 def u_half_sum_pairings(m):
@@ -64,7 +36,7 @@ def u_half_sum_pairings(m):
     v = range_verdict(m, 0)
     assert [r for r, _ in v.weakly_fair_witnesses] == [r for r, _ in v.good_witnesses]
     return [
-        (root, -p, q - p)
+        (root_vector(m + 1, root), -p, q - p)
         for (root, p), (_, q) in zip(v.weakly_fair_witnesses, v.good_witnesses, strict=True)
     ]
 
@@ -121,9 +93,9 @@ def test_pairing_is_the_dense_inner_product(m, lam):
     good_shift = tuple(a + b for a, b in zip(wf_shift, half_sum(dense_roots(n, (-1,)), n)))
     v = range_verdict(m, lam)
     for root, p in v.weakly_fair_witnesses:
-        assert p == dot(wf_shift, root)
+        assert p == dot(wf_shift, root_vector(n, root))
     for root, p in v.good_witnesses:
-        assert p == dot(good_shift, root)
+        assert p == dot(good_shift, root_vector(n, root))
 
 
 @pytest.mark.parametrize(
