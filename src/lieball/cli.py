@@ -31,6 +31,7 @@ from .repdata import (
     range_verdict,
     verma_hom_condition,
     verma_inf_char,
+    weakly_fair,
 )
 from .weyl import (
     enumerate_coset_reps,
@@ -131,11 +132,7 @@ def cmd_ktypes(args, parser) -> Report:
     _check_m(parser, args.m)
     lam = _integer_lambda(args, parser)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
-    semantics = (
-        "multiplicity"
-        if range_verdict(args.m, lam).weakly_fair
-        else "Euler characteristic"
-    )
+    semantics = "multiplicity" if weakly_fair(args.m, lam) else "Euler characteristic"
     return _table_report(table, [
         f"K-type table  m={table.m}  lambda={table.lam}  ({semantics})",
         f"window: mu0 <= {table.max_mu0}, mu1 <= {table.max_mu1}",
@@ -175,14 +172,10 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
             f"Euler-sum and harmonic-kernel tables agree on {len(algebraic.entries)} entries",
         )
     else:
-        keys = sorted(
-            set(algebraic.entries) | set(analytic.entries),
+        diff = min(
+            (pi for pi in set(algebraic.entries) | set(analytic.entries)
+             if algebraic.entries.get(pi, 0) != analytic.entries.get(pi, 0)),
             key=lambda pi: (pi.mu0, pi.mu),
-        )
-        diff = next(
-            pi
-            for pi in keys
-            if algebraic.entries.get(pi, 0) != analytic.entries.get(pi, 0)
         )
         record(
             "ktype tables",
@@ -192,10 +185,9 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
             f"harmonic-kernel={analytic.entries.get(diff, 0)}",
         )
 
-    ok = unique_scalar_match_check(m, VERIFY_GRID_BOUND)
     record(
         "unique scalar match",
-        ok,
+        unique_scalar_match_check(m, VERIFY_GRID_BOUND),
         f"exhaustive over the dominant grid with bound {VERIFY_GRID_BOUND}",
     )
 
@@ -218,24 +210,21 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
         f"{_fmt_weight(chi)} is singular",
     )
 
-    verma_ok = True
-    for l in range(VERIFY_VERMA_DEGREES + 1):
-        if verma_hom_condition(m, m - l, m + l) != l:
-            verma_ok = False
-        if verma_hom_condition(m, m - l, m + l + 1) is not None:
-            verma_ok = False
-        if not orbit_equal(verma_inf_char(m, m - l), verma_inf_char(m, m + l)):
-            verma_ok = False
+    verma_ok = all(
+        verma_hom_condition(m, m - l, m + l) == l
+        and verma_hom_condition(m, m - l, m + l + 1) is None
+        and orbit_equal(verma_inf_char(m, m - l), verma_inf_char(m, m + l))
+        for l in range(VERIFY_VERMA_DEGREES + 1)
+    )
     record(
         "verma homomorphisms",
         verma_ok,
         f"degrees 0..{VERIFY_VERMA_DEGREES} accepted with orbit-equal parameters",
     )
 
-    ok = so_invariance_check(2 * m, VERIFY_EQUIVARIANCE_TRIALS, seed=seed)
     record(
         "laplacian equivariance",
-        ok,
+        so_invariance_check(2 * m, VERIFY_EQUIVARIANCE_TRIALS, seed=seed),
         f"n={2 * m}, {VERIFY_EQUIVARIANCE_TRIALS} trials, seed={seed}",
     )
 

@@ -4,13 +4,14 @@ Polynomials carry exact rational coefficients on integer exponent tuples.
 Kernel dimensions in n = 2m variables are certified one block shape at a
 time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
-and where the block of w has entries depends only on k = l − |w|₁.  So the
-rank is certified once per k, by one witness column per row, and counted
-once for every weight with that k.  Every row of the resulting K-type
-table, the analytic counterpart of the algebraic Euler-sum table, is then
-checked to be the expected SO(2m) constituent: the kernel holds its
-highest-weight vector u_1^l and has its Weyl dimension.  No matrix is
-built: neither a weight's block nor the full matrix over the z-monomials.
+and where the block of w has entries depends only on k = l − |w|₁.  A row or
+column of that shape is a monomial in m variables, walked as the multiset of
+its variable indices.  So the rank is certified once per k, by one witness
+column per row, and counted once for every weight with that k.  Every row
+of the resulting K-type table, the analytic counterpart of the algebraic
+Euler-sum table, is then checked to be the expected SO(2m) constituent: the
+kernel holds its highest-weight vector u_1^l and has its Weyl dimension.  No
+matrix is built, neither a weight's block nor the full one.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Dict, Iterator, Tuple
 
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 Exponents = Tuple[int, ...]
+Multiset = Tuple[int, ...]  # a monomial's variable indices, nondecreasing
 
 
 class CertificationError(RuntimeError):
@@ -69,6 +72,14 @@ class SparsePolynomial:
         self.nvars = nvars
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Dict[Exponents, Q]) -> "SparsePolynomial":
+        """Terms built in this module, unchecked; only the zero coefficients
+        that cancellation leaves are dropped."""
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, {e: c for e, c in terms.items() if c}
+        return p
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -96,27 +107,6 @@ class SparsePolynomial:
         return "SparsePolynomial(" + " + ".join(bits) + ")"
 
 
-def _compositions(n: int, total: int) -> Iterator[Exponents]:
-    """Tuples of n nonnegative integers summing to `total`, in decreasing
-    lexicographic order, one successor step at a time (no recursion)."""
-    if total < 0:
-        return
-    x = [total] + [0] * (n - 1)
-    while True:
-        yield tuple(x)
-        # The last nonzero part before the final one moves one unit right and
-        # takes the final part along with it.
-        i = n - 2
-        while i >= 0 and not x[i]:
-            i -= 1
-        if i < 0:
-            return
-        tail = x[-1]
-        x[-1] = 0
-        x[i] -= 1
-        x[i + 1] = tail + 1
-
-
 def polynomial_space_dimension(n: int, degree: int) -> int:
     """Dimension of the homogeneous polynomials of the given degree."""
     if degree < 0:
@@ -132,7 +122,7 @@ def laplacian(f: SparsePolynomial) -> SparsePolynomial:
             if a >= 2:
                 e2 = exps[:i] + (a - 2,) + exps[i + 1 :]
                 out[e2] = out.get(e2, Q(0)) + c * a * (a - 1)
-    return SparsePolynomial(f.nvars, out)
+    return SparsePolynomial._trusted(f.nvars, out)
 
 
 def laplacian_power(f: SparsePolynomial, l: int) -> SparsePolynomial:
@@ -157,29 +147,30 @@ def rotation_generator(f: SparsePolynomial, a: int, b: int) -> SparsePolynomial:
                 moved[dst] += 1
                 key = tuple(moved)
                 out[key] = out.get(key, 0) + sign * e * c
-    return SparsePolynomial(f.nvars, out)
+    return SparsePolynomial._trusted(f.nvars, out)
 
 
 Weight = Tuple[int, ...]
 
 
-def _column_rows(t: Exponents) -> Iterator[Tuple[int, Exponents]]:
+def _column_rows(t: Multiset) -> Iterator[Tuple[int, Multiset]]:
     """The support rule of every block shape: column t has its (j, row)
-    entries at the rows t − e_j, one for each j with t_j ≥ 1."""
-    return ((j, t[:j] + (x - 1,) + t[j + 1 :]) for j, x in enumerate(t) if x)
+    entries at the rows t minus one j, one for each distinct index j in t."""
+    return ((j, t[:i] + t[i + 1 :]) for i, j in enumerate(t) if not i or t[i - 1] != j)
 
 
 @lru_cache(maxsize=None)
 def _shape_kernel_dimension(m: int, s: int) -> int:
     """Certified kernel dimension of every weight block of Pol^l in 2m
-    variables with l − |w|₁ = 2s: each row r, walked once, must be the last
-    row of its witness column r + e_1 under the support rule."""
+    variables with l − |w|₁ = 2s: each row r, walked once, must be the
+    largest row of its witness column (0,) + r under the support rule."""
     rows = 0
-    for r in _compositions(m, s - 1):
-        t = (r[0] + 1,) + r[1:]
-        if min((row for _, row in _column_rows(t)), default=None) != r:
+    for r in combinations_with_replacement(range(m), s - 1) if s else ():
+        t = (0,) + r
+        if max((row for _, row in _column_rows(t)), default=None) != r:
+            row, column = (tuple(u.count(j) for j in range(m)) for u in (r, t))
             raise CertificationError(
-                f"row {r} is not the last row of its witness column {t} in the "
+                f"row {row} is not the last row of its witness column {column} in the "
                 f"k={2 * s} shape for n={2 * m}"
             )
         rows += 1
@@ -201,24 +192,27 @@ def harmonic_dimension(n: int, l: int) -> int:
     In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j), Δ = 4 Σ_j
     ∂_(u_j) ∂_(v_j) has integer coefficients and keeps the weight w = a − b
     of u^a v^b.  So its matrix is the direct sum of one block per weight.
-    With b' = min(a, b), the columns of the block of w are labelled by the b'
-    with |b'| = s, where 2s = k = l − |w|₁, and its rows by those with
-    |b'| = s − 1.
+    With b' = min(a, b), the columns of the block of w are labelled by the
+    monomials b' of degree s, where 2s = k = l − |w|₁, and its rows by those
+    of degree s − 1.  A monomial of degree s in m variables is a multiset of
+    s variable indices (Stanley, Enumerative Combinatorics I, §1.2), held as
+    a nondecreasing tuple.
 
     The support of block w is its shape, which depends on s alone: the
-    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row b' − e_j exists only where
-    b'_j ≥ 1 (one of w⁺_j, w⁻_j is 0), and then it is at least 4.  Every
-    entry is a positive integer, so every block with this s has nonzero
-    entries exactly where the shape places them.
+    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row b' minus one j exists only
+    where j occurs in b' (one of w⁺_j, w⁻_j is 0), and then it is at least
+    4.  Every entry is a positive integer, so every block with this s has
+    nonzero entries exactly where the shape places them.
 
-    The certificate walks the rows b'' once.  The witness of row b'' is
-    column b'' + e_1, and the support rule must make b'' its last nonzero
-    row in decreasing-lexicographic order (b' − e_j for the first j with
-    b'_j > 0).  The witnesses, with pairwise distinct last rows, are
-    independent, so the rank is the row count and the kernel dimension is
-    C(m + s − 1, s) minus it, for each of the `_weight_count(m, l − 2s)`
-    weights with this s.  So the check can catch a wrong support rule or a
-    wrong witness rule; the column count is the closed form.
+    The certificate walks the rows r once, in increasing lexicographic
+    order.  The witness of row r is column (0,) + r, and the support rule
+    must make r its last row, the lexicographically largest (the column
+    with its smallest index removed).  The witnesses, with pairwise distinct
+    last rows, are independent, so the rank is the row count and the kernel
+    dimension is C(m + s − 1, s) minus it, for each of the
+    `_weight_count(m, l − 2s)` weights with this s.  So the check can catch
+    a wrong support rule or a wrong witness rule; the column count is the
+    closed form.
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for

@@ -93,8 +93,20 @@ def _dominant_preimage(m: int, target: Tuple[int, ...]) -> Optional[Tuple[Tuple[
         return None
     if sum(1 for c in s if c < 0) % 2:
         sizes[-1] = -sizes[-1]
-    inverted = sum(1 for i in range(m) for j in range(i + 1, m) if s[i] + s[j] < 0)
-    return tuple(a - b for a, b in zip(sizes, rc)), (-1) ** inverted
+    return tuple(a - b for a, b in zip(sizes, rc)), (-1) ** _negative_pairs(s)
+
+
+def _negative_pairs(s: List[int]) -> int:
+    """The pairs i < j with s_i + s_j < 0, for strictly decreasing s, counted
+    in one pass: if s_i + s_j < 0, so is s_i' + s_j for all i ≤ i' < j."""
+    count, i, j = 0, 0, len(s) - 1
+    while i < j:
+        if s[i] + s[j] < 0:
+            count += j - i
+            j -= 1
+        else:
+            i += 1
+    return count
 
 
 def cohomology(m: int, pi: KTypeParam, j: int) -> List[LKTypeParam]:

@@ -25,6 +25,7 @@ __all__ = [
     "inf_char",
     "is_regular_type_d",
     "RangeVerdict",
+    "weakly_fair",
     "range_verdict",
     "verma_hom_condition",
     "verma_inf_char",
@@ -115,6 +116,12 @@ class RangeVerdict:
     good_witnesses: Tuple[Tuple[Root, int], ...]
 
 
+def weakly_fair(m: int, lam: int) -> bool:
+    """Whether λ is in the weakly fair range: every root of u pairs with
+    λ·1 − ρ(u) to 2λ − m (see `range_verdict`), so the test is 2λ ≥ m."""
+    return 2 * lam >= m
+
+
 def range_verdict(m: int, lam: int) -> RangeVerdict:
     """Weakly fair and good range tests for the scalar parameter λ.
 
@@ -127,7 +134,7 @@ def range_verdict(m: int, lam: int) -> RangeVerdict:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    fair = 2 * lam >= m
+    fair = weakly_fair(m, lam)
     wf_witnesses = () if fair else tuple(
         ((i, j, 1), 2 * lam - m) for i, j in combinations(range(m + 1), 2)
     )

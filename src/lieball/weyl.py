@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence, Tuple
 
 __all__ = [
@@ -97,11 +98,7 @@ def enumerate_group(m: int) -> Iterator[SignedPermutation]:
         raise ValueError("need m >= 1")
     for perm in itertools.permutations(range(m)):
         for flips in itertools.product((1, -1), repeat=m - 1):
-            parity = 1
-            for s in flips:
-                parity *= s
-            signs = flips + (parity,)
-            yield SignedPermutation(perm, signs)
+            yield SignedPermutation(perm, flips + (prod(flips),))
 
 
 def _inversions(w: SignedPermutation) -> Iterator[Root]:

@@ -1,14 +1,19 @@
 """Slow reference computations that the tests hold `lieball` to.
 
 The package keeps one path per computation: the straightened Euler sum,
-the per-shape witness walk for the Laplacian's rank, and the term-wise
-`laplacian` and `rotation_generator`.  The paths they replaced, or that
-they are checked against, live here:
+the per-shape witness walk over index multisets for the Laplacian's rank,
+and the term-wise `laplacian` and `rotation_generator`.  The paths they
+replaced, or that they are checked against, live here:
 
 - `exact_kernel`, a fraction-free elimination, the kernel oracle over the
   full Laplacian matrix and over each weight block;
 - `Polynomial` and `partial`, the polynomial ring the tests build their
   inputs and the product-form generator with;
+- the dense walk over exponent vectors (`compositions`, the support rule
+  `dense_column_rows` and the witness walk `dense_shape_kernel_dimension`),
+  against which the multiset walk is checked shape by shape;
+- `negative_pairs`, the double-loop count behind the sign of a
+  straightened Euler-sum term;
 - the full matrix over the z-monomials (`monomial_exponents`,
   `laplacian_columns`) and the stream of every weight's block
   (`block_shape`, `weight_blocks`, `block_columns`);
@@ -25,7 +30,6 @@ from itertools import product
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-import lieball.harmonic as hm
 from lieball.harmonic import Exponents, SparsePolynomial, Weight
 
 Vector = Dict[int, int]
@@ -150,6 +154,48 @@ def partial(f: SparsePolynomial, i: int) -> Polynomial:
     return Polynomial(f.nvars, out)
 
 
+# --- The dense walk over compositions ----------------------------------------
+
+
+def compositions(n: int, total: int) -> Iterator[Exponents]:
+    """Tuples of n nonnegative integers summing to `total`, in decreasing
+    lexicographic order, one successor step at a time (no recursion)."""
+    if total < 0:
+        return
+    x = [total] + [0] * (n - 1)
+    while True:
+        yield tuple(x)
+        # The last nonzero part before the final one moves one unit right and
+        # takes the final part along with it.
+        i = n - 2
+        while i >= 0 and not x[i]:
+            i -= 1
+        if i < 0:
+            return
+        tail = x[-1]
+        x[-1] = 0
+        x[i] -= 1
+        x[i + 1] = tail + 1
+
+
+def dense_column_rows(t: Exponents) -> Iterator[Tuple[int, Exponents]]:
+    """The support rule on exponent vectors: column t has its (j, row)
+    entries at the rows t − e_j, one for each j with t_j ≥ 1."""
+    return ((j, t[:j] + (x - 1,) + t[j + 1 :]) for j, x in enumerate(t) if x)
+
+
+def dense_shape_kernel_dimension(m: int, s: int) -> int:
+    """`harmonic._shape_kernel_dimension` on exponent vectors: each row r of
+    degree s − 1 must be the last row, in decreasing lexicographic order, of
+    its witness column r + e_1.  The column count is counted, too."""
+    rows = 0
+    for r in compositions(m, s - 1):
+        t = (r[0] + 1,) + r[1:]
+        assert min(row for _, row in dense_column_rows(t)) == r, (r, t)
+        rows += 1
+    return sum(1 for _ in compositions(m, s)) - rows
+
+
 # --- The full Laplacian matrix over the z-monomials --------------------------
 
 
@@ -158,7 +204,7 @@ def monomial_exponents(n: int, degree: int) -> Tuple[Exponents, ...]:
     lexicographic order."""
     if n < 1:
         raise ValueError("need at least one variable")
-    return tuple(hm._compositions(n, degree))
+    return tuple(compositions(n, degree))
 
 
 def laplacian_columns(n: int, l: int) -> List[Vector]:
@@ -184,14 +230,12 @@ def block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
     """The row count of every weight block with l − |w|₁ = 2s, and its
     columns one at a time: where their entries sit.  A row index depends
     only on the row's label, so all these blocks share one shape; their
-    coefficients differ.  The entries are placed by `harmonic._column_rows`,
-    looked up on the module, so a test that patches the support rule
-    reaches this stream too."""
-    index = {t: i for i, t in enumerate(hm._compositions(m, s - 1))}
+    coefficients differ."""
+    index = {t: i for i, t in enumerate(compositions(m, s - 1))}
 
     def columns() -> Iterator[Column]:
-        for t in hm._compositions(m, s):
-            yield t, [(index[row], j) for j, row in hm._column_rows(t)]
+        for t in compositions(m, s):
+            yield t, [(index[row], j) for j, row in dense_column_rows(t)]
 
     return len(index), columns()
 
@@ -203,7 +247,7 @@ def weight_blocks(n: int, l: int) -> Iterator[Tuple[Weight, List[Column], int]]:
     for k in range(0, l + 1, 2):
         rows, columns = block_shape(m, k // 2)
         shape = list(columns)
-        for size in hm._compositions(m, l - k):
+        for size in compositions(m, l - k):
             for w in product(*[(x, -x) if x else (0,) for x in size]):
                 yield w, shape, rows
 
@@ -218,6 +262,14 @@ def block_columns(w: Weight, shape: Iterable[Column]) -> List[Vector]:
         {r: 4 * (t[j] + plus[j]) * (t[j] + minus[j]) for r, j in entries}
         for t, entries in shape
     ]
+
+
+# --- Signs of the straightened Euler-sum terms ----------------------------------
+
+
+def negative_pairs(s) -> int:
+    """The number of pairs i < j with s_i + s_j < 0, by a double loop."""
+    return sum(1 for i in range(len(s)) for j in range(i + 1, len(s)) if s[i] + s[j] < 0)
 
 
 # --- Dense roots ----------------------------------------------------------------

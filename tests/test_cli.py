@@ -118,6 +118,21 @@ def test_verify_reports_certification_failure(capsys, monkeypatch):
     assert "certification failure" in captured.err
 
 
+def test_ktypes_heading_builds_no_range_verdict(capsys, monkeypatch):
+    import lieball.cli as cli
+    import lieball.repdata as rd
+
+    def refuse(*args):
+        raise AssertionError("range_verdict was called for the ktypes heading")
+
+    monkeypatch.setattr(cli, "range_verdict", refuse)
+    monkeypatch.setattr(rd, "range_verdict", refuse)
+    for m, lam, semantics in ((6, 2, "Euler characteristic"), (6, 3, "multiplicity")):
+        code, out = run(capsys, ["ktypes", "--m", str(m), "--lambda", str(lam), "--max-l", "1"])
+        assert code == 0
+        assert f"K-type table  m={m}  lambda={lam}  ({semantics})" in out
+
+
 def test_out_writes_identical_bytes(capsys, tmp_path):
     target = tmp_path / "table.json"
     code, out = run(capsys, ["ktypes", "--m", "2", "--format", "json"])

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -28,6 +29,9 @@ from lieball.kostant import KTypeParam
 from oracles import (
     Polynomial,
     block_columns,
+    compositions,
+    dense_column_rows,
+    dense_shape_kernel_dimension,
     exact_kernel,
     laplacian_columns,
     monomial_exponents,
@@ -129,6 +133,14 @@ def test_laplacian_on_quadratics():
     assert laplacian(x * x - y * y).is_zero()
 
 
+def test_laplacian_drops_cancelled_terms():
+    # ∂²/∂z_1² and ∂²/∂z_2² both land on the constant, with opposite signs
+    f = SparsePolynomial(2, {(2, 0): 1, (0, 2): -1})
+    assert laplacian(f).is_zero()
+    # z_1 ∂_1 − z_1 ∂_1 cancels term by term
+    assert rotation_generator(f, 0, 0).is_zero()
+
+
 def test_laplacian_power_degree_drop():
     r2 = radial_square(4)
     f = r2 * r2 * r2
@@ -194,7 +206,7 @@ def test_block_columns_are_the_uv_laplacian(n):
     m = n // 2
     for l in range(5):
         for w, shape, rows in weight_blocks(n, l):
-            row_labels = list(hm._compositions(m, (l - sum(map(abs, w))) // 2 - 1))
+            row_labels = list(compositions(m, (l - sum(map(abs, w))) // 2 - 1))
             assert len(row_labels) == rows
             for (label, _), col in zip(shape, block_columns(w, shape)):
                 source = uv_exponents(w, label)
@@ -229,12 +241,35 @@ def test_every_block_has_its_shapes_rank(n):
         clear_caches()
 
 
+def multiset(t):
+    """The variable indices of the monomial with exponent vector t."""
+    return tuple(j for j, x in enumerate(t) for _ in range(x))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_multiset_walk_is_the_dense_walk(m):
+    clear_caches()
+    try:
+        for s in range(9):
+            assert hm._shape_kernel_dimension(m, s) == dense_shape_kernel_dimension(m, s)
+            # increasing lexicographic order on index multisets is decreasing
+            # lexicographic order on exponent vectors
+            rows = combinations_with_replacement(range(m), s - 1) if s else ()
+            assert list(rows) == [multiset(r) for r in compositions(m, s - 1)]
+            for t in compositions(m, s):
+                assert list(hm._column_rows(multiset(t))) == [
+                    (j, multiset(row)) for j, row in dense_column_rows(t)
+                ]
+    finally:
+        clear_caches()
+
+
 def drop_entries(monkeypatch, broken):
     """Patch the support rule so that the columns of each shape whose k
     satisfies `broken` have no entries."""
     column_rows = hm._column_rows
     monkeypatch.setattr(
-        hm, "_column_rows", lambda t: () if broken(2 * sum(t)) else column_rows(t)
+        hm, "_column_rows", lambda t: () if broken(2 * len(t)) else column_rows(t)
     )
 
 

@@ -16,6 +16,7 @@ from lieball.kostant import (
     KTypeParam,
     LKTypeParam,
     _dominant_preimage,
+    _negative_pairs,
     _shifted_weight,
     cohomology,
     euler_character,
@@ -24,6 +25,7 @@ from lieball.kostant import (
 )
 from lieball.repdata import as_weight
 from lieball.weyl import act, enumerate_coset_reps, inverse, length
+from oracles import negative_pairs
 
 
 def test_ktype_param_validation():
@@ -219,6 +221,15 @@ def test_straightening_explicit_cases(s, expected):
     target = tuple(a - b for a, b in zip(s, rho_c(3)))
     assert _dominant_preimage(3, target) == expected
     assert_straightening_walks(3, [target])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(min_value=-40, max_value=40), max_size=30))
+def test_negative_pairs_match_the_double_loop(entries):
+    # the two-pointer count on strictly decreasing vectors, zeros and
+    # repeated |s_i| included
+    s = sorted(entries, reverse=True)
+    assert _negative_pairs(s) == negative_pairs(s)
 
 
 def test_cli_path_walks_no_group_element(monkeypatch):

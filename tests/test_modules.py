@@ -28,7 +28,7 @@ def test_all_names_resolve(name):
 def test_oracles_are_not_in_the_package():
     # tests/oracles.py holds them; the package keeps one path per computation
     moved = ["monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
-             "_block_columns"]
+             "_block_columns", "_compositions"]
     assert [name for name in moved if hasattr(harmonic, name)] == []
     ring = ["variable", "partial", "_check_same_ring", "__add__", "__sub__", "__neg__",
             "__mul__", "__rmul__"]
