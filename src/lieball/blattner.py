@@ -13,8 +13,7 @@ and an Euler characteristic otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .kostant import KTypeParam, LKTypeParam, _dominant_preimage, _shifted_weight
 from .weyl import enumerate_coset_reps, length
@@ -106,8 +105,7 @@ def dominant_mu_vectors(m: int, max_mu1: int) -> List[Tuple[int, ...]]:
     return out
 
 
-@dataclass
-class KTypeTable:
+class KTypeTable(NamedTuple):
     """A window of K-types with integer multiplicities.
 
     entries maps KTypeParam to a nonzero integer; the scan bounds record the

@@ -8,11 +8,9 @@ output is deterministic for a fixed invocation and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .blattner import KTypeTable, ktype_table, unique_scalar_match_check
 from .harmonic import (
@@ -71,8 +69,7 @@ def _cell(x) -> str:
     return "" if x is None else str(x)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """What one subcommand reports, in each output format.
 
     text holds the lines of the text format, rows the CSV rows (header
@@ -88,6 +85,7 @@ class Report:
 def render(report: Report, fmt: str) -> str:
     """The report in one --format: text, json or csv."""
     if fmt == "json":
+        import json
         return json.dumps(report.payload, indent=2) + "\n"
     if fmt == "csv":
         lines = [",".join(_cell(c) for c in row) for row in report.rows]
@@ -531,10 +529,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args, parser)
+        text = render(report, args.format)
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
-    text = render(report, args.format)
+    except MemoryError:
+        print(f"{parser.prog} {args.command}: error: request too large: out of memory",
+              file=sys.stderr)
+        return 2
     if args.out is None:
         sys.stdout.write(text)
     else:

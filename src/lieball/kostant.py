@@ -9,10 +9,9 @@ coset representatives of length j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .weyl import SignedPermutation, act, enumerate_coset_reps, length
+from .weyl import SignedPermutation, _Record, act, enumerate_coset_reps, length
 
 __all__ = [
     "is_dominant",
@@ -29,18 +28,18 @@ def is_dominant(mu: Tuple[int, ...]) -> bool:
     return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 2)) and mu[-2] >= abs(mu[-1])
 
 
-@dataclass(frozen=True)
-class KTypeParam:
+class KTypeParam(_Record):
     """Highest weight (μ_0; μ_1, ..., μ_m) of an irreducible K-type.
 
     Dominance for SO(2m) demands μ_1 ≥ ... ≥ μ_{m−1} ≥ |μ_m| with integer
     entries; μ_0 is any integer.
     """
 
-    mu0: int
-    mu: Tuple[int, ...]
+    __slots__ = ("mu0", "mu")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mu0: int, mu: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "mu", mu)
         if len(self.mu) < 2:
             raise ValueError("need at least two SO(2m) coordinates")
         if any(not isinstance(c, int) for c in (self.mu0, *self.mu)):
@@ -49,15 +48,15 @@ class KTypeParam:
             raise ValueError(f"{self.mu} is not dominant")
 
 
-@dataclass(frozen=True)
-class LKTypeParam:
+class LKTypeParam(_Record):
     """Highest weight of an irreducible T × U(m)-type: a charge and a
     weakly decreasing integer vector."""
 
-    charge: int
-    hw: Tuple[int, ...]
+    __slots__ = ("charge", "hw")
 
-    def __post_init__(self) -> None:
+    def __init__(self, charge: int, hw: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "charge", charge)
+        object.__setattr__(self, "hw", hw)
         if any(not isinstance(c, int) for c in (self.charge, *self.hw)):
             raise ValueError("coordinates must be integers")
         if any(self.hw[i] < self.hw[i + 1] for i in range(len(self.hw) - 1)):

@@ -10,10 +10,9 @@ in type D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .kostant import KTypeParam, is_dominant
 from .weyl import Root
@@ -99,8 +98,7 @@ def is_regular_type_d(w: Weight) -> bool:
     return len(set(values)) == len(values)
 
 
-@dataclass(frozen=True)
-class RangeVerdict:
+class RangeVerdict(NamedTuple):
     """Positivity verdicts for a scalar parameter, with exact witnesses.
 
     Each witness is a pair (root, pairing) recording a violated inequality:

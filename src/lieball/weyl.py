@@ -9,7 +9,6 @@ internally; printed one-line windows are 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence, Tuple
@@ -41,18 +40,44 @@ def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class _Record:
+    """An immutable record of the fields named in its class's __slots__,
+    equal and hashed by type and fields, with a dataclass-style repr."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SignedPermutation(_Record):
     """A signed permutation with an even number of sign flips.
 
     perm[j] is the image of position j; signs[i] is the sign attached to the
     target position i.  Both tuples have length m.
     """
 
-    perm: Tuple[int, ...]
-    signs: Tuple[int, ...]
+    __slots__ = ("perm", "signs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, perm: Tuple[int, ...], signs: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
         m = len(self.perm)
         if sorted(self.perm) != list(range(m)):
             raise ValueError(f"{self.perm} is not a permutation of 0..{m - 1}")

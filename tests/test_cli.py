@@ -118,6 +118,24 @@ def test_verify_reports_certification_failure(capsys, monkeypatch):
     assert "certification failure" in captured.err
 
 
+@pytest.mark.parametrize("module, name", [
+    ("lieball.blattner", "s_u_cap_p_component"),  # while building the report
+    ("lieball.cli", "render"),  # while rendering it
+])
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, module, name):
+    # the huge request itself is never made: the patched step raises at once
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(f"{module}.{name}", exhaust)
+    code = main(["ktypes", "--m", "99999999999", "--max-l", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "lieball ktypes: error: request too large: out of memory\n"
+    assert "Traceback" not in captured.err
+
+
 def test_ktypes_heading_builds_no_range_verdict(capsys, monkeypatch):
     import lieball.cli as cli
     import lieball.repdata as rd

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,12 @@ def test_ktype_param_validation():
         KTypeParam(0, (1, 1, 2))
     with pytest.raises(ValueError):
         KTypeParam(0, (0, -1))  # last coordinate exceeds its predecessor in size
+    with pytest.raises(ValueError, match="at least two"):
+        KTypeParam(0, ())
+    with pytest.raises(ValueError, match="integers"):
+        KTypeParam(0, (1.0, 0))
+    with pytest.raises(ValueError, match="integers"):
+        KTypeParam(Fraction(1, 2), (1, 0))
 
 
 def test_ktype_param_allows_negative_last():
@@ -48,8 +55,35 @@ def test_ktype_param_allows_negative_last():
 
 def test_lktype_param_validation():
     LKTypeParam(0, (3, 1, -2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weakly decreasing"):
         LKTypeParam(0, (1, 2))
+    with pytest.raises(ValueError, match="integers"):
+        LKTypeParam(0, (1, 0.5))
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (KTypeParam, ("mu0", "mu")),
+    (LKTypeParam, ("charge", "hw")),
+])
+def test_param_record_semantics(cls, fields):
+    a, b, c = cls(1, (1, 0)), cls(1, (1, 0)), cls(2, (1, 0))
+    assert a == b and hash(a) == hash(b) and a != c
+    table = {a: "a", c: "c"}
+    assert table[b] == "a" and len({a, b, c}) == 2
+    assert a != (1, (1, 0))
+    assert repr(a) == f"{cls.__name__}({fields[0]}=1, {fields[1]}=(1, 0))"
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_param_classes_with_the_same_fields_are_unequal():
+    assert KTypeParam(0, (1, 0)) != LKTypeParam(0, (1, 0))
+    assert LKTypeParam(0, (1, 0)) != KTypeParam(0, (1, 0))
 
 
 def test_shifted_weight_matches_direct_formula():

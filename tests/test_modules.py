@@ -1,8 +1,12 @@
-"""Every `lieball` module's `__all__` names only what the module defines, and
-the slow references live with the tests, not in the package."""
+"""Every `lieball` module's `__all__` names only what the module defines, the
+slow references live with the tests, not in the package, and importing the
+CLI stays off the costly standard modules."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +51,15 @@ def test_verify_calls_no_inversion_set(monkeypatch):
     weyl.enumerate_coset_reps.cache_clear()
     checks, ok = cli._verify_checks(6, 10, 1)
     assert ok, checks
+
+
+def test_cli_import_loads_neither_dataclasses_nor_json():
+    # -S keeps whatever site loads (a .pth file, say) out of the check
+    src = Path(lieball.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import lieball.cli; "
+        "print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
