@@ -10,8 +10,8 @@ submodule (`lieball.weyl`, `lieball.kostant`, ...).
 
 from .blattner import ktype_table, multiplicity
 from .harmonic import harmonic_dimension, sol_ktype_table
-from .kostant import KTypeParam, cohomology
-from .repdata import weyl_dim_so2m
+from .kostant import cohomology
+from .repdata import KTypeParam, weyl_dim_so2m
 from .weyl import enumerate_coset_reps
 
 __version__ = "0.1.0"

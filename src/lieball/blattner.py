@@ -13,16 +13,16 @@ and an Euler characteristic otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
-from .kostant import KTypeParam, LKTypeParam, _dominant_preimage, _shifted_weight
+from .kostant import LKTypeParam, _dominant_preimage, _shifted_weight
+from .repdata import KTypeParam, KTypeTable
 from .weyl import enumerate_coset_reps, length
 
 __all__ = [
     "mu_lambda",
     "s_u_cap_p_component",
     "multiplicity",
-    "KTypeTable",
     "ktype_table",
     "dominant_mu_vectors",
     "unique_scalar_match_check",
@@ -103,29 +103,6 @@ def dominant_mu_vectors(m: int, max_mu1: int) -> List[Tuple[int, ...]]:
         extend((mu1,))
     out.sort()
     return out
-
-
-class KTypeTable(NamedTuple):
-    """A window of K-types with integer multiplicities.
-
-    entries maps KTypeParam to a nonzero integer; the scan bounds record the
-    window μ_0 ≤ max_mu0, μ_1 ≤ max_mu1 the table was computed over (None
-    when no window was given).  A table certified against the harmonic
-    kernel also records, per entry, its kernel and Weyl dimensions.
-    """
-
-    m: int
-    lam: int
-    entries: Dict[KTypeParam, int]
-    max_mu0: int | None = None
-    max_mu1: int | None = None
-    dims: Dict[KTypeParam, Tuple[int, int]] | None = None
-
-    def sorted_entries(self) -> List[Tuple[KTypeParam, int]]:
-        return sorted(self.entries.items(), key=lambda kv: (kv[0].mu0, kv[0].mu))
-
-    def same_entries(self, other: "KTypeTable") -> bool:
-        return self.m == other.m and self.entries == other.entries
 
 
 def ktype_table(m: int, lam: int, max_mu0: int, max_mu1: int) -> KTypeTable:

@@ -12,13 +12,14 @@ import sys
 from fractions import Fraction as Q
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .blattner import KTypeTable, ktype_table, unique_scalar_match_check
+from .blattner import ktype_table, unique_scalar_match_check
 from .harmonic import (
     CertificationError,
     so_invariance_check,
     sol_ktype_table,
 )
 from .repdata import (
+    KTypeTable,
     ehw_first_reduction_point,
     ehw_last_unitary_point,
     ehw_unitarizable,
@@ -322,7 +323,7 @@ def cmd_ranges(args, parser) -> Report:
         "good": verdict.good,
         "weakly_fair_witnesses": _witnesses_json(args.m, verdict.weakly_fair_witnesses),
         "good_witnesses": _witnesses_json(args.m, verdict.good_witnesses),
-        "inf_char": [_json_q(Q(c)) for c in chi],
+        "inf_char": [_json_q(c) for c in chi],
         "inf_char_regular": regular,
     }
     return Report(text, rows, payload)
@@ -488,28 +489,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ktypes", help="K-type table from the Euler sum")
     _add_common(p, with_lambda=True, with_max_l=True)
-    p.set_defaults(func=cmd_ktypes)
+    p.set_defaults(func=cmd_ktypes, parser=p)
 
     p = subs.add_parser("harmonic", help="K-type table from the Laplacian kernel")
     _add_common(p, with_max_l=True)
-    p.set_defaults(func=cmd_harmonic)
+    p.set_defaults(func=cmd_harmonic, parser=p)
 
     p = subs.add_parser("verify", help="cross-check the two K-type tables")
     _add_common(p, with_max_l=True, with_seed=True)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = subs.add_parser("weyl", help="list the minimal coset representatives")
     _add_common(p)
-    p.set_defaults(func=cmd_weyl)
+    p.set_defaults(func=cmd_weyl, parser=p)
 
     p = subs.add_parser("ranges", help="weakly fair and good range verdicts")
     _add_common(p, with_lambda=True)
-    p.set_defaults(func=cmd_ranges)
+    p.set_defaults(func=cmd_ranges, parser=p)
 
     p = subs.add_parser("verma", help="scalar generalized Verma homomorphisms")
     _add_common(p, with_lambda=True, with_max_l=True, max_l_default=5)
     p.add_argument("--nu", type=_rational, default=None, help="second scalar parameter")
-    p.set_defaults(func=cmd_verma)
+    p.set_defaults(func=cmd_verma, parser=p)
 
     p = subs.add_parser("ehw", help="scalar lowest-weight unitarizability window")
     p.add_argument("--n", type=int, required=True, help="rank parameter n >= 4")
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the residual operator degree at this parameter",
     )
     _add_common(p, with_m=False)
-    p.set_defaults(func=cmd_ehw)
+    p.set_defaults(func=cmd_ehw, parser=p)
 
     return parser
 
@@ -528,14 +529,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args, parser)
+        report = args.func(args, args.parser)
         text = render(report, args.format)
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"{parser.prog} {args.command}: error: request too large: out of memory",
-              file=sys.stderr)
+        print(f"{args.parser.prog}: error: request too large: out of memory", file=sys.stderr)
         return 2
     if args.out is None:
         sys.stdout.write(text)

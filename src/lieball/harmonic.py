@@ -1,6 +1,7 @@
 """Harmonic polynomials for the holomorphic Laplacian Δ = Σ ∂²/∂z_i².
 
-Polynomials carry exact rational coefficients on integer exponent tuples.
+Polynomials carry int or Fraction coefficients, stored as given, on integer
+exponent tuples; `repdata` is the one package module imported here.
 Kernel dimensions in n = 2m variables are certified one block shape at a
 time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
@@ -17,15 +18,13 @@ matrix is built, neither a weight's block nor the full one.
 from __future__ import annotations
 
 import random
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from numbers import Rational
 from typing import Dict, Iterator, Tuple
 
-from .blattner import KTypeTable
-from .kostant import KTypeParam
-from .repdata import weyl_dim_so2m
+from .repdata import KTypeParam, KTypeTable, weyl_dim_so2m
 
 __all__ = [
     "SparsePolynomial",
@@ -52,9 +51,10 @@ class CertificationError(RuntimeError):
 class SparsePolynomial:
     """A polynomial in nvars variables with exact rational coefficients.
 
-    Terms map exponent tuples to nonzero Fractions.  It has no ring
-    operations: `laplacian` and `rotation_generator` work on the terms
-    directly, exactly.
+    Terms map exponent tuples to nonzero ints or Fractions (any
+    `numbers.Rational`), stored as given; any other coefficient raises
+    ValueError.  It has no ring operations: `laplacian` and
+    `rotation_generator` work on the terms directly, exactly.
     """
 
     __slots__ = ("nvars", "terms")
@@ -62,18 +62,19 @@ class SparsePolynomial:
     def __init__(self, nvars: int, terms: Dict[Exponents, object] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        clean: Dict[Exponents, Q] = {}
+        clean: Dict[Exponents, Rational] = {}
         for exps, c in (terms or {}).items():
             if len(exps) != nvars or any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
-            q = Q(c)
-            if q != 0:
-                clean[tuple(exps)] = q
+            if not isinstance(c, Rational):
+                raise ValueError(f"coefficient {c!r} is neither an int nor a Fraction")
+            if c:
+                clean[tuple(exps)] = c
         self.nvars = nvars
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: Dict[Exponents, Q]) -> "SparsePolynomial":
+    def _trusted(cls, nvars: int, terms: Dict[Exponents, Rational]) -> "SparsePolynomial":
         """Terms built in this module, unchecked; only the zero coefficients
         that cancellation leaves are dropped."""
         p = object.__new__(cls)
@@ -116,12 +117,12 @@ def polynomial_space_dimension(n: int, degree: int) -> int:
 
 def laplacian(f: SparsePolynomial) -> SparsePolynomial:
     """Σ_i ∂²f/∂z_i², exactly."""
-    out: Dict[Exponents, Q] = {}
+    out: Dict[Exponents, Rational] = {}
     for exps, c in f.terms.items():
         for i, a in enumerate(exps):
             if a >= 2:
                 e2 = exps[:i] + (a - 2,) + exps[i + 1 :]
-                out[e2] = out.get(e2, Q(0)) + c * a * (a - 1)
+                out[e2] = out.get(e2, 0) + c * a * (a - 1)
     return SparsePolynomial._trusted(f.nvars, out)
 
 
@@ -137,7 +138,7 @@ def rotation_generator(f: SparsePolynomial, a: int, b: int) -> SparsePolynomial:
     """The infinitesimal rotation (z_a ∂_b − z_b ∂_a) applied to f, term by
     term: z_a ∂_b sends z^e to e_b z^(e − δ_b + δ_a), and z_b ∂_a sends it to
     e_a z^(e − δ_a + δ_b).  For a = b the two cancel to 0."""
-    out: Dict[Exponents, Q] = {}
+    out: Dict[Exponents, Rational] = {}
     for src, dst, sign in ((b, a, 1), (a, b, -1)):
         for exps, c in f.terms.items():
             e = exps[src]
@@ -261,19 +262,17 @@ def harmonic_dimension_formula(n: int, l: int) -> int:
 
 def random_homogeneous(n: int, degree: int, rng: random.Random) -> SparsePolynomial:
     """A random homogeneous polynomial with up to six terms and small
-    rational coefficients."""
+    nonzero integer coefficients."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     nterms = rng.randint(1, 6)
-    terms: Dict[Exponents, Q] = {}
+    terms: Dict[Exponents, int] = {}
     for _ in range(nterms):
         counts = [0] * n
         for _ in range(degree):
             counts[rng.randrange(n)] += 1
         exps = tuple(counts)
-        num = rng.choice([x for x in range(-9, 10) if x != 0])
-        den = rng.randint(1, 3)
-        terms[exps] = terms.get(exps, Q(0)) + Q(num, den)
+        terms[exps] = terms.get(exps, 0) + rng.choice([x for x in range(-9, 10) if x != 0])
     return SparsePolynomial(n, terms)
 
 

@@ -11,41 +11,15 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .weyl import SignedPermutation, _Record, act, enumerate_coset_reps, length
+from .repdata import KTypeParam, _Record
+from .weyl import SignedPermutation, act, enumerate_coset_reps, length
 
 __all__ = [
-    "is_dominant",
     "rho_c",
-    "KTypeParam",
     "LKTypeParam",
     "cohomology",
     "euler_character",
 ]
-
-
-def is_dominant(mu: Tuple[int, ...]) -> bool:
-    """Dominance for SO(2m): μ_1 ≥ ... ≥ μ_{m−1} ≥ |μ_m|."""
-    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 2)) and mu[-2] >= abs(mu[-1])
-
-
-class KTypeParam(_Record):
-    """Highest weight (μ_0; μ_1, ..., μ_m) of an irreducible K-type.
-
-    Dominance for SO(2m) demands μ_1 ≥ ... ≥ μ_{m−1} ≥ |μ_m| with integer
-    entries; μ_0 is any integer.
-    """
-
-    __slots__ = ("mu0", "mu")
-
-    def __init__(self, mu0: int, mu: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "mu", mu)
-        if len(self.mu) < 2:
-            raise ValueError("need at least two SO(2m) coordinates")
-        if any(not isinstance(c, int) for c in (self.mu0, *self.mu)):
-            raise ValueError("K-type coordinates must be integers")
-        if not is_dominant(self.mu):
-            raise ValueError(f"{self.mu} is not dominant")
 
 
 class LKTypeParam(_Record):

@@ -1,7 +1,10 @@
-"""Scalar representation arithmetic: dimensions, ranges, reduction points.
+"""Scalar representation arithmetic, and the vocabulary both routes share.
 
-Covers the Weyl dimension formula for SO(2m), infinitesimal characters and
-their regularity, the good and weakly fair positivity ranges, scalar
+It imports no other `lieball` module and owns the K-type format: the record
+base `_Record`, the root triple `Root`, SO(2m) dominance, `KTypeParam` and
+`KTypeTable`, which the Euler-sum and the harmonic routes import from here.
+It covers the Weyl dimension formula for SO(2m), infinitesimal characters
+and their regularity, the good and weakly fair positivity ranges, scalar
 generalized Verma homomorphism arithmetic, Knapp–Stein residue degrees, the
 Enright–Howe–Wallach unitarizability window for scalar lowest weights, the
 Borel–Weil–Bott K-type target on the compact cycle, and Weyl-orbit equality
@@ -12,12 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Tuple
-
-from .kostant import KTypeParam, is_dominant
-from .weyl import Root
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
+    "Root",
+    "is_dominant",
+    "KTypeParam",
+    "KTypeTable",
     "Weight",
     "as_weight",
     "weyl_dim_so2m",
@@ -35,6 +39,84 @@ __all__ = [
     "borel_weil_bott_ktype",
     "orbit_equal",
 ]
+
+# A root e_i + σ·e_j (i < j, σ = ±1) stored as the int triple (i, j, σ).
+Root = Tuple[int, int, int]
+
+
+class _Record:
+    """An immutable record of the fields named in its class's __slots__,
+    equal and hashed by type and fields, with a dataclass-style repr."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def is_dominant(mu: Tuple[int, ...]) -> bool:
+    """Dominance for SO(2m): μ_1 ≥ ... ≥ μ_{m−1} ≥ |μ_m|."""
+    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 2)) and mu[-2] >= abs(mu[-1])
+
+
+class KTypeParam(_Record):
+    """Highest weight (μ_0; μ_1, ..., μ_m) of an irreducible K-type.
+
+    Dominance for SO(2m) demands μ_1 ≥ ... ≥ μ_{m−1} ≥ |μ_m| with integer
+    entries; μ_0 is any integer.
+    """
+
+    __slots__ = ("mu0", "mu")
+
+    def __init__(self, mu0: int, mu: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "mu", mu)
+        if len(self.mu) < 2:
+            raise ValueError("need at least two SO(2m) coordinates")
+        if any(not isinstance(c, int) for c in (self.mu0, *self.mu)):
+            raise ValueError("K-type coordinates must be integers")
+        if not is_dominant(self.mu):
+            raise ValueError(f"{self.mu} is not dominant")
+
+
+class KTypeTable(NamedTuple):
+    """A window of K-types with integer multiplicities.
+
+    entries maps KTypeParam to a nonzero integer; the scan bounds record the
+    window μ_0 ≤ max_mu0, μ_1 ≤ max_mu1 the table was computed over (None
+    when no window was given).  A table certified against the harmonic
+    kernel also records, per entry, its kernel and Weyl dimensions.
+    """
+
+    m: int
+    lam: int
+    entries: Dict[KTypeParam, int]
+    max_mu0: int | None = None
+    max_mu1: int | None = None
+    dims: Dict[KTypeParam, Tuple[int, int]] | None = None
+
+    def sorted_entries(self) -> List[Tuple[KTypeParam, int]]:
+        return sorted(self.entries.items(), key=lambda kv: (kv[0].mu0, kv[0].mu))
+
+    def same_entries(self, other: "KTypeTable") -> bool:
+        return self.m == other.m and self.entries == other.entries
+
 
 # G-weights in rank m+1 (basis e_0..e_m, e_0 attached to the so(2) factor),
 # exact, with denominators 1 or 2.
@@ -77,10 +159,10 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
         for j in range(i + 1, m):
             num *= (r[i] - r[j]) * (r[i] + r[j])
             den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
-    dim = Q(num, den)
-    if dim.denominator != 1 or dim <= 0:
-        raise ArithmeticError(f"Weyl dimension came out as {dim}")
-    return int(dim)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise ArithmeticError(f"Weyl dimension came out as {num}/{den}")
+    return dim
 
 
 def inf_char(m: int, lam: object) -> Weight:

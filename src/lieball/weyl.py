@@ -13,8 +13,9 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence, Tuple
 
+from .repdata import Root, _Record
+
 __all__ = [
-    "Root",
     "root_vector",
     "SignedPermutation",
     "inverse",
@@ -27,9 +28,6 @@ __all__ = [
     "one_line_window",
 ]
 
-# A root e_i + σ·e_j (i < j, σ = ±1) stored as the int triple (i, j, σ).
-Root = Tuple[int, int, int]
-
 
 def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
     """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
@@ -38,32 +36,6 @@ def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
     out[i] = 1
     out[j] = sigma
     return tuple(out)
-
-
-class _Record:
-    """An immutable record of the fields named in its class's __slots__,
-    equal and hashed by type and fields, with a dataclass-style repr."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class SignedPermutation(_Record):

@@ -22,8 +22,8 @@ from lieball.harmonic import (
     rotation_generator,
     so_invariance_check,
 )
-from lieball.kostant import KTypeParam
 from lieball.repdata import (
+    KTypeParam,
     borel_weil_bott_ktype,
     ehw_first_reduction_point,
     ehw_last_unitary_point,

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieball.blattner import (
-    KTypeTable,
     dominant_mu_vectors,
     ktype_table,
     mu_lambda,
@@ -13,7 +12,8 @@ from lieball.blattner import (
     s_u_cap_p_component,
     unique_scalar_match_check,
 )
-from lieball.kostant import KTypeParam, LKTypeParam
+from lieball.kostant import LKTypeParam
+from lieball.repdata import KTypeParam, KTypeTable
 
 
 def test_mu_lambda():

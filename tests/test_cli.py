@@ -301,6 +301,32 @@ def test_missing_subcommand_is_usage_error():
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ktypes", "--m", "1"], "--m must be at least 2"),
+        (["harmonic", "--m", "0"], "--m must be at least 2"),
+        (["verify", "--m", "-3"], "--m must be at least 2"),
+        (["weyl", "--m", "9"], "--m exceeds the enumeration bound 8"),
+        (["ktypes", "--m", "2", "--lambda", "3/2"], "--lambda must be an integer for ktypes"),
+        (["ranges", "--m", "3", "--lambda", "1/2"], "--lambda must be an integer for ranges"),
+        (["verma", "--m", "3", "--nu", "1"], "verma needs both --lambda and --nu, or neither"),
+        (["ehw", "--n", "3", "--z", "1"], "--n must be at least 4"),
+        (["ehw", "--n", "5", "--z", "1", "--lambda", "1"],
+         "--lambda requires even --n for the residue degree"),
+    ],
+)
+def test_checked_usage_errors_name_the_subcommand(capsys, argv, message):
+    # the same prefixes as argparse's own errors for that subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: lieball {argv[0]} [-h] ")
+    assert captured.err.splitlines()[-1] == f"lieball {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["harmonic", "--m", "2", "--max-l", "-1"],

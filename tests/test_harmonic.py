@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 from math import comb
@@ -25,7 +26,7 @@ from lieball.harmonic import (
     so_invariance_check,
     sol_ktype_table,
 )
-from lieball.kostant import KTypeParam
+from lieball.repdata import KTypeParam
 from oracles import (
     Polynomial,
     block_columns,
@@ -71,6 +72,16 @@ class TestSparsePolynomial:
             SparsePolynomial(2, {(1,): 1})
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1})
+
+    @pytest.mark.parametrize("coefficient", [0.1, "1/3", Decimal("1"), 1j])
+    def test_rejects_coefficients_that_are_not_rational(self, coefficient):
+        # 0.1 would otherwise become a Fraction with denominator 2^55
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            SparsePolynomial(2, {(1, 0): coefficient})
+
+    def test_keeps_coefficients_as_given(self):
+        p = SparsePolynomial(2, {(1, 0): Q(5, 2), (0, 1): 3})
+        assert [(c, type(c)) for c in p.terms.values()] == [(Q(5, 2), Q), (3, int)]
 
     def test_arithmetic(self):
         x, y = var(2, 0), var(2, 1)
@@ -384,6 +395,15 @@ def test_random_homogeneous_properties():
         f = random_homogeneous(n, d, rng)
         assert not f.is_zero()
         assert {sum(e) for e in f.terms} == {d}
+
+
+def test_random_homogeneous_stays_on_integers():
+    # so the equivariance check of `verify` never builds a Fraction
+    rng = random.Random(7)
+    for n, d in [(4, 1), (4, 3), (6, 2), (8, 4)]:
+        f = random_homogeneous(n, d, rng)
+        for g in (f, laplacian(f), rotation_generator(f, 0, n - 1)):
+            assert all(type(c) is int and c for c in g.terms.values())
 
 
 def test_random_homogeneous_is_seed_deterministic():

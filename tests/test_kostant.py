@@ -14,17 +14,15 @@ import lieball.kostant as ks
 import lieball.weyl as wl
 from lieball.cli import main
 from lieball.kostant import (
-    KTypeParam,
     LKTypeParam,
     _dominant_preimage,
     _negative_pairs,
     _shifted_weight,
     cohomology,
     euler_character,
-    is_dominant,
     rho_c,
 )
-from lieball.repdata import as_weight
+from lieball.repdata import KTypeParam, as_weight, is_dominant
 from lieball.weyl import act, enumerate_coset_reps, inverse, length
 from oracles import negative_pairs
 

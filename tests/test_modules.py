@@ -1,7 +1,9 @@
 """Every `lieball` module's `__all__` names only what the module defines, the
-slow references live with the tests, not in the package, and importing the
-CLI stays off the costly standard modules."""
+slow references live with the tests, not in the package, the analytic route
+imports nothing of the algebraic one, and importing the CLI stays off the
+costly standard modules."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lieball
-from lieball import cli, harmonic, weyl
+from lieball import blattner, cli, harmonic, kostant, repdata, weyl
 
 # `__main__` runs the CLI when imported.
 MODULES = [
@@ -39,6 +41,38 @@ def test_oracles_are_not_in_the_package():
     assert [name for name in ring if hasattr(harmonic.SparsePolynomial, name)] == []
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("lieball.linalg")
+
+
+def imported_modules(name):
+    """Every module the source of `lieball.<name>` imports, anywhere in it,
+    with relative imports written out from `lieball`."""
+    source = Path(lieball.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "lieball." * bool(node.level) + (node.module or "")
+            found.update([base] if node.module else (base + a.name for a in node.names))
+    return found
+
+
+def package_imports(name):
+    return {m.split(".")[1] for m in imported_modules(name) if m.startswith("lieball.")}
+
+
+def test_analytic_route_imports_only_the_shared_vocabulary():
+    assert package_imports("harmonic") == {"repdata"}
+    assert package_imports("repdata") == set()
+    assert "fractions" not in {m.split(".")[0] for m in imported_modules("harmonic")}
+
+
+def test_moved_vocabulary_still_resolves_at_its_old_paths():
+    # perfbench/traced.py builds kostant.KTypeParam itself
+    assert kostant.KTypeParam is repdata.KTypeParam
+    assert blattner.KTypeTable is repdata.KTypeTable
+    assert weyl._Record is repdata._Record
+    assert weyl.Root is repdata.Root
 
 
 def test_verify_calls_no_inversion_set(monkeypatch):

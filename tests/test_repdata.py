@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieball.kostant import KTypeParam
 from lieball.repdata import (
+    KTypeParam,
     borel_weil_bott_ktype,
     ehw_first_reduction_point,
     ehw_last_unitary_point,

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieball.repdata import _Record
 from lieball.weyl import (
     SignedPermutation,
-    _Record,
     act,
     enumerate_coset_reps,
     enumerate_group,
