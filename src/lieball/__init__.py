@@ -4,25 +4,32 @@ Two independent routes to the same table: an alternating cohomology sum
 over minimal-length coset representatives, and Laplacian kernels on
 polynomial spaces whose dimension comes from a rank certified by one
 witness column per row.  Everything runs in rational
-arithmetic; no floats anywhere.  Everything else is imported from its
+arithmetic; no floats anywhere.  `import lieball` loads no submodule: each
+name in `__all__` is imported from its submodule on first use, so a caller
+of one route never loads the other.  Everything else is imported from its
 submodule (`lieball.weyl`, `lieball.kostant`, ...).
 """
 
-from .blattner import ktype_table, multiplicity
-from .harmonic import harmonic_dimension, sol_ktype_table
-from .kostant import cohomology
-from .repdata import KTypeParam, weyl_dim_so2m
-from .weyl import enumerate_coset_reps
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "KTypeParam",
-    "cohomology",
-    "enumerate_coset_reps",
-    "harmonic_dimension",
-    "ktype_table",
-    "multiplicity",
-    "sol_ktype_table",
-    "weyl_dim_so2m",
-]
+# Each public name, and the submodule it is imported from on first access.
+_SUBMODULE = {
+    "KTypeParam": "repdata",
+    "cohomology": "kostant",
+    "enumerate_coset_reps": "weyl",
+    "harmonic_dimension": "harmonic",
+    "ktype_table": "blattner",
+    "multiplicity": "blattner",
+    "sol_ktype_table": "harmonic",
+    "weyl_dim_so2m": "repdata",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    return value

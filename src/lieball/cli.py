@@ -3,42 +3,15 @@
 Subcommands: ktypes, harmonic, verify, weyl, ranges, verma, ehw.  All
 output is deterministic for a fixed invocation and seed.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 certification failure.
+Each handler imports the route it runs, so a subcommand loads only its own
+modules: `harmonic` never loads the Euler-sum route, nor `ktypes` `harmonic`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction as Q
 from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-from .blattner import ktype_table, unique_scalar_match_check
-from .harmonic import (
-    CertificationError,
-    so_invariance_check,
-    sol_ktype_table,
-)
-from .repdata import (
-    KTypeTable,
-    ehw_first_reduction_point,
-    ehw_last_unitary_point,
-    ehw_unitarizable,
-    inf_char,
-    is_regular_type_d,
-    knapp_stein_residue_degree,
-    orbit_equal,
-    range_verdict,
-    verma_hom_condition,
-    verma_inf_char,
-    weakly_fair,
-)
-from .weyl import (
-    enumerate_coset_reps,
-    inversion_set,
-    length,
-    one_line_window,
-    root_vector,
-)
 
 __all__ = ["main"]
 
@@ -59,7 +32,7 @@ def _fmt_weight(w) -> str:
     return "(" + ", ".join(map(str, w)) + ")"
 
 
-def _json_q(x: Q):
+def _json_q(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
 
@@ -128,6 +101,8 @@ def _integer_lambda(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_ktypes(args, parser) -> Report:
+    from .blattner import ktype_table
+    from .repdata import weakly_fair
     _check_m(parser, args.m)
     lam = _integer_lambda(args, parser)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
@@ -142,6 +117,7 @@ def cmd_ktypes(args, parser) -> Report:
 
 
 def cmd_harmonic(args, parser) -> Report:
+    from .harmonic import sol_ktype_table
     _check_m(parser, args.m)
     table = sol_ktype_table(args.m, args.max_l)
     lines = [
@@ -156,6 +132,11 @@ def cmd_harmonic(args, parser) -> Report:
 
 
 def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
+    from .blattner import ktype_table, unique_scalar_match_check
+    from .harmonic import so_invariance_check, sol_ktype_table
+    from .repdata import inf_char, is_regular_type_d, orbit_equal, range_verdict
+    from .repdata import verma_hom_condition, verma_inf_char
+    from .weyl import root_vector
     checks: List[dict] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -255,6 +236,7 @@ def cmd_verify(args, parser) -> Report:
 
 
 def cmd_weyl(args, parser) -> Report:
+    from .weyl import enumerate_coset_reps, inversion_set, length, one_line_window
     _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
     reps = enumerate_coset_reps(args.m)
     header = ["index", "length", "window", "inversions"]
@@ -281,12 +263,15 @@ def cmd_weyl(args, parser) -> Report:
 
 
 def _witnesses_json(m: int, witnesses) -> List[dict]:
+    from .weyl import root_vector
     return [
         {"root": list(root_vector(m + 1, root)), "pairing": _json_q(p)} for root, p in witnesses
     ]
 
 
 def cmd_ranges(args, parser) -> Report:
+    from .repdata import inf_char, is_regular_type_d, range_verdict
+    from .weyl import root_vector
     _check_m(parser, args.m)
     lam = _integer_lambda(args, parser)
     verdict = range_verdict(args.m, lam)
@@ -332,6 +317,7 @@ def cmd_ranges(args, parser) -> Report:
 def _verma_pair(m: int, lam, nu) -> dict:
     """Degree of the homomorphism for (lambda, nu), and whether the two
     infinitesimal characters share an orbit (None when there is none)."""
+    from .repdata import orbit_equal, verma_hom_condition, verma_inf_char
     degree = verma_hom_condition(m, lam, nu)
     consistent = (
         orbit_equal(verma_inf_char(m, lam), verma_inf_char(m, nu))
@@ -371,6 +357,8 @@ def cmd_verma(args, parser) -> Report:
 
 
 def cmd_ehw(args, parser) -> Report:
+    from .repdata import ehw_first_reduction_point, ehw_last_unitary_point, ehw_unitarizable
+    from .repdata import knapp_stein_residue_degree
     if args.n < 4:
         parser.error("--n must be at least 4")
     a = ehw_first_reduction_point(args.n)
@@ -413,13 +401,14 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
-def _rational(raw: str) -> Q:
+def _rational(raw: str) -> Fraction:
+    from fractions import Fraction
     mantissa, _, exponent = raw.lower().partition("e")
     try:
         digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent)) if exponent else 0
         if digits > RATIONAL_DIGIT_BOUND:
             raise argparse.ArgumentTypeError(f"more than {RATIONAL_DIGIT_BOUND} digits: {raw!r}")
-        return Q(raw)
+        return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from None
 
@@ -531,12 +520,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report = args.func(args, args.parser)
         text = render(report, args.format)
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:
         print(f"{args.parser.prog}: error: request too large: out of memory", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .harmonic import CertificationError  # here, so ktypes never loads harmonic
+        if not isinstance(exc, CertificationError):
+            raise
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return 3
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -21,7 +21,7 @@ import random
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Dict, Iterator, Tuple
 
 from .repdata import KTypeParam, KTypeTable, weyl_dim_so2m
@@ -51,9 +51,11 @@ class CertificationError(RuntimeError):
 class SparsePolynomial:
     """A polynomial in nvars variables with exact rational coefficients.
 
-    Terms map exponent tuples to nonzero ints or Fractions (any
-    `numbers.Rational`), stored as given; any other coefficient raises
-    ValueError.  It has no ring operations: `laplacian` and
+    Terms map exponent tuples of ints to nonzero ints or Fractions: an
+    integral coefficient (a numpy integer, say) is stored as an int, so it
+    cannot overflow, and any other `numbers.Rational` as given.  A bool, as
+    exponent or coefficient, or any other coefficient raises ValueError.
+    It has no ring operations: `laplacian` and
     `rotation_generator` work on the terms directly, exactly.
     """
 
@@ -64,12 +66,12 @@ class SparsePolynomial:
             raise ValueError("need at least one variable")
         clean: Dict[Exponents, Rational] = {}
         for exps, c in (terms or {}).items():
-            if len(exps) != nvars or any(e < 0 or not isinstance(e, int) for e in exps):
+            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
-            if not isinstance(c, Rational):
+            if isinstance(c, bool) or not isinstance(c, Rational):
                 raise ValueError(f"coefficient {c!r} is neither an int nor a Fraction")
             if c:
-                clean[tuple(exps)] = c
+                clean[tuple(exps)] = int(c) if isinstance(c, Integral) else c
         self.nvars = nvars
         self.terms = clean
 

@@ -13,7 +13,6 @@ in type D.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from itertools import combinations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -120,12 +119,20 @@ class KTypeTable(NamedTuple):
 
 # G-weights in rank m+1 (basis e_0..e_m, e_0 attached to the so(2) factor),
 # exact, with denominators 1 or 2.
-Weight = Tuple[Q, ...]
+Weight = Tuple["Fraction", ...]
+
+
+def _q(*args) -> Fraction:
+    """Fraction(*args).  `fractions`, which loads `decimal`, is imported on
+    the first call, so the analytic route, which builds none, never loads it."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def as_weight(coords: Iterable[object]) -> Weight:
     """Coerce coordinates to an exact weight; denominators must divide 2."""
-    w = tuple(Q(c) for c in coords)
+    w = tuple(_q(c) for c in coords)
     for c in w:
         if c.denominator not in (1, 2):
             raise ValueError(f"weight coordinate {c} is not half-integral")
@@ -169,7 +176,7 @@ def inf_char(m: int, lam: object) -> Weight:
     """Infinitesimal character (λ, λ−1, ..., λ−m) of the scalar module."""
     if m < 2:
         raise ValueError("need m >= 2")
-    q = Q(lam)
+    q = _q(lam)
     return as_weight(tuple(q - i for i in range(m + 1)))
 
 
@@ -235,7 +242,7 @@ def verma_hom_condition(m: int, lam: object, nu: object) -> Optional[int]:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    lam_q, nu_q = Q(lam), Q(nu)
+    lam_q, nu_q = _q(lam), _q(nu)
     if lam_q + nu_q != 2 * m:
         return None
     l = m - lam_q
@@ -249,7 +256,7 @@ def verma_inf_char(m: int, lam: object) -> Weight:
     = (m, m−1, ..., 1, 0) the half-sum of the positive roots of so(2m+2)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    return as_weight((m - Q(lam), *range(m - 1, -1, -1)))
+    return as_weight((m - _q(lam), *range(m - 1, -1, -1)))
 
 
 def knapp_stein_residue_degree(n: int, lam: object) -> Optional[int]:
@@ -263,24 +270,24 @@ def knapp_stein_residue_degree(n: int, lam: object) -> Optional[int]:
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("need even n >= 4")
-    l = Q(n, 2) - Q(lam)
+    l = _q(n, 2) - _q(lam)
     if l.denominator != 1 or l < 0:
         return None
     return int(l)
 
 
-def ehw_first_reduction_point(n: int) -> Q:
+def ehw_first_reduction_point(n: int) -> Fraction:
     """First reduction point A = n/2 of the scalar lowest-weight family."""
     if n < 4:
         raise ValueError("need n >= 4")
-    return Q(n, 2)
+    return _q(n, 2)
 
 
-def ehw_last_unitary_point(n: int) -> Q:
+def ehw_last_unitary_point(n: int) -> Fraction:
     """Last unitarizable parameter B = n − 1 of the scalar family."""
     if n < 4:
         raise ValueError("need n >= 4")
-    return Q(n - 1)
+    return _q(n - 1)
 
 
 def ehw_unitarizable(n: int, z: object) -> bool:
@@ -291,7 +298,7 @@ def ehw_unitarizable(n: int, z: object) -> bool:
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    zq = Q(z)
+    zq = _q(z)
     return zq <= 0 or zq == ehw_first_reduction_point(n) or zq == ehw_last_unitary_point(n)
 
 

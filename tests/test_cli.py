@@ -137,13 +137,11 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, module, name):
 
 
 def test_ktypes_heading_builds_no_range_verdict(capsys, monkeypatch):
-    import lieball.cli as cli
     import lieball.repdata as rd
 
     def refuse(*args):
         raise AssertionError("range_verdict was called for the ktypes heading")
 
-    monkeypatch.setattr(cli, "range_verdict", refuse)
     monkeypatch.setattr(rd, "range_verdict", refuse)
     for m, lam, semantics in ((6, 2, "Euler characteristic"), (6, 3, "multiplicity")):
         code, out = run(capsys, ["ktypes", "--m", str(m), "--lambda", str(lam), "--max-l", "1"])

@@ -72,8 +72,10 @@ class TestSparsePolynomial:
             SparsePolynomial(2, {(1,): 1})
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1})
+        with pytest.raises(ValueError):
+            SparsePolynomial(2, {(True, 1): 1})
 
-    @pytest.mark.parametrize("coefficient", [0.1, "1/3", Decimal("1"), 1j])
+    @pytest.mark.parametrize("coefficient", [0.1, "1/3", Decimal("1"), 1j, True])
     def test_rejects_coefficients_that_are_not_rational(self, coefficient):
         # 0.1 would otherwise become a Fraction with denominator 2^55
         with pytest.raises(ValueError, match="neither an int nor a Fraction"):
@@ -82,6 +84,14 @@ class TestSparsePolynomial:
     def test_keeps_coefficients_as_given(self):
         p = SparsePolynomial(2, {(1, 0): Q(5, 2), (0, 1): 3})
         assert [(c, type(c)) for c in p.terms.values()] == [(Q(5, 2), Q), (3, int)]
+
+    def test_stores_fixed_width_integers_as_ints(self):
+        # a numpy int64 is a numbers.Integral; kept as given, 2^62 * 40 * 39
+        # would wrap around to 0 and the Laplacian would come out zero
+        np = pytest.importorskip("numpy")
+        p = SparsePolynomial(1, {(40,): np.int64(2**62)})
+        assert type(p.terms[(40,)]) is int
+        assert laplacian(p).terms == {(38,): 2**62 * 40 * 39}
 
     def test_arithmetic(self):
         x, y = var(2, 0), var(2, 1)

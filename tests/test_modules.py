@@ -1,7 +1,8 @@
 """Every `lieball` module's `__all__` names only what the module defines, the
 slow references live with the tests, not in the package, the analytic route
-imports nothing of the algebraic one, and importing the CLI stays off the
-costly standard modules."""
+imports nothing of the algebraic one, importing the package or the CLI
+loads no route and stays off the costly standard modules, and each
+subcommand loads only the route it runs."""
 
 import ast
 import importlib
@@ -87,13 +88,50 @@ def test_verify_calls_no_inversion_set(monkeypatch):
     assert ok, checks
 
 
-def test_cli_import_loads_neither_dataclasses_nor_json():
-    # -S keeps whatever site loads (a .pth file, say) out of the check
+def modules_after(statement):
+    """The names in sys.modules once `statement` has run in a fresh
+    interpreter; -S keeps whatever site loads (a .pth file, say) out of it."""
     src = Path(lieball.__file__).resolve().parent.parent
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import lieball.cli; "
-        "print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
-    )
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); {statement}; print(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_neither_dataclasses_nor_json():
+    assert {"dataclasses", "json"} & modules_after("import lieball.cli") == set()
+
+
+def test_package_import_loads_no_submodule():
+    assert [m for m in modules_after("import lieball") if m.startswith("lieball.")] == []
+
+
+ROUTE_MODULES = {"lieball.weyl", "lieball.kostant", "lieball.blattner", "lieball.harmonic"}
+
+
+@pytest.mark.parametrize("statement, loaded, unloaded", [
+    ("import lieball.cli", set(),
+     ROUTE_MODULES | {"lieball.repdata", "fractions", "decimal"}),
+    # the analytic route alone: no Euler-sum module, and no Fraction built
+    ("from lieball.cli import main; main(['harmonic', '--m', '4', '--max-l', '16'])",
+     {"lieball.harmonic", "lieball.repdata"},
+     ROUTE_MODULES - {"lieball.harmonic"} | {"fractions", "decimal"}),
+    ("from lieball.cli import main; main(['ktypes', '--m', '3'])",
+     {"lieball.blattner"}, {"lieball.harmonic"}),
+], ids=["cli", "harmonic", "ktypes"])
+def test_each_entry_point_loads_only_what_it_runs(statement, loaded, unloaded):
+    modules = modules_after(statement)
+    assert loaded <= modules
+    assert unloaded & modules == set()
+
+
+def test_package_names_resolve_lazily():
+    for name in lieball.__all__:
+        value = getattr(lieball, name)
+        assert value.__module__.startswith("lieball.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    namespace = {}
+    exec("from lieball import *", namespace)
+    assert set(lieball.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="nope"):
+        lieball.nope
