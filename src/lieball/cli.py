@@ -16,7 +16,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 __all__ = ["main"]
 
 WEYL_ENUMERATION_BOUND = 8
-DEFAULT_MAX_L = 6
 VERIFY_GRID_BOUND = 4
 VERIFY_VERMA_DEGREES = 5
 VERIFY_EQUIVARIANCE_TRIALS = 15
@@ -413,29 +412,6 @@ def _rational(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from None
 
 
-def _add_common(sub: argparse.ArgumentParser, *, with_m=True, with_lambda=False,
-                with_max_l=False, max_l_default=DEFAULT_MAX_L, with_seed=False) -> None:
-    if with_m:
-        sub.add_argument("--m", type=int, required=True, help="rank parameter m >= 2")
-    if with_lambda:
-        sub.add_argument(
-            "--lambda", dest="lam", type=_rational, default=None,
-            help="scalar parameter (default m-1)",
-        )
-    if with_max_l:
-        sub.add_argument(
-            "--max-l", dest="max_l", type=_nonnegative_int, default=max_l_default,
-            help=f"largest symmetric-power degree (default {max_l_default})",
-        )
-    if with_seed:
-        sub.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    sub.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default text)",
-    )
-    sub.add_argument("--out", default=None, help="write output to this path")
-
-
 class _SubcommandParser(argparse.ArgumentParser):
     """A subcommand's parser that reads `--lambda -3/2` as `--lambda=-3/2`,
     and likewise for --nu and --z.
@@ -467,50 +443,56 @@ class _SubcommandParser(argparse.ArgumentParser):
         return super().parse_known_args(out, namespace)
 
 
+# Each flag once: its add_argument keywords under its option string, or under
+# the option string, ':' and a name, for a variant of the flag.
+_FLAGS = {
+    "--m": dict(type=int, required=True, help="rank parameter m >= 2"),
+    "--n": dict(type=int, required=True, help="rank parameter n >= 4"),
+    "--z": dict(type=_rational, required=True, help="lowest-weight parameter"),
+    "--lambda": dict(dest="lam", type=_rational, default=None,
+                     help="scalar parameter (default m-1)"),
+    "--lambda:residue": dict(dest="lam", type=_rational, default=None,
+                             help="also report the residual operator degree at this parameter"),
+    "--nu": dict(type=_rational, default=None, help="second scalar parameter"),
+    "--max-l": dict(dest="max_l", type=_nonnegative_int, default=6,
+                    help="largest symmetric-power degree (default %(default)s)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--format": dict(choices=("text", "json", "csv"), default="text",
+                     help="output format (default text)"),
+    "--out": dict(default=None, help="write output to this path"),
+}
+_FLAGS["--max-l:verma"] = {**_FLAGS["--max-l"], "default": 5}
+
+# Each subcommand: its name, help, handler and flags in usage order.
+_SUBCOMMANDS = (
+    ("ktypes", "K-type table from the Euler sum", cmd_ktypes,
+     "--m --lambda --max-l --format --out"),
+    ("harmonic", "K-type table from the Laplacian kernel", cmd_harmonic,
+     "--m --max-l --format --out"),
+    ("verify", "cross-check the two K-type tables", cmd_verify,
+     "--m --max-l --seed --format --out"),
+    ("weyl", "list the minimal coset representatives", cmd_weyl,
+     "--m --format --out"),
+    ("ranges", "weakly fair and good range verdicts", cmd_ranges,
+     "--m --lambda --format --out"),
+    ("verma", "scalar generalized Verma homomorphisms", cmd_verma,
+     "--m --lambda --max-l:verma --format --out --nu"),
+    ("ehw", "scalar lowest-weight unitarizability window", cmd_ehw,
+     "--n --z --lambda:residue --format --out"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieball",
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
-    subs = parser.add_subparsers(
-        dest="command", required=True, parser_class=_SubcommandParser
-    )
-
-    p = subs.add_parser("ktypes", help="K-type table from the Euler sum")
-    _add_common(p, with_lambda=True, with_max_l=True)
-    p.set_defaults(func=cmd_ktypes, parser=p)
-
-    p = subs.add_parser("harmonic", help="K-type table from the Laplacian kernel")
-    _add_common(p, with_max_l=True)
-    p.set_defaults(func=cmd_harmonic, parser=p)
-
-    p = subs.add_parser("verify", help="cross-check the two K-type tables")
-    _add_common(p, with_max_l=True, with_seed=True)
-    p.set_defaults(func=cmd_verify, parser=p)
-
-    p = subs.add_parser("weyl", help="list the minimal coset representatives")
-    _add_common(p)
-    p.set_defaults(func=cmd_weyl, parser=p)
-
-    p = subs.add_parser("ranges", help="weakly fair and good range verdicts")
-    _add_common(p, with_lambda=True)
-    p.set_defaults(func=cmd_ranges, parser=p)
-
-    p = subs.add_parser("verma", help="scalar generalized Verma homomorphisms")
-    _add_common(p, with_lambda=True, with_max_l=True, max_l_default=5)
-    p.add_argument("--nu", type=_rational, default=None, help="second scalar parameter")
-    p.set_defaults(func=cmd_verma, parser=p)
-
-    p = subs.add_parser("ehw", help="scalar lowest-weight unitarizability window")
-    p.add_argument("--n", type=int, required=True, help="rank parameter n >= 4")
-    p.add_argument("--z", type=_rational, required=True, help="lowest-weight parameter")
-    p.add_argument(
-        "--lambda", dest="lam", type=_rational, default=None,
-        help="also report the residual operator degree at this parameter",
-    )
-    _add_common(p, with_m=False)
-    p.set_defaults(func=cmd_ehw, parser=p)
-
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, help_, func, flags in _SUBCOMMANDS:
+        p = subs.add_parser(name, help=help_)
+        for flag in flags.split():
+            p.add_argument(flag.partition(":")[0], **_FLAGS[flag])
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
