@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["main"]
 
@@ -43,15 +43,16 @@ def _cell(x) -> str:
 
 
 class Report(NamedTuple):
-    """What one subcommand reports, in each output format.
+    """What one subcommand reports: a builder per output format, called with
+    no arguments, so that only the format asked for is built.
 
-    text holds the lines of the text format, rows the CSV rows (header
+    text builds the lines of the text format, rows the CSV rows (header
     first), payload the JSON document; code is the exit code.
     """
 
-    text: List[str]
-    rows: List[list]
-    payload: dict
+    text: Callable[[], List[str]]
+    rows: Callable[[], List[list]]
+    payload: Callable[[], dict]
     code: int = 0
 
 
@@ -59,28 +60,24 @@ def render(report: Report, fmt: str) -> str:
     """The report in one --format: text, json or csv."""
     if fmt == "json":
         import json
-        return json.dumps(report.payload, indent=2) + "\n"
+        return json.dumps(report.payload(), indent=2) + "\n"
     if fmt == "csv":
-        lines = [",".join(_cell(c) for c in row) for row in report.rows]
+        lines = [",".join(_cell(c) for c in row) for row in report.rows()]
     else:
-        lines = report.text
+        lines = report.text()
     return "\n".join(lines) + "\n"
 
 
-def _table_report(table: KTypeTable, text: List[str]) -> Report:
+def _table_report(table: KTypeTable, text: Callable[[], List[str]]) -> Report:
     """A K-type table in the JSON and CSV layout shared by ktypes and harmonic."""
     entries = table.sorted_entries()
     header = ["mu0", *(f"mu_{i}" for i in range(1, table.m + 1)), "mult"]
     return Report(
-        text=text,
-        rows=[header, *([pi.mu0, *pi.mu, mult] for pi, mult in entries)],
-        payload={
-            "m": table.m,
-            "lambda": table.lam,
-            "entries": [
-                {"mu0": pi.mu0, "mu": list(pi.mu), "mult": mult} for pi, mult in entries
-            ],
-        },
+        text,
+        lambda: [header, *([pi.mu0, *pi.mu, mult] for pi, mult in entries)],
+        lambda: {"m": table.m, "lambda": table.lam, "entries": [
+            {"mu0": pi.mu0, "mu": list(pi.mu), "mult": mult} for pi, mult in entries
+        ]},
     )
 
 
@@ -106,7 +103,7 @@ def cmd_ktypes(args, parser) -> Report:
     lam = _integer_lambda(args, parser)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
     semantics = "multiplicity" if weakly_fair(args.m, lam) else "Euler characteristic"
-    return _table_report(table, [
+    return _table_report(table, lambda: [
         f"K-type table  m={table.m}  lambda={table.lam}  ({semantics})",
         f"window: mu0 <= {table.max_mu0}, mu1 <= {table.max_mu1}",
         "mu0  mu  mult",
@@ -119,15 +116,13 @@ def cmd_harmonic(args, parser) -> Report:
     from .harmonic import sol_ktype_table
     _check_m(parser, args.m)
     table = sol_ktype_table(args.m, args.max_l)
-    lines = [
+    return _table_report(table, lambda: [
         f"harmonic kernel K-types  m={args.m}  lambda={args.m - 1}",
         "mu0  mu  mult  kernel_dim  weyl_dim",
-    ]
-    for pi, mult in table.sorted_entries():
-        kd, wd = table.dims[pi]
-        lines.append(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}  {kd}  {wd}")
-    lines.append(f"certified rows: {len(table.entries)}")
-    return _table_report(table, lines)
+        *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}  " + "  ".join(map(str, table.dims[pi]))
+          for pi, mult in table.sorted_entries()),
+        f"certified rows: {len(table.entries)}",
+    ])
 
 
 def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
@@ -214,51 +209,51 @@ def cmd_verify(args, parser) -> Report:
     _check_m(parser, args.m)
     checks, ok = _verify_checks(args.m, args.max_l, args.seed)
     passed = sum(1 for c in checks if c["pass"])
-    text = [
-        f"verification report  m={args.m}  lambda={args.m - 1}  "
-        f"max_l={args.max_l}  seed={args.seed}",
-        *(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: {c['detail']}" for c in checks),
-        f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})",
-    ]
-    # The CSV detail is always quoted: it holds commas.
-    rows = [["check", "pass", "detail"]]
-    rows += [[c["name"], c["pass"], '"' + c["detail"].replace('"', '""') + '"'] for c in checks]
-    payload = {
-        "m": args.m,
-        "lambda": args.m - 1,
-        "max_l": args.max_l,
-        "seed": args.seed,
-        "checks": checks,
-        "pass": ok,
-    }
-    return Report(text, rows, payload, code=0 if ok else 1)
+    return Report(
+        lambda: [
+            f"verification report  m={args.m}  lambda={args.m - 1}  "
+            f"max_l={args.max_l}  seed={args.seed}",
+            *(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: {c['detail']}" for c in checks),
+            f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})",
+        ],
+        # The CSV detail is always quoted: it holds commas.
+        lambda: [
+            ["check", "pass", "detail"],
+            *([c["name"], c["pass"], '"' + c["detail"].replace('"', '""') + '"'] for c in checks),
+        ],
+        lambda: {"m": args.m, "lambda": args.m - 1, "max_l": args.max_l, "seed": args.seed,
+                 "checks": checks, "pass": ok},
+        code=0 if ok else 1,
+    )
 
 
 def cmd_weyl(args, parser) -> Report:
     from .weyl import enumerate_coset_reps, inversion_set, length, one_line_window
     _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
     reps = enumerate_coset_reps(args.m)
+    elements = [
+        {"index": idx, "length": length(w), "window": list(one_line_window(w)),
+         "inversions": [list(alpha) for alpha in inversion_set(w)]}
+        for idx, w in enumerate(reps)
+    ]
     header = ["index", "length", "window", "inversions"]
-    text = [f"coset representatives  m={args.m}  count={len(reps)}", "  ".join(header)]
-    rows = [header]
-    elements = []
-    for idx, w in enumerate(reps):
-        window = list(one_line_window(w))
-        inversions = [list(alpha) for alpha in inversion_set(w)]
-        elements.append(
-            {"index": idx, "length": length(w), "window": window, "inversions": inversions}
-        )
-        # Text writes a root as (1,1,0) and the window as a tuple; CSV uses
-        # spaces inside a cell and ';' between roots.
-        invs = " ".join("(" + ",".join(map(str, a)) + ")" for a in inversions) or "-"
-        text.append(f"{idx}  {length(w)}  {_fmt_weight(window)}  {invs}")
-        rows.append([
-            idx,
-            length(w),
-            " ".join(map(str, window)),
-            ";".join(" ".join(map(str, a)) for a in inversions),
-        ])
-    return Report(text, rows, {"m": args.m, "count": len(reps), "elements": elements})
+    # Text writes a root as (1,1,0) and the window as a tuple; CSV uses
+    # spaces inside a cell and ';' between roots.
+    return Report(
+        lambda: [
+            f"coset representatives  m={args.m}  count={len(reps)}",
+            "  ".join(header),
+            *(f"{e['index']}  {e['length']}  {_fmt_weight(e['window'])}  "
+              + (" ".join("(" + ",".join(map(str, a)) + ")" for a in e["inversions"]) or "-")
+              for e in elements),
+        ],
+        lambda: [header, *(
+            [e["index"], e["length"], " ".join(map(str, e["window"])),
+             ";".join(" ".join(map(str, a)) for a in e["inversions"])]
+            for e in elements
+        )],
+        lambda: {"m": args.m, "count": len(reps), "elements": elements},
+    )
 
 
 def _witnesses_json(m: int, witnesses) -> List[dict]:
@@ -276,41 +271,47 @@ def cmd_ranges(args, parser) -> Report:
     verdict = range_verdict(args.m, lam)
     chi = inf_char(args.m, lam)
     regular = is_regular_type_d(chi)
-    text = [f"range verdict  m={args.m}  lambda={lam}"]
-    for name, holds, witnesses in (
-        ("weakly_fair", verdict.weakly_fair, verdict.weakly_fair_witnesses),
-        ("good", verdict.good, verdict.good_witnesses),
-    ):
-        text.append(f"{name}: {_cell(holds)}")
-        text += [
-            f"  violated: <shift, {_fmt_weight(root_vector(args.m + 1, root))}> = {p}"
-            for root, p in witnesses
-        ]
-    text.append(
-        f"infinitesimal character: {_fmt_weight(chi)} "
-        f"({'regular' if regular else 'singular'})"
+
+    def text() -> List[str]:
+        lines = [f"range verdict  m={args.m}  lambda={lam}"]
+        for name, holds, witnesses in (
+            ("weakly_fair", verdict.weakly_fair, verdict.weakly_fair_witnesses),
+            ("good", verdict.good, verdict.good_witnesses),
+        ):
+            lines.append(f"{name}: {_cell(holds)}")
+            lines += [
+                f"  violated: <shift, {_fmt_weight(root_vector(args.m + 1, root))}> = {p}"
+                for root, p in witnesses
+            ]
+        lines.append(
+            f"infinitesimal character: {_fmt_weight(chi)} "
+            f"({'regular' if regular else 'singular'})"
+        )
+        return lines
+
+    return Report(
+        text,
+        lambda: [
+            ["field", "value"],
+            ["m", args.m],
+            ["lambda", lam],
+            ["weakly_fair", verdict.weakly_fair],
+            ["good", verdict.good],
+            ["weakly_fair_violations", len(verdict.weakly_fair_witnesses)],
+            ["good_violations", len(verdict.good_witnesses)],
+            ["inf_char_regular", regular],
+        ],
+        lambda: {
+            "m": args.m,
+            "lambda": lam,
+            "weakly_fair": verdict.weakly_fair,
+            "good": verdict.good,
+            "weakly_fair_witnesses": _witnesses_json(args.m, verdict.weakly_fair_witnesses),
+            "good_witnesses": _witnesses_json(args.m, verdict.good_witnesses),
+            "inf_char": [_json_q(c) for c in chi],
+            "inf_char_regular": regular,
+        },
     )
-    rows = [
-        ["field", "value"],
-        ["m", args.m],
-        ["lambda", lam],
-        ["weakly_fair", verdict.weakly_fair],
-        ["good", verdict.good],
-        ["weakly_fair_violations", len(verdict.weakly_fair_witnesses)],
-        ["good_violations", len(verdict.good_witnesses)],
-        ["inf_char_regular", regular],
-    ]
-    payload = {
-        "m": args.m,
-        "lambda": lam,
-        "weakly_fair": verdict.weakly_fair,
-        "good": verdict.good,
-        "weakly_fair_witnesses": _witnesses_json(args.m, verdict.weakly_fair_witnesses),
-        "good_witnesses": _witnesses_json(args.m, verdict.good_witnesses),
-        "inf_char": [_json_q(c) for c in chi],
-        "inf_char_regular": regular,
-    }
-    return Report(text, rows, payload)
 
 
 def _verma_pair(m: int, lam, nu) -> dict:
@@ -334,25 +335,29 @@ def cmd_verma(args, parser) -> Report:
         pair = _verma_pair(args.m, args.lam, args.nu)
         l, consistent = pair["degree"], pair["orbit_equal"]
         params = f"(lambda, nu) = ({args.lam}, {args.nu})"
-        text = (
-            f"no homomorphism for {params}"
-            if l is None
-            else f"homomorphism of degree {l} for {params}; orbit_equal={_cell(consistent)}"
+        return Report(
+            lambda: [
+                f"no homomorphism for {params}"
+                if l is None
+                else f"homomorphism of degree {l} for {params}; orbit_equal={_cell(consistent)}"
+            ],
+            lambda: [list(pair), list(pair.values())],
+            lambda: {"m": args.m, "lambda": _json_q(args.lam), "nu": _json_q(args.nu),
+                     "degree": l, "orbit_equal": consistent},
         )
-        payload = {
-            "m": args.m,
-            "lambda": _json_q(args.lam),
-            "nu": _json_q(args.nu),
-            "degree": l,
-            "orbit_equal": consistent,
-        }
-        return Report([text], [list(pair), list(pair.values())], payload)
     pairs = [
         {"l": l, **_verma_pair(args.m, args.m - l, args.m + l)} for l in range(args.max_l + 1)
     ]
-    rows = [list(pairs[0]), *(list(r.values()) for r in pairs)]
-    text = [f"scalar Verma homomorphisms  m={args.m}", *("  ".join(map(_cell, r)) for r in rows)]
-    return Report(text, rows, {"m": args.m, "pairs": pairs})
+
+    def rows() -> List[list]:
+        return [list(pairs[0]), *(list(r.values()) for r in pairs)]
+
+    return Report(
+        lambda: [f"scalar Verma homomorphisms  m={args.m}",
+                 *("  ".join(map(_cell, r)) for r in rows())],
+        rows,
+        lambda: {"m": args.m, "pairs": pairs},
+    )
 
 
 def cmd_ehw(args, parser) -> Report:
@@ -363,31 +368,40 @@ def cmd_ehw(args, parser) -> Report:
     a = ehw_first_reduction_point(args.n)
     b = ehw_last_unitary_point(args.n)
     unit = ehw_unitarizable(args.n, args.z)
-    text = [
-        f"scalar lowest-weight unitarizability  n={args.n}  z={args.z}",
-        f"first reduction point: {a}",
-        f"last unitary point: {b}",
-        f"unitarizable: {_cell(unit)}",
-    ]
-    payload = {
-        "n": args.n,
-        "z": _json_q(args.z),
-        "unitarizable": unit,
-        "first_reduction_point": _json_q(a),
-        "last_unitary_point": _json_q(b),
-    }
     if args.lam is not None:
         if args.n % 2 != 0:
             parser.error("--lambda requires even --n for the residue degree")
         ks_degree = knapp_stein_residue_degree(args.n, args.lam)
-        text.append(
-            f"no residual operator at lambda={args.lam}"
-            if ks_degree is None
-            else f"residual operator at lambda={args.lam}: Laplacian power {ks_degree}"
-        )
-        payload.update({"lambda": _json_q(args.lam), "residue_degree": ks_degree})
+
+    def text() -> List[str]:
+        lines = [
+            f"scalar lowest-weight unitarizability  n={args.n}  z={args.z}",
+            f"first reduction point: {a}",
+            f"last unitary point: {b}",
+            f"unitarizable: {_cell(unit)}",
+        ]
+        if args.lam is not None:
+            lines.append(
+                f"no residual operator at lambda={args.lam}"
+                if ks_degree is None
+                else f"residual operator at lambda={args.lam}: Laplacian power {ks_degree}"
+            )
+        return lines
+
+    def payload() -> dict:
+        out = {
+            "n": args.n,
+            "z": _json_q(args.z),
+            "unitarizable": unit,
+            "first_reduction_point": _json_q(a),
+            "last_unitary_point": _json_q(b),
+        }
+        if args.lam is not None:
+            out.update({"lambda": _json_q(args.lam), "residue_degree": ks_degree})
+        return out
+
     # A rational renders alike in both formats, so the CSV row is the payload.
-    return Report(text, [list(payload), list(payload.values())], payload)
+    return Report(text, lambda: [list(payload()), list(payload().values())], payload)
 
 
 def _nonnegative_int(raw: str) -> int:

@@ -149,6 +149,19 @@ def test_ktypes_heading_builds_no_range_verdict(capsys, monkeypatch):
         assert f"K-type table  m={m}  lambda={lam}  ({semantics})" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_ranges_builds_only_the_format_printed(capsys, monkeypatch, fmt):
+    import lieball.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the JSON witnesses were built for --format " + fmt)
+
+    monkeypatch.setattr(cli, "_witnesses_json", refuse)
+    code, out = run(capsys, ["ranges", "--m", "3", "--lambda", "0", "--format", fmt])
+    assert code == 0
+    assert ("weakly_fair: false" if fmt == "text" else "weakly_fair_violations,6") in out
+
+
 def test_out_writes_identical_bytes(capsys, tmp_path):
     target = tmp_path / "table.json"
     code, out = run(capsys, ["ktypes", "--m", "2", "--format", "json"])
