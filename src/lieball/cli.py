@@ -348,14 +348,10 @@ def cmd_verma(args, parser) -> Report:
     pairs = [
         {"l": l, **_verma_pair(args.m, args.m - l, args.m + l)} for l in range(args.max_l + 1)
     ]
-
-    def rows() -> List[list]:
-        return [list(pairs[0]), *(list(r.values()) for r in pairs)]
-
     return Report(
-        lambda: [f"scalar Verma homomorphisms  m={args.m}",
-                 *("  ".join(map(_cell, r)) for r in rows())],
-        rows,
+        lambda: [f"scalar Verma homomorphisms  m={args.m}", "  ".join(pairs[0]),
+                 *("  ".join(map(_cell, r.values())) for r in pairs)],
+        lambda: [list(pairs[0]), *(list(r.values()) for r in pairs)],
         lambda: {"m": args.m, "pairs": pairs},
     )
 
@@ -389,13 +385,8 @@ def cmd_ehw(args, parser) -> Report:
         return lines
 
     def payload() -> dict:
-        out = {
-            "n": args.n,
-            "z": _json_q(args.z),
-            "unitarizable": unit,
-            "first_reduction_point": _json_q(a),
-            "last_unitary_point": _json_q(b),
-        }
+        out = {"n": args.n, "z": _json_q(args.z), "unitarizable": unit,
+               "first_reduction_point": _json_q(a), "last_unitary_point": _json_q(b)}
         if args.lam is not None:
             out.update({"lambda": _json_q(args.lam), "residue_degree": ks_degree})
         return out

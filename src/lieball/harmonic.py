@@ -6,9 +6,10 @@ Kernel dimensions in n = 2m variables are certified one block shape at a
 time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
 and where the block of w has entries depends only on k = l − |w|₁.  A row or
-column of that shape is a monomial in m variables, walked as the multiset of
+column of that shape is a monomial in m variables, held as the multiset of
 its variable indices.  So the rank is certified once per k, by one witness
-column per row, and counted once for every weight with that k.  Every row
+column per row, checked once per order type of the column, and counted once
+for every weight with that k.  Every row
 of the resulting K-type table, the analytic counterpart of the algebraic
 Euler-sum table, is then checked to be the expected SO(2m) constituent: the
 kernel holds its highest-weight vector u_1^l and has its Weyl dimension.  No
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations
 from math import comb
 from numbers import Integral, Rational
 from typing import Dict, Iterator, Tuple
@@ -165,18 +166,22 @@ def _column_rows(t: Multiset) -> Iterator[Tuple[int, Multiset]]:
 @lru_cache(maxsize=None)
 def _shape_kernel_dimension(m: int, s: int) -> int:
     """Certified kernel dimension of every weight block of Pol^l in 2m
-    variables with l − |w|₁ = 2s: each row r, walked once, must be the
-    largest row of its witness column (0,) + r under the support rule."""
+    variables with l − |w|₁ = 2s, its witnesses checked once per order type
+    (see `harmonic_dimension`)."""
     rows = 0
-    for r in combinations_with_replacement(range(m), s - 1) if s else ():
-        t = (0,) + r
-        if max((row for _, row in _column_rows(t)), default=None) != r:
-            row, column = (tuple(u.count(j) for j in range(m)) for u in (r, t))
-            raise CertificationError(
-                f"row {row} is not the last row of its witness column {column} in the "
-                f"k={2 * s} shape for n={2 * m}"
-            )
-        rows += 1
+    for k in range(1, min(m, s) + 1):
+        count = comb(m - 1, k - 1)  # the rows of each order type with k runs
+        for cuts in combinations(range(1, s), k - 1):
+            t = ()
+            for v, (a, b) in enumerate(zip((0,) + cuts, cuts + (s,))):
+                t += (v,) * (b - a)
+            if max((row for _, row in _column_rows(t)), default=None) != t[1:]:
+                row, column = (tuple(u.count(j) for j in range(m)) for u in (t[1:], t))
+                raise CertificationError(
+                    f"row {row} is not the last row of its witness column {column} in the "
+                    f"k={2 * s} shape for n={2 * m}"
+                )
+            rows += count
     return polynomial_space_dimension(m, s) - rows
 
 
@@ -207,15 +212,19 @@ def harmonic_dimension(n: int, l: int) -> int:
     4.  Every entry is a positive integer, so every block with this s has
     nonzero entries exactly where the shape places them.
 
-    The certificate walks the rows r once, in increasing lexicographic
-    order.  The witness of row r is column (0,) + r, and the support rule
-    must make r its last row, the lexicographically largest (the column
-    with its smallest index removed).  The witnesses, with pairwise distinct
-    last rows, are independent, so the rank is the row count and the kernel
+    The witness of row r is column t = (0,) + r, and the support rule must
+    make r its last row, the lexicographically largest (the column with its
+    smallest index removed).  The witnesses, with pairwise distinct last
+    rows, are independent, so the rank is the row count and the kernel
     dimension is C(m + s − 1, s) minus it, for each of the
-    `_weight_count(m, l − 2s)` weights with this s.  So the check can catch
-    a wrong support rule or a wrong witness rule; the column count is the
-    closed form.
+    `_weight_count(m, l − 2s)` weights with this s.  Whether r passes
+    depends only on the order type of t, the sizes c of its k ≤ m runs of
+    equal indices: lexicographic order and the support rule commute with
+    order-preserving relabellings, and 0 is the smallest index.  So each
+    composition c of s is checked once, on t = (0^c1, 1^c2, ..., (k−1)^ck),
+    and stands for the C(m − 1, k − 1) rows with that order type; by
+    Vandermonde's identity these sum to the C(m + s − 2, s − 1) rows.  A
+    wrong support or witness rule fails on a named row and column.
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for

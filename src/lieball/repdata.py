@@ -14,6 +14,7 @@ in type D.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
@@ -145,10 +146,10 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
     The product of ⟨μ+ρ_c, α⟩ / ⟨ρ_c, α⟩ over the positive roots
     {e_i ± e_j : i < j}, taken a pair at a time: with r = μ + ρ_c and
     ρ_c = (m−1, ..., 1, 0), the pair i < j gives
-    (r_i − r_j)(r_i + r_j) / ((ρ_i − ρ_j)(ρ_i + ρ_j)).  The zeros of a
-    dominant μ come last, and a pair of them gives 1, so only the pairs
+    (r_i − r_j)(r_i + r_j) / ((ρ_i − ρ_j)(ρ_i + ρ_j)), cancelled as it goes.
+    A pair of the zeros that end a dominant μ gives 1, so only the pairs
     i < j with μ_i ≠ 0 are multiplied.  Always a positive integer for
-    dominant μ.
+    dominant μ; a μ that is not half-integral raises ArithmeticError.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -156,9 +157,11 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
         raise ValueError("weight rank does not match m")
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
-    # Doubled, so that half-integral (spin) weights stay integral.
+    # Doubled, so that half-integral (spin) weights are ints.
+    if any(2 * c != int(2 * c) for c in mu):
+        raise ArithmeticError(f"{mu} is not half-integral")
     rho = [2 * (m - 1 - i) for i in range(m)]
-    r = [2 * c + p for c, p in zip(mu, rho)]
+    r = [int(2 * c) + p for c, p in zip(mu, rho)]
     num = den = 1
     for i in range(m):
         if not mu[i]:
@@ -166,10 +169,11 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
         for j in range(i + 1, m):
             num *= (r[i] - r[j]) * (r[i] + r[j])
             den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
-    dim, rest = divmod(num, den)
-    if rest or dim <= 0:
+            g = gcd(num, den)
+            num, den = num // g, den // g
+    if den != 1 or num <= 0:
         raise ArithmeticError(f"Weyl dimension came out as {num}/{den}")
-    return dim
+    return num
 
 
 def inf_char(m: int, lam: object) -> Weight:

@@ -9,9 +9,11 @@ replaced, or that they are checked against, live here:
   full Laplacian matrix and over each weight block;
 - `Polynomial` and `partial`, the polynomial ring the tests build their
   inputs and the product-form generator with;
-- the dense walk over exponent vectors (`compositions`, the support rule
-  `dense_column_rows` and the witness walk `dense_shape_kernel_dimension`),
-  against which the multiset walk is checked shape by shape;
+- the per-row witness walk over index multisets,
+  `multiset_shape_kernel_dimension`, which the walk over order types is
+  checked against shape by shape, and the dense walk over exponent vectors
+  (`compositions`, the support rule `dense_column_rows` and
+  `dense_shape_kernel_dimension`), which the multiset walk is checked against;
 - `negative_pairs`, the double-loop count behind the sign of a
   straightened Euler-sum term;
 - the full matrix over the z-monomials (`monomial_exponents`,
@@ -26,11 +28,11 @@ Everything is exact; nothing here is fast.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import product
-from math import gcd
+from itertools import combinations_with_replacement, product
+from math import comb, gcd
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from lieball.harmonic import Exponents, SparsePolynomial, Weight
+from lieball.harmonic import Exponents, SparsePolynomial, Weight, _column_rows
 
 Vector = Dict[int, int]
 # One block column: its label b' and the (row, j) of each 4 a_j b_j entry.
@@ -154,6 +156,21 @@ def partial(f: SparsePolynomial, i: int) -> Polynomial:
     return Polynomial(f.nvars, out)
 
 
+# --- The per-row walk over index multisets -----------------------------------
+
+
+def multiset_shape_kernel_dimension(m: int, s: int) -> int:
+    """`harmonic._shape_kernel_dimension` one row at a time: each row r, a
+    nondecreasing tuple of s − 1 indices, must be the largest row of its
+    witness column (0,) + r under the package's support rule."""
+    rows = 0
+    for r in combinations_with_replacement(range(m), s - 1) if s else ():
+        t = (0,) + r
+        assert max((row for _, row in _column_rows(t)), default=None) == r, (r, t)
+        rows += 1
+    return comb(m + s - 1, s) - rows
+
+
 # --- The dense walk over compositions ----------------------------------------
 
 
@@ -185,7 +202,7 @@ def dense_column_rows(t: Exponents) -> Iterator[Tuple[int, Exponents]]:
 
 
 def dense_shape_kernel_dimension(m: int, s: int) -> int:
-    """`harmonic._shape_kernel_dimension` on exponent vectors: each row r of
+    """`multiset_shape_kernel_dimension` on exponent vectors: each row r of
     degree s − 1 must be the last row, in decreasing lexicographic order, of
     its witness column r + e_1.  The column count is counted, too."""
     rows = 0

@@ -36,6 +36,7 @@ from oracles import (
     exact_kernel,
     laplacian_columns,
     monomial_exponents,
+    multiset_shape_kernel_dimension,
     partial,
     weight_blocks,
 )
@@ -269,18 +270,24 @@ def multiset(t):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_multiset_walk_is_the_dense_walk(m):
+    for s in range(9):
+        assert multiset_shape_kernel_dimension(m, s) == dense_shape_kernel_dimension(m, s)
+        # increasing lexicographic order on index multisets is decreasing
+        # lexicographic order on exponent vectors
+        rows = combinations_with_replacement(range(m), s - 1) if s else ()
+        assert list(rows) == [multiset(r) for r in compositions(m, s - 1)]
+        for t in compositions(m, s):
+            assert list(hm._column_rows(multiset(t))) == [
+                (j, multiset(row)) for j, row in dense_column_rows(t)
+            ]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_order_type_walk_is_the_row_walk(m):
     clear_caches()
     try:
-        for s in range(9):
-            assert hm._shape_kernel_dimension(m, s) == dense_shape_kernel_dimension(m, s)
-            # increasing lexicographic order on index multisets is decreasing
-            # lexicographic order on exponent vectors
-            rows = combinations_with_replacement(range(m), s - 1) if s else ()
-            assert list(rows) == [multiset(r) for r in compositions(m, s - 1)]
-            for t in compositions(m, s):
-                assert list(hm._column_rows(multiset(t))) == [
-                    (j, multiset(row)) for j, row in dense_column_rows(t)
-                ]
+        for s in range(10):
+            assert hm._shape_kernel_dimension(m, s) == multiset_shape_kernel_dimension(m, s)
     finally:
         clear_caches()
 
@@ -345,6 +352,28 @@ def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, m
         # dominant weight there is 0
         err = capsys.readouterr().err
         assert "block of weight w=(0, 0)" in err and f"k={k} shape" in err
+    finally:
+        clear_caches()
+
+
+def test_failed_order_type_names_its_realisation(monkeypatch):
+    # The support rule loses index 0 from columns with two or more distinct
+    # indices.  The order type (3) of the k=6 shape still passes; the next,
+    # (1, 2), fails on its realisation t = (0, 1, 1), whose last row is then
+    # (0, 1) rather than r = (1, 1).
+    column_rows = hm._column_rows
+    monkeypatch.setattr(
+        hm, "_column_rows",
+        lambda t: [(j, row) for j, row in column_rows(t) if j or len(set(t)) == 1],
+    )
+    clear_caches()
+    try:
+        with pytest.raises(
+            CertificationError,
+            match=r"^row \(0, 2, 0, 0\) is not the last row of its witness column "
+                  r"\(1, 2, 0, 0\) in the k=6 shape for n=8$",
+        ):
+            hm._shape_kernel_dimension(4, 3)
     finally:
         clear_caches()
 

@@ -1,6 +1,7 @@
 """Scalar representation arithmetic: dimensions, ranges, degeneracy points."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -81,6 +82,21 @@ class TestWeylDim:
     def test_half_spin(self):
         assert weyl_dim_so2m(3, (Q(1, 2), Q(1, 2), Q(1, 2))) == 4
         assert weyl_dim_so2m(3, (Q(1, 2), Q(1, 2), Q(-1, 2))) == 4
+
+    def test_large_rank(self):
+        for mu in ((4, 3, 3, 1) + (0,) * 76, (Q(3, 2),) * 79 + (Q(-1, 2),)):
+            assert weyl_dim_so2m(80, mu) == root_set_weyl_dim(80, mu)
+        # dim Pol^l - dim Pol^(l-2) in n = 2m variables
+        m, n = 20000, 40000
+        for l in (2, 5, 10):
+            mu = (l,) + (0,) * (m - 1)
+            assert weyl_dim_so2m(m, mu) == math.comb(n + l - 1, l) - math.comb(n + l - 3, l - 2)
+
+    def test_rejects_weights_that_are_not_half_integral(self):
+        # 2 * 3/4 is not an integer; truncated, it would read as the half-spin (1/2, 1/2)
+        for mu in ((Q(1, 3), Q(1, 3)), (Q(3, 4), Q(3, 4))):
+            with pytest.raises(ArithmeticError):
+                weyl_dim_so2m(2, mu)
 
     def test_trivial(self):
         assert weyl_dim_so2m(2, (0, 0)) == 1
