@@ -9,11 +9,11 @@ and where the block of w has entries depends only on k = l − |w|₁.  A row or
 column of that shape is a monomial in m variables, held as the multiset of
 its variable indices.  So the rank is certified once per k, by one witness
 column per row, checked once per order type of the column, and counted once
-for every weight with that k.  Every row
-of the resulting K-type table, the analytic counterpart of the algebraic
-Euler-sum table, is then checked to be the expected SO(2m) constituent: the
-kernel holds its highest-weight vector u_1^l and has its Weyl dimension.  No
-matrix is built, neither a weight's block nor the full one.
+for every weight with that k.  Every row of the resulting K-type table, the
+analytic counterpart of the algebraic Euler-sum table, is then checked to be
+the expected SO(2m) constituent: the kernel holds its highest-weight vector
+u_1^l and has its Weyl dimension.  No matrix is built, neither a weight's
+block nor the full one.
 """
 
 from __future__ import annotations
