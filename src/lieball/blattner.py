@@ -8,16 +8,16 @@ coincidences
 
 which matches degree-ℓ symmetric tensors of u∩p twisted by the bottom
 character.  The sum is an honest multiplicity inside the weakly fair range
-and an Euler characteristic otherwise.
+and an Euler characteristic otherwise.  At most one term is nonzero, and
+Bott's straightening of the target names it, so no group element is walked.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .kostant import LKTypeParam, _dominant_preimage, _shifted_weight
+from .kostant import LKTypeParam, _dominant_preimage
 from .repdata import KTypeParam, KTypeTable
-from .weyl import enumerate_coset_reps, length
 
 __all__ = [
     "mu_lambda",
@@ -61,10 +61,9 @@ def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
     """Multiplicity of the K-type pi in the scalar module with parameter λ.
 
     Zero whenever μ_0 < λ, since the charge pins the symmetric power degree
-    μ_0 − λ, which must be a nonnegative integer.  This is the forward
-    signed count over every coset representative, kept as the reference
-    for `ktype_table`, which reads the one nonzero term off the target by
-    straightening and walks no group element.
+    μ_0 − λ, which must be a nonnegative integer.  Otherwise read off the
+    target by straightening, as in `ktype_table`: the sign of its one
+    coset representative when its dominant preimage is μ, else 0.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -73,9 +72,8 @@ def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
     l = pi.mu0 - lam
     if l < 0:
         return 0
-    target = _target_hw(m, lam, l)
-    reps = enumerate_coset_reps(m)
-    return sum((-1) ** length(w) for w in reps if _shifted_weight(m, pi.mu, w) == target)
+    found = _dominant_preimage(m, _target_hw(m, lam, l))
+    return found[1] if found and found[0] == pi.mu else 0
 
 
 def dominant_mu_vectors(m: int, max_mu1: int) -> List[Tuple[int, ...]]:

@@ -32,7 +32,6 @@ __all__ = [
     "CertificationError",
     "polynomial_space_dimension",
     "laplacian",
-    "laplacian_power",
     "rotation_generator",
     "harmonic_dimension",
     "harmonic_dimension_formula",
@@ -127,14 +126,6 @@ def laplacian(f: SparsePolynomial) -> SparsePolynomial:
                 e2 = exps[:i] + (a - 2,) + exps[i + 1 :]
                 out[e2] = out.get(e2, 0) + c * a * (a - 1)
     return SparsePolynomial._trusted(f.nvars, out)
-
-
-def laplacian_power(f: SparsePolynomial, l: int) -> SparsePolynomial:
-    if l < 0:
-        raise ValueError("power must be nonnegative")
-    for _ in range(l):
-        f = laplacian(f)
-    return f
 
 
 def rotation_generator(f: SparsePolynomial, a: int, b: int) -> SparsePolynomial:

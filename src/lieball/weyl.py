@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import prod
 from typing import Iterator, Sequence, Tuple
 
 from .repdata import Root, _Record
@@ -20,10 +19,8 @@ __all__ = [
     "SignedPermutation",
     "inverse",
     "act",
-    "enumerate_group",
     "inversion_set",
     "length",
-    "is_coset_rep",
     "enumerate_coset_reps",
     "one_line_window",
 ]
@@ -84,20 +81,6 @@ def inverse(w: SignedPermutation) -> SignedPermutation:
     return SignedPermutation(tuple(q), signs)
 
 
-def enumerate_group(m: int) -> Iterator[SignedPermutation]:
-    """All of W(D_m): every permutation with every even sign vector.
-
-    No CLI path walks the whole group.  It stays because the acceptance gate
-    counts the coset representatives in it and the tests filter it as the
-    oracle for `enumerate_coset_reps`.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    for perm in itertools.permutations(range(m)):
-        for flips in itertools.product((1, -1), repeat=m - 1):
-            yield SignedPermutation(perm, flips + (prod(flips),))
-
-
 def _inversions(w: SignedPermutation) -> Iterator[Root]:
     """The roots α = e_i + σe_j (i < j) of Δ+(k) with w⁻¹α ∈ Δ−(k).
 
@@ -131,14 +114,6 @@ def inversion_set(w: SignedPermutation) -> Tuple[Tuple[int, ...], ...]:
 def length(w: SignedPermutation) -> int:
     """The size of the inversion set, counted on integers."""
     return sum(1 for _ in _inversions(w))
-
-
-def is_coset_rep(w: SignedPermutation) -> bool:
-    """True iff the inversion set of w lies inside the u∩k roots {e_i + e_j},
-    i.e. no inverted root is an e_i − e_j.  No CLI path calls it; it stays as
-    that filter in the acceptance gate and in the tests' coset oracle.
-    """
-    return all(sigma == 1 for _, _, sigma in _inversions(w))
 
 
 @lru_cache(maxsize=None)

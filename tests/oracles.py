@@ -20,7 +20,13 @@ replaced, or that they are checked against, live here:
   `laplacian_columns`) and the stream of every weight's block
   (`block_shape`, `weight_blocks`, `block_columns`);
 - the roots built as dense Fraction vectors (`dense_roots`, `half_sum`,
-  `dot`), against which the closed-form pairings are checked.
+  `dot`), against which the closed-form pairings are checked;
+- the whole Weyl group `enumerate_group` and the coset filter
+  `is_coset_rep`, which `enumerate_coset_reps` is checked against, and the
+  forward signed sum over every coset representative,
+  `forward_multiplicity`, which the straightened `multiplicity` and
+  `ktype_table` are checked against;
+- `laplacian_power`, `laplacian` applied l times.
 
 Everything is exact; nothing here is fast.
 """
@@ -28,11 +34,14 @@ Everything is exact; nothing here is fast.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, product
-from math import comb, gcd
+from itertools import combinations_with_replacement, permutations, product
+from math import comb, gcd, prod
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from lieball.harmonic import Exponents, SparsePolynomial, Weight, _column_rows
+from lieball.harmonic import Exponents, SparsePolynomial, Weight, _column_rows, laplacian
+from lieball.kostant import _shifted_weight
+from lieball.repdata import KTypeParam
+from lieball.weyl import SignedPermutation, _inversions, enumerate_coset_reps, length
 
 Vector = Dict[int, int]
 # One block column: its label b' and the (row, j) of each 4 a_j b_j entry.
@@ -319,3 +328,45 @@ def half_sum(roots, rank):
 
 def dot(a, b):
     return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
+
+
+# --- The whole Weyl group and the forward Euler sum ----------------------------
+
+
+def enumerate_group(m: int) -> Iterator[SignedPermutation]:
+    """All of W(D_m): every permutation with every even sign vector."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    for perm in permutations(range(m)):
+        for flips in product((1, -1), repeat=m - 1):
+            yield SignedPermutation(perm, flips + (prod(flips),))
+
+
+def is_coset_rep(w: SignedPermutation) -> bool:
+    """True iff the inversion set of w lies inside the u∩k roots {e_i + e_j},
+    i.e. no inverted root is an e_i − e_j."""
+    return all(sigma == 1 for _, _, sigma in _inversions(w))
+
+
+def forward_multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
+    """`blattner.multiplicity` as the signed count over every coset
+    representative w of the coincidences w(μ+ρ_c) − ρ_c = (l+λ−m+1,
+    λ−m+1, ..., λ−m+1), with l = μ_0 − λ; zero when l < 0."""
+    l = pi.mu0 - lam
+    if l < 0:
+        return 0
+    target = (l + lam - m + 1,) + (lam - m + 1,) * (m - 1)
+    reps = enumerate_coset_reps(m)
+    return sum((-1) ** length(w) for w in reps if _shifted_weight(m, pi.mu, w) == target)
+
+
+# --- Iterated Laplacians -------------------------------------------------------
+
+
+def laplacian_power(f: SparsePolynomial, l: int) -> SparsePolynomial:
+    """Δ^l f, one `laplacian` at a time."""
+    if l < 0:
+        raise ValueError("power must be nonnegative")
+    for _ in range(l):
+        f = laplacian(f)
+    return f

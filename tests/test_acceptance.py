@@ -17,7 +17,6 @@ from lieball.harmonic import (
     harmonic_dimension,
     harmonic_dimension_formula,
     laplacian,
-    laplacian_power,
     random_homogeneous,
     rotation_generator,
     so_invariance_check,
@@ -35,7 +34,8 @@ from lieball.repdata import (
     verma_inf_char,
     weyl_dim_so2m,
 )
-from lieball.weyl import act, enumerate_group, is_coset_rep
+from lieball.weyl import act
+from oracles import enumerate_group, is_coset_rep, laplacian_power
 
 
 def _line(n: int, desc: str, ok: bool) -> bool:

@@ -12,8 +12,12 @@ from lieball.blattner import (
     s_u_cap_p_component,
     unique_scalar_match_check,
 )
-from lieball.kostant import LKTypeParam
-from lieball.repdata import KTypeParam, KTypeTable
+import lieball.kostant as ks
+import lieball.weyl as wl
+from lieball.kostant import LKTypeParam, rho_c
+from lieball.repdata import KTypeParam, KTypeTable, is_dominant
+from lieball.weyl import act, enumerate_coset_reps, inverse
+from oracles import forward_multiplicity
 
 
 def test_mu_lambda():
@@ -68,10 +72,67 @@ def test_table_matches_forward_multiplicity(m):
         forward = {}
         for mu0 in range(lam, lam + max_l + 1):
             for mu in dominant_mu_vectors(m, max_l):
-                mult = multiplicity(m, lam, KTypeParam(mu0, mu))
+                mult = forward_multiplicity(m, lam, KTypeParam(mu0, mu))
                 if mult:
                     forward[KTypeParam(mu0, mu)] = mult
         assert table.entries == forward
+
+
+@st.composite
+def scalar_ktypes(draw):
+    """(m, λ, π) with 2 ≤ m ≤ 6, −3 ≤ λ ≤ m + 2 and π dominant, its charge
+    near λ so that both sides of μ_0 = λ and the scalar K-types are drawn."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    lam = draw(st.integers(min_value=-3, max_value=m + 2))
+    head = sorted(draw(st.lists(st.integers(0, 6), min_size=m - 1, max_size=m - 1)),
+                  reverse=True)
+    last = draw(st.integers(-head[-1], head[-1]))
+    mu0 = lam + draw(st.integers(min_value=-2, max_value=8))
+    return m, lam, KTypeParam(mu0, tuple(head) + (last,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_ktypes())
+def test_multiplicity_matches_the_forward_signed_sum(case):
+    m, lam, pi = case
+    assert multiplicity(m, lam, pi) == forward_multiplicity(m, lam, pi)
+
+
+def test_multiplicity_matches_the_forward_sum_where_a_term_can_hit():
+    # random dominant weights seldom meet the target: take every dominant
+    # mu that some coset term sends to it, mu = w^-1(target + rho_c) - rho_c,
+    # on both sides of the weakly fair range
+    nonzero = 0
+    for m in range(2, 7):
+        rc = rho_c(m)
+        for lam in range(-3, m + 3):
+            for l in range(5):
+                target = (l + lam - m + 1,) + (lam - m + 1,) * (m - 1)
+                shifted = [a + b for a, b in zip(target, rc)]
+                for w in enumerate_coset_reps(m):
+                    mu = tuple(a - b for a, b in zip(act(inverse(w), shifted), rc))
+                    if is_dominant(mu):
+                        pi = KTypeParam(lam + l, mu)
+                        mult = forward_multiplicity(m, lam, pi)
+                        assert multiplicity(m, lam, pi) == mult
+                        nonzero += mult != 0
+    assert nonzero > 100
+
+
+def test_multiplicity_walks_no_coset_representative(monkeypatch):
+    grid = [(m, lam, KTypeParam(mu0, mu))
+            for m in (2, 3, 4) for lam in range(-3, m + 3)
+            for mu0 in range(lam - 1, lam + 4) for mu in dominant_mu_vectors(m, 3)]
+    expected = [forward_multiplicity(*case) for case in grid]
+
+    def refuse(*args):
+        raise AssertionError("a coset representative walked")
+
+    monkeypatch.setattr(wl, "enumerate_coset_reps", refuse)
+    monkeypatch.setattr(wl, "length", refuse)
+    monkeypatch.setattr(ks, "_shifted_weight", refuse)
+    assert [multiplicity(*case) for case in grid] == expected
+    assert any(expected)
 
 
 def test_table_off_window_scan_is_empty():

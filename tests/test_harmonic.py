@@ -19,7 +19,6 @@ from lieball.harmonic import (
     harmonic_dimension,
     harmonic_dimension_formula,
     laplacian,
-    laplacian_power,
     polynomial_space_dimension,
     random_homogeneous,
     rotation_generator,
@@ -35,6 +34,7 @@ from oracles import (
     dense_shape_kernel_dimension,
     exact_kernel,
     laplacian_columns,
+    laplacian_power,
     monomial_exponents,
     multiset_shape_kernel_dimension,
     partial,

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lieball.blattner as bl
 import lieball.kostant as ks
 import lieball.weyl as wl
 from lieball.cli import main
@@ -270,7 +269,6 @@ def test_cli_path_walks_no_group_element(monkeypatch):
 
     for module, names in (
         (ks, ("enumerate_coset_reps", "act", "length")),
-        (bl, ("enumerate_coset_reps", "length")),
         (wl, ("enumerate_coset_reps", "inverse")),
     ):
         for name in names:

@@ -34,9 +34,13 @@ def test_all_names_resolve(name):
 
 def test_oracles_are_not_in_the_package():
     # tests/oracles.py holds them; the package keeps one path per computation
-    moved = ["monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
-             "_block_columns", "_compositions"]
-    assert [name for name in moved if hasattr(harmonic, name)] == []
+    moved = [(harmonic, name) for name in (
+        "monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
+        "_block_columns", "_compositions", "laplacian_power")]
+    moved += [(weyl, "enumerate_group"), (weyl, "is_coset_rep")]
+    # the forward signed sum, and what it walks with
+    moved += [(blattner, name) for name in ("enumerate_coset_reps", "length", "_shifted_weight")]
+    assert [name for module, name in moved if hasattr(module, name)] == []
     ring = ["variable", "partial", "_check_same_ring", "__add__", "__sub__", "__neg__",
             "__mul__", "__rmul__"]
     assert [name for name in ring if hasattr(harmonic.SparsePolynomial, name)] == []
@@ -60,6 +64,11 @@ def imported_modules(name):
 
 def package_imports(name):
     return {m.split(".")[1] for m in imported_modules(name) if m.startswith("lieball.")}
+
+
+def test_euler_sum_imports_only_straightening_and_the_vocabulary():
+    # multiplicity and ktype_table read the one term off straightening
+    assert package_imports("blattner") == {"kostant", "repdata"}
 
 
 def test_analytic_route_imports_only_the_shared_vocabulary():

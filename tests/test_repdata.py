@@ -23,8 +23,8 @@ from lieball.repdata import (
     verma_inf_char,
     weyl_dim_so2m,
 )
-from lieball.weyl import act, enumerate_group, root_vector
-from oracles import dense_roots, dot, half_sum
+from lieball.weyl import act, root_vector
+from oracles import dense_roots, dot, enumerate_group, half_sum
 
 
 def root_set_weyl_dim(m, mu):

@@ -13,13 +13,12 @@ from lieball.weyl import (
     SignedPermutation,
     act,
     enumerate_coset_reps,
-    enumerate_group,
     inverse,
     inversion_set,
-    is_coset_rep,
     length,
     one_line_window,
 )
+from oracles import enumerate_group, is_coset_rep
 
 
 def sp(perm, signs):
