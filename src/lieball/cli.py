@@ -81,13 +81,6 @@ def _table_report(table: KTypeTable, text: Callable[[], List[str]]) -> Report:
     )
 
 
-def _check_m(parser: argparse.ArgumentParser, m: int, bound: Optional[int] = None) -> None:
-    if m < 2:
-        parser.error("--m must be at least 2")
-    if bound is not None and m > bound:
-        parser.error(f"--m exceeds the enumeration bound {bound}")
-
-
 def _integer_lambda(args, parser: argparse.ArgumentParser) -> int:
     """--lambda, defaulting to m - 1, for subcommands that need an integer."""
     lam = args.lam if args.lam is not None else args.m - 1
@@ -99,7 +92,6 @@ def _integer_lambda(args, parser: argparse.ArgumentParser) -> int:
 def cmd_ktypes(args, parser) -> Report:
     from .blattner import ktype_table
     from .repdata import weakly_fair
-    _check_m(parser, args.m)
     lam = _integer_lambda(args, parser)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
     semantics = "multiplicity" if weakly_fair(args.m, lam) else "Euler characteristic"
@@ -114,7 +106,6 @@ def cmd_ktypes(args, parser) -> Report:
 
 def cmd_harmonic(args, parser) -> Report:
     from .harmonic import sol_ktype_table
-    _check_m(parser, args.m)
     table = sol_ktype_table(args.m, args.max_l)
     return _table_report(table, lambda: [
         f"harmonic kernel K-types  m={args.m}  lambda={args.m - 1}",
@@ -206,7 +197,6 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
 
 
 def cmd_verify(args, parser) -> Report:
-    _check_m(parser, args.m)
     checks, ok = _verify_checks(args.m, args.max_l, args.seed)
     passed = sum(1 for c in checks if c["pass"])
     return Report(
@@ -229,7 +219,8 @@ def cmd_verify(args, parser) -> Report:
 
 def cmd_weyl(args, parser) -> Report:
     from .weyl import enumerate_coset_reps, inversion_set, length, one_line_window
-    _check_m(parser, args.m, WEYL_ENUMERATION_BOUND)
+    if args.m > WEYL_ENUMERATION_BOUND:
+        parser.error(f"--m exceeds the enumeration bound {WEYL_ENUMERATION_BOUND}")
     reps = enumerate_coset_reps(args.m)
     elements = [
         {"index": idx, "length": length(w), "window": list(one_line_window(w)),
@@ -264,15 +255,14 @@ def _witnesses_json(m: int, witnesses) -> List[dict]:
 
 
 def cmd_ranges(args, parser) -> Report:
-    from .repdata import inf_char, is_regular_type_d, range_verdict
+    from .repdata import inf_char, is_regular_type_d, range_verdict, range_violation_counts
     from .weyl import root_vector
-    _check_m(parser, args.m)
     lam = _integer_lambda(args, parser)
-    verdict = range_verdict(args.m, lam)
     chi = inf_char(args.m, lam)
     regular = is_regular_type_d(chi)
 
     def text() -> List[str]:
+        verdict = range_verdict(args.m, lam)
         lines = [f"range verdict  m={args.m}  lambda={lam}"]
         for name, holds, witnesses in (
             ("weakly_fair", verdict.weakly_fair, verdict.weakly_fair_witnesses),
@@ -289,19 +279,15 @@ def cmd_ranges(args, parser) -> Report:
         )
         return lines
 
-    return Report(
-        text,
-        lambda: [
-            ["field", "value"],
-            ["m", args.m],
-            ["lambda", lam],
-            ["weakly_fair", verdict.weakly_fair],
-            ["good", verdict.good],
-            ["weakly_fair_violations", len(verdict.weakly_fair_witnesses)],
-            ["good_violations", len(verdict.good_witnesses)],
-            ["inf_char_regular", regular],
-        ],
-        lambda: {
+    def rows() -> List[list]:
+        fair, good = range_violation_counts(args.m, lam)  # the CSV builds no witness
+        return [["field", "value"], ["m", args.m], ["lambda", lam], ["weakly_fair", not fair],
+                ["good", not good], ["weakly_fair_violations", fair], ["good_violations", good],
+                ["inf_char_regular", regular]]
+
+    def payload() -> dict:
+        verdict = range_verdict(args.m, lam)
+        return {
             "m": args.m,
             "lambda": lam,
             "weakly_fair": verdict.weakly_fair,
@@ -310,8 +296,9 @@ def cmd_ranges(args, parser) -> Report:
             "good_witnesses": _witnesses_json(args.m, verdict.good_witnesses),
             "inf_char": [_json_q(c) for c in chi],
             "inf_char_regular": regular,
-        },
-    )
+        }
+
+    return Report(text, rows, payload)
 
 
 def _verma_pair(m: int, lam, nu) -> dict:
@@ -328,7 +315,6 @@ def _verma_pair(m: int, lam, nu) -> dict:
 
 
 def cmd_verma(args, parser) -> Report:
-    _check_m(parser, args.m)
     if (args.lam is None) != (args.nu is None):
         parser.error("verma needs both --lambda and --nu, or neither")
     if args.lam is not None:
@@ -504,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "m", 2) < 2:  # every subcommand with --m needs m >= 2
+        args.parser.error("--m must be at least 2")
     try:
         report = args.func(args, args.parser)
         text = render(report, args.format)

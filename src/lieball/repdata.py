@@ -14,7 +14,7 @@ in type D.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "is_regular_type_d",
     "RangeVerdict",
     "weakly_fair",
+    "range_violation_counts",
     "range_verdict",
     "verma_hom_condition",
     "verma_inf_char",
@@ -213,6 +214,17 @@ def weakly_fair(m: int, lam: int) -> bool:
     return 2 * lam >= m
 
 
+def range_violation_counts(m: int, lam: int) -> Tuple[int, int]:
+    """The numbers of weakly fair and of good witnesses in `range_verdict`,
+    counted without building a root: all C(m + 1, 2) roots of u when
+    2λ < m, else none; and for each j ≤ m, the i < j with i ≥ 2λ − j,
+    of which there are some only when j > λ."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    fair = 0 if weakly_fair(m, lam) else comb(m + 1, 2)
+    return fair, sum(j - max(0, 2 * lam - j) for j in range(max(1, lam + 1), m + 1))
+
+
 def range_verdict(m: int, lam: int) -> RangeVerdict:
     """Weakly fair and good range tests for the scalar parameter λ.
 
@@ -234,7 +246,8 @@ def range_verdict(m: int, lam: int) -> RangeVerdict:
         for i, j in combinations(range(m + 1), 2)
         if i + j >= 2 * lam
     )
-    return RangeVerdict(m, lam, fair, not good_witnesses, wf_witnesses, good_witnesses)
+    good = not range_violation_counts(m, lam)[1]
+    return RangeVerdict(m, lam, fair, good, wf_witnesses, good_witnesses)
 
 
 def verma_hom_condition(m: int, lam: object, nu: object) -> Optional[int]:

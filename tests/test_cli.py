@@ -162,6 +162,20 @@ def test_ranges_builds_only_the_format_printed(capsys, monkeypatch, fmt):
     assert ("weakly_fair: false" if fmt == "text" else "weakly_fair_violations,6") in out
 
 
+def test_ranges_csv_builds_no_range_verdict(capsys, monkeypatch):
+    import lieball.repdata as rd
+
+    def refuse(*args):
+        raise AssertionError("range_verdict was called for --format csv")
+
+    monkeypatch.setattr(rd, "range_verdict", refuse)
+    for lam, counts in ((0, "weakly_fair_violations,6\ngood_violations,6"),
+                        (2, "weakly_fair_violations,0\ngood_violations,2")):
+        code, out = run(capsys, ["ranges", "--m", "3", "--lambda", str(lam), "--format", "csv"])
+        assert code == 0
+        assert counts in out
+
+
 def test_out_writes_identical_bytes(capsys, tmp_path):
     target = tmp_path / "table.json"
     code, out = run(capsys, ["ktypes", "--m", "2", "--format", "json"])

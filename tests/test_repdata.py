@@ -19,6 +19,7 @@ from lieball.repdata import (
     knapp_stein_residue_degree,
     orbit_equal,
     range_verdict,
+    range_violation_counts,
     verma_hom_condition,
     verma_inf_char,
     weyl_dim_so2m,
@@ -181,6 +182,14 @@ class TestRanges:
             # tuples compare entrywise, so this checks root order and pairings
             assert dense(m, v.weakly_fair_witnesses) == wf_witnesses, lam
             assert dense(m, v.good_witnesses) == good_witnesses, lam
+
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_violation_counts_match_the_witnesses(self, m):
+        # the CSV's counts, built without a witness, against the witnesses
+        for lam in range(-3, m + 3):
+            v = range_verdict(m, lam)
+            expected = (len(v.weakly_fair_witnesses), len(v.good_witnesses))
+            assert range_violation_counts(m, lam) == expected, lam
 
     def test_weakly_fair_threshold(self):
         for m in (2, 3, 4, 5, 6):
