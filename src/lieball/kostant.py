@@ -5,14 +5,21 @@ charge and μ a dominant highest weight of SO(2m).  The cohomology H^j(u∩k, ·
 is a T × U(m)-module; the SO(2) charge passes through untouched and the U(m)
 constituents are the Weyl-shifted weights w(μ+ρ_c) − ρ_c over the minimal
 coset representatives of length j.
+
+Straightening (`_dominant_preimage`) inverts the shifted action without any
+group element, so `weyl` is imported only inside the functions that walk
+the representatives: `_shifted_weight`, `cohomology` and `euler_character`.
+The Euler-sum table, which straightens, never loads it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .repdata import KTypeParam, _Record
-from .weyl import SignedPermutation, act, enumerate_coset_reps, length
+
+if TYPE_CHECKING:
+    from .weyl import SignedPermutation
 
 __all__ = [
     "rho_c",
@@ -45,6 +52,7 @@ def rho_c(m: int) -> Tuple[int, ...]:
 
 def _shifted_weight(m: int, mu: Tuple[int, ...], w: SignedPermutation) -> Tuple[int, ...]:
     """w(μ+ρ_c) − ρ_c with everything exact; the result is integral."""
+    from .weyl import act
     rc = rho_c(m)
     moved = act(w, tuple(a + b for a, b in zip(mu, rc)))
     return tuple(a - b for a, b in zip(moved, rc))
@@ -95,6 +103,7 @@ def cohomology(m: int, pi: KTypeParam, j: int) -> List[LKTypeParam]:
         raise ValueError("K-type rank does not match m")
     if j < 0:
         raise ValueError("cohomology degree must be nonnegative")
+    from .weyl import enumerate_coset_reps, length
     out = []
     for w in enumerate_coset_reps(m):
         if length(w) == j:
@@ -113,6 +122,7 @@ def euler_character(m: int, pi: KTypeParam) -> List[Tuple[LKTypeParam, int]]:
         raise ValueError("need m >= 2")
     if len(pi.mu) != m:
         raise ValueError("K-type rank does not match m")
+    from .weyl import enumerate_coset_reps, length
     out = []
     for w in enumerate_coset_reps(m):
         j = length(w)

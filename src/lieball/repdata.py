@@ -1,14 +1,17 @@
 """Scalar representation arithmetic, and the vocabulary both routes share.
 
 It imports no other `lieball` module and owns the K-type format: the record
-base `_Record`, the root triple `Root`, SO(2m) dominance, `KTypeParam` and
-`KTypeTable`, which the Euler-sum and the harmonic routes import from here.
+base `_Record`, the root triple `Root` and its writer `root_vector`, SO(2m)
+dominance, `KTypeParam` and `KTypeTable`, which the Euler-sum and the
+harmonic routes import from here.
 It covers the Weyl dimension formula for SO(2m), infinitesimal characters
 and their regularity, the good and weakly fair positivity ranges, scalar
 generalized Verma homomorphism arithmetic, Knapp–Stein residue degrees, the
 Enright–Howe–Wallach unitarizability window for scalar lowest weights, the
 Borel–Weil–Bott K-type target on the compact cycle, and Weyl-orbit equality
-in type D.
+in type D.  Exact parameters stay plain ints when they are given as ints, and
+become Fractions otherwise, so `fractions` is loaded only for a parameter
+that needs it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "Root",
+    "root_vector",
     "is_dominant",
     "KTypeParam",
     "KTypeTable",
@@ -43,6 +47,15 @@ __all__ = [
 
 # A root e_i + σ·e_j (i < j, σ = ±1) stored as the int triple (i, j, σ).
 Root = Tuple[int, int, int]
+
+
+def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
+    """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
+    i, j, sigma = alpha
+    out = [0] * rank
+    out[i] = 1
+    out[j] = sigma
+    return tuple(out)
 
 
 class _Record:
@@ -120,13 +133,17 @@ class KTypeTable(NamedTuple):
 
 
 # G-weights in rank m+1 (basis e_0..e_m, e_0 attached to the so(2) factor),
-# exact, with denominators 1 or 2.
-Weight = Tuple["Fraction", ...]
+# exact, with denominators 1 or 2: ints where every parameter was an int.
+Weight = Tuple["int | Fraction", ...]
 
 
-def _q(*args) -> Fraction:
-    """Fraction(*args).  `fractions`, which loads `decimal`, is imported on
-    the first call, so the analytic route, which builds none, never loads it."""
+def _q(*args) -> int | Fraction:
+    """A plain int unchanged, since it is already exact; else Fraction(*args).
+    `fractions`, which loads `decimal`, is imported on the first Fraction
+    built, so a caller whose parameters are all ints never loads it.  A bool,
+    a numpy integer or a float is not an int here, and becomes a Fraction."""
+    if len(args) == 1 and type(args[0]) is int:
+        return args[0]
     from fractions import Fraction
 
     return Fraction(*args)
@@ -300,7 +317,7 @@ def ehw_first_reduction_point(n: int) -> Fraction:
     return _q(n, 2)
 
 
-def ehw_last_unitary_point(n: int) -> Fraction:
+def ehw_last_unitary_point(n: int) -> int | Fraction:
     """Last unitarizable parameter B = n − 1 of the scalar family."""
     if n < 4:
         raise ValueError("need n >= 4")

@@ -3,7 +3,10 @@
 Elements permute the basis e_1..e_m and flip an even number of signs.  The
 action convention is act(w, e_j) = signs[perm(j)] · e_{perm(j)}, so on
 coordinate vectors (w·μ)_i = signs_i · μ_{perm⁻¹(i)}.  Indices are 0-based
-internally; printed one-line windows are 1-based.
+internally; printed one-line windows are 1-based.  A root is the triple
+`repdata.Root`, written out by `repdata.root_vector`, which is imported
+here so that `weyl.root_vector` still resolves; the Euler-sum table and
+`verify` need only that writer, and so never load this module.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .repdata import Root, _Record
+from .repdata import Root, _Record, root_vector
 
 __all__ = [
-    "root_vector",
     "SignedPermutation",
     "inverse",
     "act",
@@ -24,15 +26,6 @@ __all__ = [
     "enumerate_coset_reps",
     "one_line_window",
 ]
-
-
-def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
-    """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
-    i, j, sigma = alpha
-    out = [0] * rank
-    out[i] = 1
-    out[j] = sigma
-    return tuple(out)
 
 
 class SignedPermutation(_Record):

@@ -26,19 +26,25 @@ replaced, or that they are checked against, live here:
   forward signed sum over every coset representative,
   `forward_multiplicity`, which the straightened `multiplicity` and
   `ktype_table` are checked against;
-- `laplacian_power`, `laplacian` applied l times.
+- `laplacian_power`, `laplacian` applied l times;
+- `all_pairs_invariance_check`, the sampled equivariance check over all
+  C(n, 2) rotation generators, which the check restricted to the pairs that
+  meet each polynomial's support is held equal to.
 
 Everything is exact; nothing here is fast.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, gcd, prod
 from typing import Dict, Iterable, Iterator, List, Tuple
 
+import lieball.harmonic as harmonic
 from lieball.harmonic import Exponents, SparsePolynomial, Weight, _column_rows, laplacian
+from lieball.harmonic import random_homogeneous
 from lieball.kostant import _shifted_weight
 from lieball.repdata import KTypeParam
 from lieball.weyl import SignedPermutation, _inversions, enumerate_coset_reps, length
@@ -370,3 +376,27 @@ def laplacian_power(f: SparsePolynomial, l: int) -> SparsePolynomial:
     for _ in range(l):
         f = laplacian(f)
     return f
+
+
+# --- The equivariance check over every pair ------------------------------------
+
+
+def all_pairs_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
+    """`harmonic.so_invariance_check` over all C(n, 2) generators, the pairs
+    off the support of f included.  The generator is looked up on
+    `harmonic`, so a test that patches it patches both checks."""
+    if n < 2:
+        raise ValueError("need at least two variables")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        degree = rng.randint(1, 4)
+        f = random_homogeneous(n, degree, rng)
+        lap_f = laplacian(f)
+        for a in range(n):
+            for b in range(a + 1, n):
+                rotated = harmonic.rotation_generator(f, a, b)
+                if laplacian(rotated) != harmonic.rotation_generator(lap_f, a, b):
+                    return False
+    return True

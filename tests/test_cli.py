@@ -151,12 +151,12 @@ def test_ktypes_heading_builds_no_range_verdict(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_ranges_builds_only_the_format_printed(capsys, monkeypatch, fmt):
-    import lieball.cli as cli
+    import lieball.commands.ranges as ranges
 
     def refuse(*args):
         raise AssertionError("the JSON witnesses were built for --format " + fmt)
 
-    monkeypatch.setattr(cli, "_witnesses_json", refuse)
+    monkeypatch.setattr(ranges, "_witnesses_json", refuse)
     code, out = run(capsys, ["ranges", "--m", "3", "--lambda", "0", "--format", fmt])
     assert code == 0
     assert ("weakly_fair: false" if fmt == "text" else "weakly_fair_violations,6") in out

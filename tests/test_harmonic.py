@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lieball.harmonic as hm
@@ -28,6 +28,7 @@ from lieball.harmonic import (
 from lieball.repdata import KTypeParam
 from oracles import (
     Polynomial,
+    all_pairs_invariance_check,
     block_columns,
     compositions,
     dense_column_rows,
@@ -463,6 +464,34 @@ def test_so_invariance_check_flags_broken_generator(monkeypatch):
 
     monkeypatch.setattr(hm, "rotation_generator", broken)
     assert not so_invariance_check(4, 6, seed=0)
+
+
+def second_order_fault(f, a, b):
+    """The generator plus z_b²∂_a + z_a²∂_b.  Like the generator it is 0 on
+    an f that involves neither z_a nor z_b, but it fails to commute with Δ on
+    every pair that meets the support of f."""
+    xa, xb = var(f.nvars, a), var(f.nvars, b)
+    return product_form(f, a, b) + xb * xb * partial(f, a) + xa * xa * partial(f, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2 ** 64),
+    st.booleans(),
+)
+# With n = 3 and one trial, seed 2 draws an f in the variable of index 0
+# alone and seed 15 one in index 2 alone, so under the fault only the pairs
+# (0, b), or only the pairs (a, 2), fail: each half of the skip is needed.
+@example(3, 1, 2, True)
+@example(3, 1, 15, True)
+def test_support_restricted_check_matches_all_pairs(n, trials, seed, faulty):
+    with pytest.MonkeyPatch.context() as mp:
+        if faulty:
+            mp.setattr(hm, "rotation_generator", second_order_fault)
+        assert so_invariance_check(n, trials, seed=seed) \
+            == all_pairs_invariance_check(n, trials, seed=seed)
 
 
 @settings(max_examples=40, deadline=None)

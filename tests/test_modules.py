@@ -1,8 +1,9 @@
 """Every `lieball` module's `__all__` names only what the module defines, the
 slow references live with the tests, not in the package, the analytic route
 imports nothing of the algebraic one, importing the package or the CLI
-loads no route and stays off the costly standard modules, and each
-subcommand loads only the route it runs."""
+loads no route and no command module and stays off the costly standard
+modules, and each subcommand loads only its own command module and the
+route it runs."""
 
 import ast
 import importlib
@@ -16,10 +17,14 @@ import pytest
 import lieball
 from lieball import blattner, cli, harmonic, kostant, repdata, weyl
 
-# `__main__` runs the CLI when imported.
+# `__main__` runs the CLI when imported; `commands` is a package of one
+# module per subcommand.
+COMMANDS_PATH = str(Path(lieball.__file__).with_name("commands"))
 MODULES = [
-    info.name for info in pkgutil.iter_modules(lieball.__path__) if info.name != "__main__"
-]
+    info.name for info in pkgutil.iter_modules(lieball.__path__)
+    if info.name not in ("__main__", "commands")
+] + [f"commands.{info.name}" for info in pkgutil.iter_modules([COMMANDS_PATH])]
+COMMAND_MODULES = {f"lieball.commands.{name}" for name, *_ in cli._SUBCOMMANDS}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -93,8 +98,16 @@ def test_verify_calls_no_inversion_set(monkeypatch):
     monkeypatch.setattr(weyl, "inversion_set", refuse)
     weyl.length.cache_clear()
     weyl.enumerate_coset_reps.cache_clear()
-    checks, ok = cli._verify_checks(6, 10, 1)
+    from lieball.commands import verify
+    checks, ok = verify._verify_checks(6, 10, 1)
     assert ok, checks
+
+
+def test_each_subcommand_has_a_command_module():
+    assert {f"lieball.{name}" for name in MODULES if name.startswith("commands.")} \
+        == COMMAND_MODULES
+    for name in COMMAND_MODULES:
+        assert callable(importlib.import_module(name).run)
 
 
 def modules_after(statement):
@@ -116,22 +129,42 @@ def test_package_import_loads_no_submodule():
 
 
 ROUTE_MODULES = {"lieball.weyl", "lieball.kostant", "lieball.blattner", "lieball.harmonic"}
+EXACT = {"fractions", "decimal", "numbers"}  # what a Fraction or a coefficient check loads
 
 
-@pytest.mark.parametrize("statement, loaded, unloaded", [
-    ("import lieball.cli", set(),
+def run_cli(*argv):
+    return f"from lieball.cli import main; main({list(argv)!r})"
+
+
+@pytest.mark.parametrize("statement, command, loaded, unloaded", [
+    ("import lieball.cli", None, set(),
      ROUTE_MODULES | {"lieball.repdata", "fractions", "decimal"}),
-    # the analytic route alone: no Euler-sum module, and no Fraction built
-    ("from lieball.cli import main; main(['harmonic', '--m', '4', '--max-l', '16'])",
+    # the analytic route alone: no Euler-sum module, no Fraction built and
+    # no coefficient checked
+    (run_cli("harmonic", "--m", "4", "--max-l", "16"), "harmonic",
      {"lieball.harmonic", "lieball.repdata"},
-     ROUTE_MODULES - {"lieball.harmonic"} | {"fractions", "decimal"}),
-    ("from lieball.cli import main; main(['ktypes', '--m', '3'])",
-     {"lieball.blattner"}, {"lieball.harmonic"}),
-], ids=["cli", "harmonic", "ktypes"])
-def test_each_entry_point_loads_only_what_it_runs(statement, loaded, unloaded):
+     ROUTE_MODULES - {"lieball.harmonic"} | EXACT),
+    # straightening walks no group element, and every parameter is an int
+    (run_cli("ktypes", "--m", "3"), "ktypes",
+     {"lieball.blattner"}, {"lieball.harmonic", "lieball.weyl", "fractions", "decimal"}),
+    (run_cli("verify", "--m", "6", "--max-l", "10"), "verify",
+     {"lieball.blattner", "lieball.harmonic"}, {"lieball.weyl"} | EXACT),
+    (run_cli("weyl", "--m", "3"), "weyl",
+     {"lieball.weyl"}, ROUTE_MODULES - {"lieball.weyl"} | EXACT),
+    (run_cli("ranges", "--m", "3"), "ranges",
+     {"lieball.repdata"}, ROUTE_MODULES | EXACT),
+    (run_cli("verma", "--m", "3"), "verma",
+     {"lieball.repdata"}, ROUTE_MODULES | EXACT),
+    # --z is a rational flag, so ehw builds a Fraction
+    (run_cli("ehw", "--n", "4", "--z", "1"), "ehw",
+     {"lieball.repdata", "fractions"}, ROUTE_MODULES),
+], ids=["cli", "harmonic", "ktypes", "verify", "weyl", "ranges", "verma", "ehw"])
+def test_each_entry_point_loads_only_what_it_runs(statement, command, loaded, unloaded):
     modules = modules_after(statement)
     assert loaded <= modules
     assert unloaded & modules == set()
+    # main imports the chosen subcommand's module and no other
+    assert COMMAND_MODULES & modules == ({f"lieball.commands.{command}"} if command else set())
 
 
 def test_package_names_resolve_lazily():

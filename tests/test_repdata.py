@@ -341,3 +341,38 @@ class TestBorelWeilBott:
     def test_threshold_case_is_trivial_weight(self, m):
         pi = borel_weil_bott_ktype(m, m - 1)
         assert pi == KTypeParam(m - 1, (0,) * m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_integer_parameters_stay_ints_with_the_fraction_results(m, lam, nu):
+    # an int is exact already, so it is not wrapped in a Fraction
+    chi = inf_char(m, lam)
+    assert chi == inf_char(m, Q(lam))
+    assert all(type(c) is int for c in chi)
+    assert verma_inf_char(m, lam) == verma_inf_char(m, Q(lam))
+    assert verma_hom_condition(m, lam, nu) == verma_hom_condition(m, Q(lam), Q(nu))
+    assert orbit_equal(verma_inf_char(m, lam), verma_inf_char(m, nu)) \
+        == orbit_equal(verma_inf_char(m, Q(lam)), verma_inf_char(m, Q(nu)))
+    assert orbit_equal(chi, inf_char(m, nu)) == orbit_equal(inf_char(m, Q(lam)), inf_char(m, Q(nu)))
+    n = 2 * m  # even and at least 4
+    assert knapp_stein_residue_degree(n, lam) == knapp_stein_residue_degree(n, Q(lam))
+    assert ehw_unitarizable(n, lam) == ehw_unitarizable(n, Q(lam))
+    assert ehw_unitarizable(n + 1, nu) == ehw_unitarizable(n + 1, Q(nu))
+
+
+@pytest.mark.parametrize("value", [
+    lambda: True,
+    lambda: 3.0,
+    lambda: 2.5,
+    lambda: pytest.importorskip("numpy").int64(3),
+], ids=["bool", "float", "half", "numpy"])
+def test_other_parameters_become_fractions(value):
+    lam = value()
+    chi = inf_char(4, lam)
+    assert all(type(c) is Q for c in chi)
+    assert chi == inf_char(4, Q(lam))
