@@ -9,19 +9,17 @@ coincidences
 which matches degree-ℓ symmetric tensors of u∩p twisted by the bottom
 character.  The sum is an honest multiplicity inside the weakly fair range
 and an Euler characteristic otherwise.  At most one term is nonzero, and
-Bott's straightening of the target names it, so no group element is walked.
+Bott's straightening of the target names it, so no group element is walked
+and this module imports only `repdata`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .kostant import LKTypeParam, _dominant_preimage
-from .repdata import KTypeParam, KTypeTable
+from .repdata import KTypeParam, KTypeTable, rho_c
 
 __all__ = [
-    "mu_lambda",
-    "s_u_cap_p_component",
     "multiplicity",
     "ktype_table",
     "dominant_mu_vectors",
@@ -29,32 +27,44 @@ __all__ = [
 ]
 
 
-def mu_lambda(m: int, lam: int) -> LKTypeParam:
-    """The bottom character: charge λ with U(m)-weight (λ−m+1)·1_m.
-
-    This is the λ-th power of the determinant character twisted by the top
-    exterior power of the opposite of u∩k, whose weight is −(m−1)·1_m.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    return LKTypeParam(lam, ((lam - m + 1),) * m)
-
-
-def s_u_cap_p_component(m: int, l: int) -> LKTypeParam:
-    """Degree-l symmetric power of u∩p as a T × U(m) highest weight."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if l < 0:
-        raise ValueError("symmetric power degree must be nonnegative")
-    return LKTypeParam(l, (l,) + (0,) * (m - 1))
-
-
 def _target_hw(m: int, lam: int, l: int) -> Tuple[int, ...]:
-    """U(m) weight of S^l(u∩p) ⊗ C_{μ_λ}: the symmetric power shifted by
-    the bottom character."""
-    sym = s_u_cap_p_component(m, l)
-    bottom = mu_lambda(m, lam)
-    return tuple(a + b for a, b in zip(sym.hw, bottom.hw))
+    """U(m) weight of S^l(u∩p) ⊗ C_{μ_λ}: the symmetric power's (l, 0, ..., 0)
+    plus the bottom character's (λ−m+1)·1_m, the λ-th power of the
+    determinant twisted by the top exterior power of the opposite of u∩k."""
+    c = lam - m + 1
+    return (l + c,) + (c,) * (m - 1)
+
+
+def _dominant_preimage(m: int, target: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The dominant μ with w(μ+ρ_c) − ρ_c = target for a coset representative
+    w, with the sign (−1)^len(w), or None; at most one w qualifies.
+
+    Bott's straightening of s = target + ρ_c, with no walk over the group: s
+    must be strictly decreasing with distinct |s_i|; μ+ρ_c is then the sorted
+    |s_i|, the last negated when s has an odd number of negative entries, and
+    w inverts the roots e_i + e_j with s_i + s_j < 0.
+    """
+    rc = rho_c(m)
+    s = [a + b for a, b in zip(target, rc)]
+    sizes = sorted((abs(c) for c in s), reverse=True)
+    if any(a <= b for a, b in zip(s, s[1:])) or len(set(sizes)) < m:
+        return None
+    if sum(1 for c in s if c < 0) % 2:
+        sizes[-1] = -sizes[-1]
+    return tuple(a - b for a, b in zip(sizes, rc)), (-1) ** _negative_pairs(s)
+
+
+def _negative_pairs(s: List[int]) -> int:
+    """The pairs i < j with s_i + s_j < 0, for strictly decreasing s, counted
+    in one pass: if s_i + s_j < 0, so is s_i' + s_j for all i ≤ i' < j."""
+    count, i, j = 0, 0, len(s) - 1
+    while i < j:
+        if s[i] + s[j] < 0:
+            count += j - i
+            j -= 1
+        else:
+            i += 1
+    return count
 
 
 def multiplicity(m: int, lam: int, pi: KTypeParam) -> int:

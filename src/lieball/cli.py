@@ -26,9 +26,9 @@ WEYL_ENUMERATION_BOUND = 8
 VERIFY_GRID_BOUND = 4
 VERIFY_VERMA_DEGREES = 5
 VERIFY_EQUIVARIANCE_TRIALS = 15
-# Python's default limit on int <-> str conversion.  A rational flag written
-# out in digits meets it inside Fraction; one in exponent notation would meet
-# it only when the report is rendered, after building a value of any size.
+# Python's default limit on int <-> str conversion, the digit bound of a
+# rational flag when the limit is off: a flag in exponent notation is refused
+# by its digit count before Fraction builds it, at any size.
 RATIONAL_DIGIT_BOUND = 4300
 # The flags whose value may be a negative fraction such as -3/2.
 RATIONAL_FLAGS = ("--lambda", "--nu", "--z")
@@ -107,15 +107,27 @@ def _nonnegative_int(raw: str) -> int:
 
 
 def _rational(raw: str) -> Fraction:
+    """A rational flag that every report can print.  Python converts an int
+    of at most `bound` digits to str, and a report prints values up to about
+    twice a flag plus twice --m (2λ − m, say), so the numerator must stay
+    under 10^bound / 4.  10^bound is built only for a numerator near that
+    size: at a limit of 10^7 digits it alone takes seconds."""
     from fractions import Fraction
+    # Python 3.10 before 3.10.7 has no limit.
+    bound = getattr(sys, "get_int_max_str_digits", int)() or RATIONAL_DIGIT_BOUND
     mantissa, _, exponent = raw.lower().partition("e")
     try:
         digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent)) if exponent else 0
-        if digits > RATIONAL_DIGIT_BOUND:
-            raise argparse.ArgumentTypeError(f"more than {RATIONAL_DIGIT_BOUND} digits: {raw!r}")
-        return Fraction(raw)
+        if digits > bound:
+            raise argparse.ArgumentTypeError(f"more than {bound} digits: {raw!r}")
+        value = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from None
+    size = abs(value.numerator)
+    if size.bit_length() > 3 * (bound - 1) and 4 * size >= 10 ** bound:
+        raise argparse.ArgumentTypeError(
+            f"too large: values derived from it may not print in {bound} digits: {raw!r}")
+    return value
 
 
 class _SubcommandParser(argparse.ArgumentParser):

@@ -6,23 +6,18 @@ is a T × U(m)-module; the SO(2) charge passes through untouched and the U(m)
 constituents are the Weyl-shifted weights w(μ+ρ_c) − ρ_c over the minimal
 coset representatives of length j.
 
-Straightening (`_dominant_preimage`) inverts the shifted action without any
-group element, so `weyl` is imported only inside the functions that walk
-the representatives: `_shifted_weight`, `cohomology` and `euler_character`.
-The Euler-sum table, which straightens, never loads it.
+This is the forward walk over the representatives.  No CLI path loads it:
+the Euler-sum table straightens its one term in `blattner` instead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Tuple
 
-from .repdata import KTypeParam, _Record
-
-if TYPE_CHECKING:
-    from .weyl import SignedPermutation
+from .repdata import KTypeParam, _Record, rho_c
+from .weyl import SignedPermutation, act, enumerate_coset_reps, length
 
 __all__ = [
-    "rho_c",
     "LKTypeParam",
     "cohomology",
     "euler_character",
@@ -44,50 +39,24 @@ class LKTypeParam(_Record):
             raise ValueError(f"{self.hw} is not weakly decreasing")
 
 
-def rho_c(m: int) -> Tuple[int, ...]:
-    """Half-sum of the positive compact roots e_i ± e_j of SO(2m):
-    (m−1, ..., 1, 0), integral in type D."""
-    return tuple(range(m - 1, -1, -1))
-
-
 def _shifted_weight(m: int, mu: Tuple[int, ...], w: SignedPermutation) -> Tuple[int, ...]:
     """w(μ+ρ_c) − ρ_c with everything exact; the result is integral."""
-    from .weyl import act
     rc = rho_c(m)
     moved = act(w, tuple(a + b for a, b in zip(mu, rc)))
     return tuple(a - b for a, b in zip(moved, rc))
 
 
-def _dominant_preimage(m: int, target: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """The dominant μ with w(μ+ρ_c) − ρ_c = target for a coset representative
-    w, with the sign (−1)^len(w), or None; at most one w qualifies.
-
-    Bott's straightening of s = target + ρ_c, with no walk over the group: s
-    must be strictly decreasing with distinct |s_i|; μ+ρ_c is then the sorted
-    |s_i|, the last negated when s has an odd number of negative entries, and
-    w inverts the roots e_i + e_j with s_i + s_j < 0.
-    """
-    rc = rho_c(m)
-    s = [a + b for a, b in zip(target, rc)]
-    sizes = sorted((abs(c) for c in s), reverse=True)
-    if any(a <= b for a, b in zip(s, s[1:])) or len(set(sizes)) < m:
-        return None
-    if sum(1 for c in s if c < 0) % 2:
-        sizes[-1] = -sizes[-1]
-    return tuple(a - b for a, b in zip(sizes, rc)), (-1) ** _negative_pairs(s)
-
-
-def _negative_pairs(s: List[int]) -> int:
-    """The pairs i < j with s_i + s_j < 0, for strictly decreasing s, counted
-    in one pass: if s_i + s_j < 0, so is s_i' + s_j for all i ≤ i' < j."""
-    count, i, j = 0, 0, len(s) - 1
-    while i < j:
-        if s[i] + s[j] < 0:
-            count += j - i
-            j -= 1
-        else:
-            i += 1
-    return count
+def _constituents(m: int, pi: KTypeParam) -> List[Tuple[LKTypeParam, int]]:
+    """Each coset representative's constituent with its degree, in the coset
+    enumeration order."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    if len(pi.mu) != m:
+        raise ValueError("K-type rank does not match m")
+    return [
+        (LKTypeParam(pi.mu0, _shifted_weight(m, pi.mu, w)), length(w))
+        for w in enumerate_coset_reps(m)
+    ]
 
 
 def cohomology(m: int, pi: KTypeParam, j: int) -> List[LKTypeParam]:
@@ -97,18 +66,9 @@ def cohomology(m: int, pi: KTypeParam, j: int) -> List[LKTypeParam]:
     multiplicity one, and distinct coset representatives give distinct
     weights because μ+ρ_c is regular for every dominant μ.
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if len(pi.mu) != m:
-        raise ValueError("K-type rank does not match m")
     if j < 0:
         raise ValueError("cohomology degree must be nonnegative")
-    from .weyl import enumerate_coset_reps, length
-    out = []
-    for w in enumerate_coset_reps(m):
-        if length(w) == j:
-            out.append(LKTypeParam(pi.mu0, _shifted_weight(m, pi.mu, w)))
-    return out
+    return [t for t, degree in _constituents(m, pi) if degree == j]
 
 
 def euler_character(m: int, pi: KTypeParam) -> List[Tuple[LKTypeParam, int]]:
@@ -118,13 +78,4 @@ def euler_character(m: int, pi: KTypeParam) -> List[Tuple[LKTypeParam, int]]:
     enumeration order.  No CLI path calls it; it stays because the
     benchmark's memory pass times shifted-weight evaluation through it.
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if len(pi.mu) != m:
-        raise ValueError("K-type rank does not match m")
-    from .weyl import enumerate_coset_reps, length
-    out = []
-    for w in enumerate_coset_reps(m):
-        j = length(w)
-        out.append((LKTypeParam(pi.mu0, _shifted_weight(m, pi.mu, w)), (-1) ** j))
-    return out
+    return [(t, (-1) ** degree) for t, degree in _constituents(m, pi)]

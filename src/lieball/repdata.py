@@ -1,9 +1,9 @@
 """Scalar representation arithmetic, and the vocabulary both routes share.
 
 It imports no other `lieball` module and owns the K-type format: the record
-base `_Record`, the root triple `Root` and its writer `root_vector`, SO(2m)
-dominance, `KTypeParam` and `KTypeTable`, which the Euler-sum and the
-harmonic routes import from here.
+base `_Record`, the root triple `Root` and its writer `root_vector`, the
+compact half-sum `rho_c`, SO(2m) dominance, `KTypeParam` and `KTypeTable`,
+which the Euler-sum and the harmonic routes import from here.
 It covers the Weyl dimension formula for SO(2m), infinitesimal characters
 and their regularity, the good and weakly fair positivity ranges, scalar
 generalized Verma homomorphism arithmetic, Knapp–Stein residue degrees, the
@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 __all__ = [
     "Root",
     "root_vector",
+    "rho_c",
     "is_dominant",
     "KTypeParam",
     "KTypeTable",
@@ -82,6 +83,12 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def rho_c(m: int) -> Tuple[int, ...]:
+    """Half-sum of the positive compact roots e_i ± e_j of SO(2m):
+    (m−1, ..., 1, 0), integral in type D."""
+    return tuple(range(m - 1, -1, -1))
 
 
 def is_dominant(mu: Tuple[int, ...]) -> bool:
@@ -178,7 +185,7 @@ def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:
     # Doubled, so that half-integral (spin) weights are ints.
     if any(2 * c != int(2 * c) for c in mu):
         raise ArithmeticError(f"{mu} is not half-integral")
-    rho = [2 * (m - 1 - i) for i in range(m)]
+    rho = [2 * p for p in rho_c(m)]
     r = [int(2 * c) + p for c, p in zip(mu, rho)]
     num = den = 1
     for i in range(m):

@@ -5,8 +5,9 @@ action convention is act(w, e_j) = signs[perm(j)] · e_{perm(j)}, so on
 coordinate vectors (w·μ)_i = signs_i · μ_{perm⁻¹(i)}.  Indices are 0-based
 internally; printed one-line windows are 1-based.  A root is the triple
 `repdata.Root`, written out by `repdata.root_vector`, which is imported
-here so that `weyl.root_vector` still resolves; the Euler-sum table and
-`verify` need only that writer, and so never load this module.
+here so that `weyl.root_vector` still resolves.  The `weyl` listing and the
+forward walk in `kostant` use this module; `ktypes` and `verify` never load
+it.
 """
 
 from __future__ import annotations

@@ -1,34 +1,41 @@
 """Branching multiplicities from the alternating coset sum."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieball.blattner import (
+    _target_hw,
     dominant_mu_vectors,
     ktype_table,
-    mu_lambda,
     multiplicity,
-    s_u_cap_p_component,
     unique_scalar_match_check,
 )
 import lieball.kostant as ks
 import lieball.weyl as wl
-from lieball.kostant import LKTypeParam, rho_c
-from lieball.repdata import KTypeParam, KTypeTable, is_dominant
+from lieball.repdata import KTypeParam, KTypeTable, is_dominant, rho_c
 from lieball.weyl import act, enumerate_coset_reps, inverse
 from oracles import forward_multiplicity
 
 
-def test_mu_lambda():
-    assert mu_lambda(2, 1) == LKTypeParam(1, (0, 0))
-    assert mu_lambda(3, 2) == LKTypeParam(2, (0, 0, 0))
-    assert mu_lambda(4, 1) == LKTypeParam(1, (-2, -2, -2, -2))
-
-
-def test_s_u_cap_p_component():
-    assert s_u_cap_p_component(3, 0) == LKTypeParam(0, (0, 0, 0))
-    assert s_u_cap_p_component(3, 2) == LKTypeParam(2, (2, 0, 0))
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=-20, max_value=20),
+       st.integers(min_value=0, max_value=20))
+@example(2, 1, 0)  # the bottom character (0, 0)
+@example(4, 1, 0)  # the bottom character (-2, -2, -2, -2)
+@example(3, 2, 2)  # the symmetric power (2, 0, 0)
+def test_target_is_the_symmetric_power_plus_the_bottom_character(m, lam, l):
+    # S^l(u∩p) has highest weight l·e_1; the bottom character is det^λ
+    # twisted by the top exterior power of the opposite of u∩k, whose roots
+    # are −(e_i + e_j) for i < j
+    sym = [l] + [0] * (m - 1)
+    bottom = [lam] * m
+    for i, j in combinations(range(m), 2):
+        bottom[i] -= 1
+        bottom[j] -= 1
+    assert _target_hw(m, lam, l) == tuple(a + b for a, b in zip(sym, bottom, strict=True))
 
 
 def test_multiplicity_m2_examples():

@@ -97,9 +97,9 @@ def test_verify_is_byte_stable(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    import lieball.kostant as ks
+    import lieball.blattner as bl
 
-    monkeypatch.setattr(ks, "rho_c", lambda m: (0,) * m)
+    monkeypatch.setattr(bl, "rho_c", lambda m: (0,) * m)
     code, out = run(capsys, ["verify", "--m", "2", "--max-l", "3"])
     assert code == 1
     assert "[FAIL] ktype tables" in out
@@ -119,7 +119,7 @@ def test_verify_reports_certification_failure(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("module, name", [
-    ("lieball.blattner", "s_u_cap_p_component"),  # while building the report
+    ("lieball.blattner", "_target_hw"),  # while building the report
     ("lieball.cli", "render"),  # while rendering it
 ])
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, module, name):
@@ -430,6 +430,77 @@ def test_huge_exponent_is_usage_error(capsys, argv, flag):
 def test_exponent_notation_within_bound_is_accepted(capsys, argv):
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.fixture
+def int_digit_limit(request):
+    """Python's limit on int <-> str conversion set to request.param for the
+    test, and restored after it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(saved)
+
+
+def assert_one_error_line(capsys, argv, message):
+    """argv exits 2 at parsing, before any output, with `message` as its one
+    error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [message]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_flag_whose_double_does_not_print_is_usage_error(capsys, fmt):
+    # -9e4299 has 4300 digits, but 2λ − m, which ranges prints, has 4301
+    raw = "-9e4299"
+    assert_one_error_line(
+        capsys, ["ranges", "--m", "2", f"--lambda={raw}", "--format", fmt],
+        f"lieball ranges: error: argument --lambda: too large: values derived from it "
+        f"may not print in 4300 digits: '{raw}'")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ehw", "--n", "4", "--z", "1e1000"], "--z"),
+    (["ranges", "--m", "2", "--lambda", "1e1000"], "--lambda"),
+    (["ktypes", "--m", "2", "--lambda", "1e700", "--max-l", "0"], "--lambda"),
+])
+@pytest.mark.parametrize("int_digit_limit", [640], indirect=True)
+def test_digit_bound_follows_the_int_string_limit(capsys, int_digit_limit, argv, flag):
+    raw = argv[argv.index(flag) + 1]
+    assert_one_error_line(
+        capsys, argv, f"lieball {argv[0]}: error: argument {flag}: more than 640 digits: '{raw}'")
+
+
+@pytest.mark.parametrize("int_digit_limit", [640], indirect=True)
+def test_flag_within_a_lowered_limit_is_accepted(capsys, int_digit_limit):
+    # 10^639 has 640 digits and its double prints
+    assert main(["ehw", "--n", "4", "--z", "1e639", "--lambda=-2e639"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("int_digit_limit", [10_000_000], indirect=True)
+def test_small_flag_under_a_raised_limit_builds_no_power_of_ten(capsys, int_digit_limit):
+    # 10^limit alone would take seconds to build at this limit
+    start = time.perf_counter()
+    assert main(["ehw", "--n", "4", "--z", "5/2", "--lambda=-3"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("int_digit_limit", [0], indirect=True)
+def test_digit_bound_without_a_limit_is_the_default(capsys, int_digit_limit):
+    # still refused before Fraction builds the value
+    start = time.perf_counter()
+    assert_one_error_line(
+        capsys, ["verma", "--m", "2", "--lambda", "1e20000000", "--nu", "4"],
+        "lieball verma: error: argument --lambda: more than 4300 digits: '1e20000000'")
+    assert time.perf_counter() - start < 1
+    assert main(["ehw", "--n", "4", "--z", "1e4299"]) == 0
 
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):

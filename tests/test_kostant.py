@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 import lieball.kostant as ks
 import lieball.weyl as wl
+from lieball.blattner import _dominant_preimage, _negative_pairs
 from lieball.cli import main
 from lieball.kostant import (
     LKTypeParam,
-    _dominant_preimage,
-    _negative_pairs,
     _shifted_weight,
     cohomology,
     euler_character,
@@ -267,11 +266,11 @@ def test_cli_path_walks_no_group_element(monkeypatch):
     def refuse(*args):
         raise AssertionError("a group element walked")
 
-    # kostant imports these from weyl only inside the functions that walk,
-    # so patching weyl's names covers both modules
+    # kostant binds weyl's names at import, so both modules' are patched
     names = ("enumerate_coset_reps", "act", "length", "inverse")
-    assert [name for name in names if hasattr(ks, name)] == []
-    for name in names:
-        monkeypatch.setattr(wl, name, refuse)
+    for module in (ks, wl):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert main(["ktypes", "--m", "8"]) == 0
     assert main(["verify", "--m", "6", "--max-l", "10"]) == 0

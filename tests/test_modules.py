@@ -71,9 +71,24 @@ def package_imports(name):
     return {m.split(".")[1] for m in imported_modules(name) if m.startswith("lieball.")}
 
 
-def test_euler_sum_imports_only_straightening_and_the_vocabulary():
-    # multiplicity and ktype_table read the one term off straightening
-    assert package_imports("blattner") == {"kostant", "repdata"}
+def nested_imports(name):
+    """The line of each import in `lieball.<name>` that is not a statement of
+    the module's own body: one inside a function or an `if` block."""
+    tree = ast.parse(Path(lieball.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def test_euler_sum_imports_only_the_vocabulary():
+    # multiplicity and ktype_table straighten their one term in blattner itself
+    assert package_imports("blattner") == {"repdata"}
+
+
+def test_forward_walk_imports_the_group_and_the_vocabulary():
+    # at the top: no function-local import and no TYPE_CHECKING block
+    assert package_imports("kostant") == {"repdata", "weyl"}
+    assert nested_imports("kostant") == []
 
 
 def test_analytic_route_imports_only_the_shared_vocabulary():
@@ -85,6 +100,7 @@ def test_analytic_route_imports_only_the_shared_vocabulary():
 def test_moved_vocabulary_still_resolves_at_its_old_paths():
     # perfbench/traced.py builds kostant.KTypeParam itself
     assert kostant.KTypeParam is repdata.KTypeParam
+    assert kostant.rho_c is repdata.rho_c
     assert blattner.KTypeTable is repdata.KTypeTable
     assert weyl._Record is repdata._Record
     assert weyl.Root is repdata.Root
@@ -146,9 +162,11 @@ def run_cli(*argv):
      ROUTE_MODULES - {"lieball.harmonic"} | EXACT),
     # straightening walks no group element, and every parameter is an int
     (run_cli("ktypes", "--m", "3"), "ktypes",
-     {"lieball.blattner"}, {"lieball.harmonic", "lieball.weyl", "fractions", "decimal"}),
+     {"lieball.blattner", "lieball.repdata"},
+     ROUTE_MODULES - {"lieball.blattner"} | {"fractions", "decimal"}),
     (run_cli("verify", "--m", "6", "--max-l", "10"), "verify",
-     {"lieball.blattner", "lieball.harmonic"}, {"lieball.weyl"} | EXACT),
+     {"lieball.blattner", "lieball.harmonic", "lieball.repdata"},
+     {"lieball.weyl", "lieball.kostant"} | EXACT),
     (run_cli("weyl", "--m", "3"), "weyl",
      {"lieball.weyl"}, ROUTE_MODULES - {"lieball.weyl"} | EXACT),
     (run_cli("ranges", "--m", "3"), "ranges",
