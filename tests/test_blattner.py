@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieball.blattner import (
@@ -23,9 +23,6 @@ from oracles import forward_multiplicity
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=-20, max_value=20),
        st.integers(min_value=0, max_value=20))
-@example(2, 1, 0)  # the bottom character (0, 0)
-@example(4, 1, 0)  # the bottom character (-2, -2, -2, -2)
-@example(3, 2, 2)  # the symmetric power (2, 0, 0)
 def test_target_is_the_symmetric_power_plus_the_bottom_character(m, lam, l):
     # S^l(u∩p) has highest weight l·e_1; the bottom character is det^λ
     # twisted by the top exterior power of the opposite of u∩k, whose roots
@@ -36,6 +33,22 @@ def test_target_is_the_symmetric_power_plus_the_bottom_character(m, lam, l):
         bottom[i] -= 1
         bottom[j] -= 1
     assert _target_hw(m, lam, l) == tuple(a + b for a, b in zip(sym, bottom, strict=True))
+
+
+def test_mu_lambda():
+    # with l = 0 the target is the bottom character's weight alone
+    assert _target_hw(2, 1, 0) == (0, 0)
+    assert _target_hw(3, 2, 0) == (0, 0, 0)
+    assert _target_hw(4, 1, 0) == (-2, -2, -2, -2)
+
+
+def test_s_u_cap_p_component():
+    # the symmetric power's weight is what l adds on top of the bottom character
+    def sym(m, lam, l):
+        return tuple(a - b for a, b in zip(_target_hw(m, lam, l), _target_hw(m, lam, 0), strict=True))
+
+    assert sym(3, 2, 0) == (0, 0, 0)
+    assert sym(3, 2, 2) == (2, 0, 0)
 
 
 def test_multiplicity_m2_examples():
