@@ -13,6 +13,7 @@ from lieball.blattner import (
     multiplicity,
     unique_scalar_match_check,
 )
+import lieball.blattner as bl
 import lieball.kostant as ks
 import lieball.weyl as wl
 from lieball.repdata import KTypeParam, KTypeTable, is_dominant, rho_c
@@ -179,6 +180,23 @@ def test_same_entries_detects_differences():
 @pytest.mark.parametrize("m", [2, 3])
 def test_unique_scalar_match_small_grid(m):
     assert unique_scalar_match_check(m, 3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_unique_scalar_match_refuses_a_second_match_in_the_grid(monkeypatch, m):
+    # each target (l, 0, ..., 0) with g < l <= 2g straightens to a weight in
+    # the grid: l itself lies outside it, but the check must still see them
+    g = 3
+    real = bl._dominant_preimage
+
+    def stray(m, target):
+        l = target[0]
+        if g < l <= 2 * g and not any(target[1:]):
+            return (l - g - 1,) + (0,) * (m - 1), 1
+        return real(m, target)
+
+    monkeypatch.setattr(bl, "_dominant_preimage", stray)
+    assert not unique_scalar_match_check(m, g)
 
 
 @settings(max_examples=60, deadline=None)

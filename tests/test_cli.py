@@ -102,10 +102,48 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr(bl, "rho_c", lambda m: (0,) * m)
     code, out = run(capsys, ["verify", "--m", "2", "--max-l", "3"])
     assert code == 1
-    assert "[FAIL] ktype tables" in out
-    assert "first difference" in out
-    assert "[FAIL] unique scalar match" in out
-    assert "result: FAIL" in out
+    assert out == (
+        "verification report  m=2  lambda=1  max_l=3  seed=0\n"
+        "[FAIL] ktype tables: first difference at (mu0=1; mu=(0, 0)): "
+        "euler-sum=0 harmonic-kernel=1\n"
+        "[FAIL] unique scalar match: exhaustive over the dominant grid with bound 4\n"
+        "[PASS] positivity ranges: lambda=1 weakly_fair=True good=False; "
+        "good witness <shift, (1, 0, 1)> = 0\n"
+        "[PASS] infinitesimal character: (1, 0, -1) is singular\n"
+        "[PASS] verma homomorphisms: degrees 0..5 accepted with orbit-equal parameters\n"
+        "[PASS] laplacian equivariance: n=4, 15 trials, seed=0\n"
+        "result: FAIL (4/6)\n"
+    )
+
+
+def test_verify_names_the_smallest_difference_on_either_side(capsys, monkeypatch):
+    # the analytic table lacks its last row and has an extra, smaller one
+    import lieball.harmonic as hm
+    from lieball.repdata import KTypeParam
+
+    real = hm.sol_ktype_table
+
+    def skewed(m, max_l):
+        table = real(m, max_l)
+        entries = {pi: k for pi, k in table.entries.items() if pi.mu[0] != max_l}
+        entries[KTypeParam(m - 1, (1, 1) + (0,) * (m - 2))] = 1
+        return table._replace(entries=entries)
+
+    monkeypatch.setattr(hm, "sol_ktype_table", skewed)
+    code, out = run(capsys, ["verify", "--m", "3", "--max-l", "3"])
+    assert code == 1
+    assert out == (
+        "verification report  m=3  lambda=2  max_l=3  seed=0\n"
+        "[FAIL] ktype tables: first difference at (mu0=2; mu=(1, 1, 0)): "
+        "euler-sum=0 harmonic-kernel=1\n"
+        "[PASS] unique scalar match: exhaustive over the dominant grid with bound 4\n"
+        "[PASS] positivity ranges: lambda=2 weakly_fair=True good=False; "
+        "good witness <shift, (0, 1, 0, 1)> = 0\n"
+        "[PASS] infinitesimal character: (2, 1, 0, -1) is singular\n"
+        "[PASS] verma homomorphisms: degrees 0..5 accepted with orbit-equal parameters\n"
+        "[PASS] laplacian equivariance: n=6, 15 trials, seed=0\n"
+        "result: FAIL (5/6)\n"
+    )
 
 
 def test_verify_reports_certification_failure(capsys, monkeypatch):
