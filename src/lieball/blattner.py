@@ -136,19 +136,17 @@ def unique_scalar_match_check(m: int, grid_bound: int) -> bool:
     Over every dominant μ with entries in [−grid_bound, grid_bound], every
     l in [0, 2·grid_bound] and every coset representative w, the equality
     w(μ+ρ_c) − ρ_c = (l, 0, ..., 0) holds exactly when w = 1
-    and μ = (l, 0, ..., 0).  Checked from the target side, where
-    straightening names the one pair (μ, w) that could match: the
-    preimage of (l, 0, ..., 0) in the grid is itself, with sign +1, and
-    exists only when it lies in the grid.
+    and μ = (l, 0, ..., 0).  Read off the Euler-sum table at λ = m − 1,
+    where the target of charge l + m − 1 is exactly (l, 0, ..., 0): over
+    those charges and μ_1 ≤ grid_bound its entries must be
+    (l + m − 1; l, 0, ..., 0) with multiplicity 1 for each l ≤ grid_bound,
+    and nothing else.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     if grid_bound < 0:
         raise ValueError("grid bound must be nonnegative")
-    for l in range(0, 2 * grid_bound + 1):
-        target = (l,) + (0,) * (m - 1)
-        found = _dominant_preimage(m, target)
-        in_grid = found if found and found[0][0] <= grid_bound else None
-        if in_grid != ((target, 1) if l <= grid_bound else None):
-            return False
-    return True
+    table = ktype_table(m, m - 1, max_mu0=m - 1 + 2 * grid_bound, max_mu1=grid_bound)
+    return table.entries == {
+        KTypeParam(l + m - 1, (l,) + (0,) * (m - 1)): 1 for l in range(grid_bound + 1)
+    }

@@ -218,8 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "m", 2) < 2:  # every subcommand with --m needs m >= 2
+    m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
+    if m < 2:
         args.parser.error("--m must be at least 2")
+    if m > sys.maxsize:  # the tuples of rank m need an index-sized m
+        args.parser.error(f"--m must be at most {sys.maxsize}")
     try:
         command = import_module(f".commands.{args.command}", __package__)
         report = command.run(args, args.parser)

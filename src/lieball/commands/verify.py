@@ -21,77 +21,43 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
     from ..harmonic import so_invariance_check, sol_ktype_table
     from ..repdata import inf_char, is_regular_type_d, orbit_equal, range_verdict, root_vector
     from ..repdata import verma_hom_condition, verma_inf_char
-    checks: List[dict] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
     lam = m - 1
-    algebraic = ktype_table(m, lam, max_mu0=lam + max_l, max_mu1=max_l)
-    analytic = sol_ktype_table(m, max_l)
-    if algebraic.same_entries(analytic):
-        record(
-            "ktype tables",
-            True,
-            f"Euler-sum and harmonic-kernel tables agree on {len(algebraic.entries)} entries",
-        )
-    else:
-        diff = min(
-            (pi for pi in set(algebraic.entries) | set(analytic.entries)
-             if algebraic.entries.get(pi, 0) != analytic.entries.get(pi, 0)),
-            key=lambda pi: (pi.mu0, pi.mu),
-        )
-        record(
-            "ktype tables",
-            False,
-            f"first difference at (mu0={diff.mu0}; mu={_fmt_weight(diff.mu)}): "
-            f"euler-sum={algebraic.entries.get(diff, 0)} "
-            f"harmonic-kernel={analytic.entries.get(diff, 0)}",
-        )
-
-    record(
-        "unique scalar match",
-        unique_scalar_match_check(m, VERIFY_GRID_BOUND),
-        f"exhaustive over the dominant grid with bound {VERIFY_GRID_BOUND}",
+    algebraic = ktype_table(m, lam, max_mu0=lam + max_l, max_mu1=max_l).entries
+    analytic = sol_ktype_table(m, max_l).entries
+    diff = min(
+        (pi for pi in algebraic.keys() | analytic.keys()
+         if algebraic.get(pi, 0) != analytic.get(pi, 0)),
+        key=lambda pi: (pi.mu0, pi.mu),
+        default=None,
     )
-
     verdict = range_verdict(m, lam)
-    witness_ok = bool(verdict.good_witnesses)
-    detail = f"lambda={lam} weakly_fair={verdict.weakly_fair} good={verdict.good}"
-    if witness_ok:
-        root, pairing = verdict.good_witnesses[0]
-        detail += f"; good witness <shift, {_fmt_weight(root_vector(m + 1, root))}> = {pairing}"
-    record(
-        "positivity ranges",
-        verdict.weakly_fair and not verdict.good and witness_ok,
-        detail,
-    )
-
+    witnesses = verdict.good_witnesses[:1]
     chi = inf_char(m, lam)
-    record(
-        "infinitesimal character",
-        not is_regular_type_d(chi),
-        f"{_fmt_weight(chi)} is singular",
-    )
-
-    verma_ok = all(
-        verma_hom_condition(m, m - l, m + l) == l
-        and verma_hom_condition(m, m - l, m + l + 1) is None
-        and orbit_equal(verma_inf_char(m, m - l), verma_inf_char(m, m + l))
-        for l in range(VERIFY_VERMA_DEGREES + 1)
-    )
-    record(
-        "verma homomorphisms",
-        verma_ok,
-        f"degrees 0..{VERIFY_VERMA_DEGREES} accepted with orbit-equal parameters",
-    )
-
-    record(
-        "laplacian equivariance",
-        so_invariance_check(2 * m, VERIFY_EQUIVARIANCE_TRIALS, seed=seed),
-        f"n={2 * m}, {VERIFY_EQUIVARIANCE_TRIALS} trials, seed={seed}",
-    )
-
+    rows = [
+        ("ktype tables", diff is None,
+         f"Euler-sum and harmonic-kernel tables agree on {len(algebraic)} entries"
+         if diff is None else
+         f"first difference at (mu0={diff.mu0}; mu={_fmt_weight(diff.mu)}): "
+         f"euler-sum={algebraic.get(diff, 0)} harmonic-kernel={analytic.get(diff, 0)}"),
+        ("unique scalar match", unique_scalar_match_check(m, VERIFY_GRID_BOUND),
+         f"exhaustive over the dominant grid with bound {VERIFY_GRID_BOUND}"),
+        ("positivity ranges", verdict.weakly_fair and not verdict.good and witnesses,
+         f"lambda={lam} weakly_fair={verdict.weakly_fair} good={verdict.good}" + "".join(
+             f"; good witness <shift, {_fmt_weight(root_vector(m + 1, root))}> = {pairing}"
+             for root, pairing in witnesses)),
+        ("infinitesimal character", not is_regular_type_d(chi), f"{_fmt_weight(chi)} is singular"),
+        ("verma homomorphisms",
+         all(verma_hom_condition(m, m - l, m + l) == l
+             and verma_hom_condition(m, m - l, m + l + 1) is None
+             and orbit_equal(verma_inf_char(m, m - l), verma_inf_char(m, m + l))
+             for l in range(VERIFY_VERMA_DEGREES + 1)),
+         f"degrees 0..{VERIFY_VERMA_DEGREES} accepted with orbit-equal parameters"),
+        ("laplacian equivariance",
+         so_invariance_check(2 * m, VERIFY_EQUIVARIANCE_TRIALS, seed=seed),
+         f"n={2 * m}, {VERIFY_EQUIVARIANCE_TRIALS} trials, seed={seed}"),
+    ]
+    checks = [{"name": name, "pass": bool(ok), "detail": detail} for name, ok, detail in rows]
     return checks, all(c["pass"] for c in checks)
 
 

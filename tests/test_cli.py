@@ -369,6 +369,14 @@ def test_missing_subcommand_is_usage_error():
         (["ktypes", "--m", "1"], "--m must be at least 2"),
         (["harmonic", "--m", "0"], "--m must be at least 2"),
         (["verify", "--m", "-3"], "--m must be at least 2"),
+        (["ktypes", "--m", "99999999999999999999", "--max-l", "0"],
+         f"--m must be at most {sys.maxsize}"),
+        (["harmonic", "--m", "99999999999999999999", "--max-l", "1"],
+         f"--m must be at most {sys.maxsize}"),
+        (["verify", "--m", "99999999999999999999", "--max-l", "0"],
+         f"--m must be at most {sys.maxsize}"),
+        (["verma", "--m", str(sys.maxsize + 1), "--max-l", "1"],
+         f"--m must be at most {sys.maxsize}"),
         (["weyl", "--m", "9"], "--m exceeds the enumeration bound 8"),
         (["ktypes", "--m", "2", "--lambda", "3/2"], "--lambda must be an integer for ktypes"),
         (["ranges", "--m", "3", "--lambda", "1/2"], "--lambda must be an integer for ranges"),
@@ -387,6 +395,24 @@ def test_checked_usage_errors_name_the_subcommand(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: lieball {argv[0]} [-h] ")
     assert captured.err.splitlines()[-1] == f"lieball {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("command", ["ktypes", "harmonic", "verify", "verma"])
+def test_largest_index_sized_m_runs_out_of_memory(command):
+    # --m = sys.maxsize passes the up-front check and fails on its first
+    # tuple of rank m; run capped at 1 GB of address space, with a timeout
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieball", command, "--m", str(sys.maxsize), "--max-l", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"lieball {command}: error: request too large: out of memory\n"
 
 
 @pytest.mark.parametrize(

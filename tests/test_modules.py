@@ -106,17 +106,21 @@ def test_moved_vocabulary_still_resolves_at_its_old_paths():
     assert weyl.Root is repdata.Root
 
 
-def test_verify_calls_no_inversion_set(monkeypatch):
+def test_length_counts_without_inversion_set(monkeypatch):
     # length counts on integers; only the `weyl` listing prints inversion sets
+    cases = [(m, repdata.KTypeParam(m, mu))
+             for m in (2, 3, 5) for mu in ((0,) * m, (2, 1) + (0,) * (m - 2))]
+    reps = weyl.enumerate_coset_reps(5)
+    expected = [kostant.euler_character(m, pi) for m, pi in cases]
+
     def refuse(*args, **kwargs):
-        raise AssertionError("inversion_set was called on the verify path")
+        raise AssertionError("inversion_set was called to count a length")
 
     monkeypatch.setattr(weyl, "inversion_set", refuse)
     weyl.length.cache_clear()
     weyl.enumerate_coset_reps.cache_clear()
-    from lieball.commands import verify
-    checks, ok = verify._verify_checks(6, 10, 1)
-    assert ok, checks
+    assert weyl.enumerate_coset_reps(5) == reps
+    assert [kostant.euler_character(m, pi) for m, pi in cases] == expected
 
 
 def test_each_subcommand_has_a_command_module():
