@@ -369,6 +369,13 @@ def test_missing_subcommand_is_usage_error():
         (["ktypes", "--m", "1"], "--m must be at least 2"),
         (["harmonic", "--m", "0"], "--m must be at least 2"),
         (["verify", "--m", "-3"], "--m must be at least 2"),
+        (["weyl", "--m", "9"], "--m exceeds the enumeration bound 8"),
+        (["ktypes", "--m", "2", "--lambda", "3/2"], "--lambda must be an integer for ktypes"),
+        (["ranges", "--m", "3", "--lambda", "1/2"], "--lambda must be an integer for ranges"),
+        (["verma", "--m", "3", "--nu", "1"], "verma needs both --lambda and --nu, or neither"),
+        (["ehw", "--n", "3", "--z", "1"], "--n must be at least 4"),
+        (["ehw", "--n", "5", "--z", "1", "--lambda", "1"],
+         "--lambda requires even --n for the residue degree"),
         (["ktypes", "--m", "99999999999999999999", "--max-l", "0"],
          f"--m must be at most {sys.maxsize}"),
         (["harmonic", "--m", "99999999999999999999", "--max-l", "1"],
@@ -377,13 +384,6 @@ def test_missing_subcommand_is_usage_error():
          f"--m must be at most {sys.maxsize}"),
         (["verma", "--m", str(sys.maxsize + 1), "--max-l", "1"],
          f"--m must be at most {sys.maxsize}"),
-        (["weyl", "--m", "9"], "--m exceeds the enumeration bound 8"),
-        (["ktypes", "--m", "2", "--lambda", "3/2"], "--lambda must be an integer for ktypes"),
-        (["ranges", "--m", "3", "--lambda", "1/2"], "--lambda must be an integer for ranges"),
-        (["verma", "--m", "3", "--nu", "1"], "verma needs both --lambda and --nu, or neither"),
-        (["ehw", "--n", "3", "--z", "1"], "--n must be at least 4"),
-        (["ehw", "--n", "5", "--z", "1", "--lambda", "1"],
-         "--lambda requires even --n for the residue degree"),
     ],
 )
 def test_checked_usage_errors_name_the_subcommand(capsys, argv, message):
