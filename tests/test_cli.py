@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from lieball.cli import main
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -386,15 +388,49 @@ def test_missing_subcommand_is_usage_error():
          f"--m must be at most {sys.maxsize}"),
     ],
 )
-def test_checked_usage_errors_name_the_subcommand(capsys, argv, message):
-    # the same prefixes as argparse's own errors for that subcommand
+def test_checked_usage_errors_name_the_subcommand(capsys, monkeypatch, argv, message):
+    # the same usage and prefix as argparse's own errors for that subcommand
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"usage: lieball {argv[0]} [-h] ")
-    assert captured.err.splitlines()[-1] == f"lieball {argv[0]}: error: {message}"
+    assert captured.err == usage(argv[0]) + f"lieball {argv[0]}: error: {message}\n"
+
+
+def usage(command=""):
+    """The usage lines that head `lieball [command] -h` at 80 columns, read
+    off its help golden."""
+    help_ = GOLDEN / (f"help_{command}.txt" if command else "help.txt")
+    return help_.read_text(encoding="utf-8").partition("\n\n")[0] + "\n"
+
+
+@pytest.mark.parametrize("argv, code, same_as, err", [
+    # the top-level parser reports what no subcommand parser claims
+    (["harmonic", "--m", "4", "--bogus"], 2, None,
+     usage() + "lieball: error: unrecognized arguments: --bogus\n"),
+    # an unambiguous prefix names its flag, and the last of a repeated flag wins
+    (["harmonic", "--ma", "3", "--m", "4"], 0, ["harmonic", "--m", "4", "--max-l", "3"], ""),
+    (["harmonic", "--m", "3", "--m", "4"], 0, ["harmonic", "--m", "4"], ""),
+    (["harmonic", "--m=3"], 0, ["harmonic", "--m", "3"], ""),
+    # after `--` every token is a positional argument, and none is expected
+    (["harmonic", "--", "--m", "3"], 2, None,
+     usage("harmonic") + "lieball harmonic: error: the following arguments are required: --m\n"),
+], ids=["unrecognized", "prefix", "repeated", "equals", "double-dash"])
+def test_argparse_forms_keep_their_output(capsys, monkeypatch, argv, code, same_as, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = ""
+    if same_as is not None:
+        assert main(same_as) == 0
+        expected = capsys.readouterr().out
+    if code:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    else:
+        assert main(argv) == 0
+    assert capsys.readouterr() == (expected, err)
 
 
 @pytest.mark.parametrize("command", ["ktypes", "harmonic", "verify", "verma"])
@@ -574,8 +610,9 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("lieball: error: cannot write --out")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (
+        f"lieball: error: cannot write --out: [Errno 2] No such file or directory: "
+        f"{str(target)!r}\n")
     assert not target.parent.exists()
 
 
