@@ -14,14 +14,14 @@ __version__ = "0.1.0"
 
 # Each public name, and the submodule it is imported from on first access.
 _SUBMODULE = {
-    "KTypeParam": "repdata",
+    "KTypeParam": "ktype",
     "cohomology": "kostant",
     "enumerate_coset_reps": "weyl",
     "harmonic_dimension": "harmonic",
     "ktype_table": "blattner",
     "multiplicity": "blattner",
     "sol_ktype_table": "harmonic",
-    "weyl_dim_so2m": "repdata",
+    "weyl_dim_so2m": "ktype",
 }
 
 __all__ = list(_SUBMODULE)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .repdata import KTypeParam, KTypeTable, rho_c
+from .ktype import KTypeParam, KTypeTable, rho_c
 
 __all__ = [
     "multiplicity",

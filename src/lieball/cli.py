@@ -6,18 +6,26 @@ output is deterministic for a fixed invocation and seed.  Exit codes:
 
 This module holds what every subcommand shares: the report record and its
 rendering, the formatters, the flag and subcommand tables, the parser and
-`main`.  Each subcommand's handler is the `run` of its own module,
+`main`.  Each subcommand's handler is the `run(args)` of its own module,
 `lieball.commands.<subcommand>`, which imports the route it runs; `main`
 imports only the module of the subcommand asked for.  So a cold invocation
 compiles one handler and loads one route: `harmonic` never loads the
 Euler-sum route, nor `ktypes` `harmonic`.
+
+`main` reads a well-formed command line, a subcommand and then
+`--flag value` pairs, straight off the `_FLAGS` and `_SUBCOMMANDS` tables,
+into the namespace argparse would return for it.  Every other command line
+goes to the argparse parser of `build_parser`, which also prints the help.
+A handler reports a usage error that parsing cannot find by raising
+`UsageError`; `main` prints it through the subcommand's argparse parser.
+So `argparse` is loaded only to print help or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 __all__ = ["main"]
@@ -88,21 +96,33 @@ def _table_report(table: KTypeTable, text: Callable[[], List[str]]) -> Report:
     )
 
 
-def _integer_lambda(args, parser: argparse.ArgumentParser) -> int:
+class UsageError(Exception):
+    """A usage error found after parsing; `main` prints it as the
+    subcommand's argparse parser prints its own, and exits 2."""
+
+
+def _integer_lambda(args) -> int:
     """--lambda, defaulting to m - 1, for subcommands that need an integer."""
     lam = args.lam if args.lam is not None else args.m - 1
     if lam != int(lam):
-        parser.error(f"--lambda must be an integer for {args.command}")
+        raise UsageError(f"--lambda must be an integer for {args.command}")
     return int(lam)
+
+
+def _type_error(message: str) -> Exception:
+    """The argparse.ArgumentTypeError of a flag's type function; argparse is
+    imported only for a value that the type refuses."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
 
 
 def _nonnegative_int(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+        raise _type_error(f"not an integer: {raw!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise _type_error(f"must be nonnegative, got {value}")
     return value
 
 
@@ -119,46 +139,15 @@ def _rational(raw: str) -> Fraction:
     try:
         digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent)) if exponent else 0
         if digits > bound:
-            raise argparse.ArgumentTypeError(f"more than {bound} digits: {raw!r}")
+            raise _type_error(f"more than {bound} digits: {raw!r}")
         value = Fraction(raw)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from None
+        raise _type_error(f"not a rational number: {raw!r}") from None
     size = abs(value.numerator)
     if size.bit_length() > 3 * (bound - 1) and 4 * size >= 10 ** bound:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             f"too large: values derived from it may not print in {bound} digits: {raw!r}")
     return value
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that reads `--lambda -3/2` as `--lambda=-3/2`,
-    and likewise for --nu and --z.
-
-    argparse takes a token that starts with '-' as a value only if it reads
-    as a plain negative decimal, so it would take -3/2 for an option.  Such a
-    token is joined to the flag before it when that flag names one of the
-    rational flags the way argparse reads it: in full, or as a prefix that no
-    other option of the subcommand shares, such as --lamb.  A token that
-    starts with '--' is left alone, as is every other token.
-    """
-
-    def _long_option(self, token: str) -> Optional[str]:
-        """The option string argparse reads `token` as, or None."""
-        options = self._option_string_actions
-        if token in options:
-            return token
-        matches = [o for o in options if o.startswith(token)]
-        return matches[0] if len(matches) == 1 else None
-
-    def parse_known_args(self, args=None, namespace=None):
-        out: List[str] = []
-        for token in args:
-            negative = token.startswith("-") and not token.startswith("--")
-            if negative and out and self._long_option(out[-1]) in RATIONAL_FLAGS:
-                out[-1] += "=" + token
-            else:
-                out.append(token)
-        return super().parse_known_args(out, namespace)
 
 
 # Each flag once: its add_argument keywords under its option string, or under
@@ -201,34 +190,115 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _subcommand_flags(command: str) -> Optional[dict]:
+    """The add_argument keywords of each of a subcommand's flags, under the
+    option string, in usage order; None for a name that is no subcommand."""
+    for name, _, flags in _SUBCOMMANDS:
+        if name == command:
+            return {flag.partition(":")[0]: _FLAGS[flag] for flag in flags.split()}
+    return None
+
+
+def build_parser(command: Optional[str] = None):
+    """The `lieball` argparse parser, or with `command` that subcommand's
+    parser, whose .error() prints a usage error."""
+    import argparse
+
+    class _SubcommandParser(argparse.ArgumentParser):
+        """A subcommand's parser that reads `--lambda -3/2` as `--lambda=-3/2`,
+        and likewise for --nu and --z.
+
+        argparse takes a token that starts with '-' as a value only if it reads
+        as a plain negative decimal, so it would take -3/2 for an option.  Such a
+        token is joined to the flag before it when that flag names one of the
+        rational flags the way argparse reads it: in full, or as a prefix that no
+        other option of the subcommand shares, such as --lamb.  A token that
+        starts with '--' is left alone, as is every other token.
+        """
+
+        def _long_option(self, token: str) -> Optional[str]:
+            """The option string argparse reads `token` as, or None."""
+            options = self._option_string_actions
+            if token in options:
+                return token
+            matches = [o for o in options if o.startswith(token)]
+            return matches[0] if len(matches) == 1 else None
+
+        def parse_known_args(self, args=None, namespace=None):
+            out: List[str] = []
+            for token in args:
+                negative = token.startswith("-") and not token.startswith("--")
+                if negative and out and self._long_option(out[-1]) in RATIONAL_FLAGS:
+                    out[-1] += "=" + token
+                else:
+                    out.append(token)
+            return super().parse_known_args(out, namespace)
+
     parser = argparse.ArgumentParser(
         prog="lieball",
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, help_, flags in _SUBCOMMANDS:
+    for name, help_, _ in _SUBCOMMANDS:
         p = subs.add_parser(name, help=help_)
-        for flag in flags.split():
-            p.add_argument(flag.partition(":")[0], **_FLAGS[flag])
-        p.set_defaults(parser=p)
-    return parser
+        for flag, keywords in _subcommand_flags(name).items():
+            p.add_argument(flag, **keywords)
+    return subs.choices[command] if command else parser
+
+
+def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for a well-formed `argv`, read off the
+    flag tables; None for any other argv.
+
+    Well formed: a subcommand, then `--flag value` pairs, each flag one of
+    the subcommand's, in full and given once, each value not starting with
+    '-', accepted by the flag's type and in its choices, and every required
+    flag present.  A type refuses a value as argparse sees it: by raising
+    ArgumentTypeError, TypeError or ValueError.
+    """
+    flags = _subcommand_flags(argv[0]) if len(argv) % 2 else None
+    if flags is None:
+        return None
+    given = {}
+    for flag, raw in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or flag in given or raw.startswith("-"):
+            return None
+        keywords = flags[flag]
+        try:
+            value = keywords.get("type", str)(raw)
+        except Exception as exc:
+            from argparse import ArgumentTypeError  # loaded only for a refused value
+            if isinstance(exc, (ArgumentTypeError, TypeError, ValueError)):
+                return None
+            raise
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        keywords.get("dest", flag[2:].replace("-", "_")): given.get(flag, keywords.get("default"))
+        for flag, keywords in flags.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
-    if m < 2:
-        args.parser.error("--m must be at least 2")
-    if m > sys.maxsize:  # the tuples of rank m need an index-sized m
-        args.parser.error(f"--m must be at most {sys.maxsize}")
+    args = _read_flags(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
+        m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
+        if m < 2:
+            raise UsageError("--m must be at least 2")
+        if m > sys.maxsize:  # the tuples of rank m need an index-sized m
+            raise UsageError(f"--m must be at most {sys.maxsize}")
         command = import_module(f".commands.{args.command}", __package__)
-        report = command.run(args, args.parser)
+        report = command.run(args)
         text = render(report, args.format)
+    except UsageError as exc:
+        build_parser(args.command).error(str(exc))
     except MemoryError:
-        print(f"{args.parser.prog}: error: request too large: out of memory", file=sys.stderr)
+        print(f"lieball {args.command}: error: request too large: out of memory",
+              file=sys.stderr)
         return 2
     except RuntimeError as exc:
         from .harmonic import CertificationError  # here, so ktypes never loads harmonic
@@ -243,7 +313,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            parser.exit(2, f"{parser.prog}: error: cannot write --out: {exc}\n")
+            sys.stderr.write(f"lieball: error: cannot write --out: {exc}\n")
+            raise SystemExit(2)
     return report.code
 
 

@@ -4,22 +4,22 @@ from __future__ import annotations
 
 from typing import List
 
-from ..cli import Report, _cell, _json_q
+from ..cli import Report, UsageError, _cell, _json_q
 
 __all__ = ["run"]
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     from ..repdata import ehw_first_reduction_point, ehw_last_unitary_point, ehw_unitarizable
     from ..repdata import knapp_stein_residue_degree
     if args.n < 4:
-        parser.error("--n must be at least 4")
+        raise UsageError("--n must be at least 4")
     a = ehw_first_reduction_point(args.n)
     b = ehw_last_unitary_point(args.n)
     unit = ehw_unitarizable(args.n, args.z)
     if args.lam is not None:
         if args.n % 2 != 0:
-            parser.error("--lambda requires even --n for the residue degree")
+            raise UsageError("--lambda requires even --n for the residue degree")
         ks_degree = knapp_stein_residue_degree(args.n, args.lam)
 
     def text() -> List[str]:

@@ -7,7 +7,7 @@ from ..cli import Report, _fmt_weight, _table_report
 __all__ = ["run"]
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     from ..harmonic import sol_ktype_table
     table = sol_ktype_table(args.m, args.max_l)
     return _table_report(table, lambda: [

@@ -7,10 +7,10 @@ from ..cli import Report, _fmt_weight, _integer_lambda, _table_report
 __all__ = ["run"]
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     from ..blattner import ktype_table
     from ..repdata import weakly_fair
-    lam = _integer_lambda(args, parser)
+    lam = _integer_lambda(args)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
     semantics = "multiplicity" if weakly_fair(args.m, lam) else "Euler characteristic"
     return _table_report(table, lambda: [

@@ -16,10 +16,10 @@ def _witnesses_json(m: int, witnesses) -> List[dict]:
     ]
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     from ..repdata import inf_char, is_regular_type_d, range_verdict, range_violation_counts
     from ..repdata import root_vector
-    lam = _integer_lambda(args, parser)
+    lam = _integer_lambda(args)
     chi = inf_char(args.m, lam)
     regular = is_regular_type_d(chi)
 

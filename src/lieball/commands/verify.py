@@ -61,7 +61,7 @@ def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
     return checks, all(c["pass"] for c in checks)
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     checks, ok = _verify_checks(args.m, args.max_l, args.seed)
     passed = sum(1 for c in checks if c["pass"])
     return Report(

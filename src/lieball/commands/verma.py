@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..cli import Report, _cell, _json_q
+from ..cli import Report, UsageError, _cell, _json_q
 
 __all__ = ["run"]
 
@@ -20,9 +20,9 @@ def _verma_pair(m: int, lam, nu) -> dict:
     return {"lambda": lam, "nu": nu, "degree": degree, "orbit_equal": consistent}
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     if (args.lam is None) != (args.nu is None):
-        parser.error("verma needs both --lambda and --nu, or neither")
+        raise UsageError("verma needs both --lambda and --nu, or neither")
     if args.lam is not None:
         pair = _verma_pair(args.m, args.lam, args.nu)
         l, consistent = pair["degree"], pair["orbit_equal"]

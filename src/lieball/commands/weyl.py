@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from ..cli import WEYL_ENUMERATION_BOUND, Report, _fmt_weight
+from ..cli import WEYL_ENUMERATION_BOUND, Report, UsageError, _fmt_weight
 
 __all__ = ["run"]
 
 
-def run(args, parser) -> Report:
+def run(args) -> Report:
     from ..weyl import enumerate_coset_reps, inversion_set, length, one_line_window
     if args.m > WEYL_ENUMERATION_BOUND:
-        parser.error(f"--m exceeds the enumeration bound {WEYL_ENUMERATION_BOUND}")
+        raise UsageError(f"--m exceeds the enumeration bound {WEYL_ENUMERATION_BOUND}")
     reps = enumerate_coset_reps(args.m)
     elements = [
         {"index": idx, "length": length(w), "window": list(one_line_window(w)),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .repdata import KTypeParam, _Record, rho_c
+from .ktype import KTypeParam, _Record, rho_c
 from .weyl import SignedPermutation, act, enumerate_coset_reps, length
 
 __all__ = [

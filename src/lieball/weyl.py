@@ -16,7 +16,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .repdata import Root, _Record, root_vector
+from .ktype import _Record
+from .repdata import Root, root_vector
 
 __all__ = [
     "SignedPermutation",

@@ -13,14 +13,8 @@ from fractions import Fraction as Q
 
 from lieball.blattner import ktype_table, unique_scalar_match_check
 from lieball.cli import main
-from lieball.harmonic import (
-    harmonic_dimension,
-    harmonic_dimension_formula,
-    laplacian,
-    random_homogeneous,
-    rotation_generator,
-    so_invariance_check,
-)
+from lieball.harmonic import harmonic_dimension, harmonic_dimension_formula, so_invariance_check
+from lieball.polynomial import laplacian, random_homogeneous, rotation_generator
 from lieball.repdata import (
     KTypeParam,
     borel_weil_bott_ktype,

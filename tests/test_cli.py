@@ -699,3 +699,100 @@ def test_subprocess_matches_in_process(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout == inproc
+
+
+# --- The flag-table reader against argparse -----------------------------------
+
+from lieball.cli import _FLAGS, _SUBCOMMANDS, _read_flags, build_parser  # noqa: E402
+
+TABLE_VALUES = {
+    "--m": ["2", "3", "4", "0", "-1", "007", " 3", "x", "2.5", ""],
+    "--n": ["4", "5", "6", "-4", "x"],
+    "--seed": ["0", "7", "-2", "1_0", "seed"],
+    "--max-l": ["0", "3", "6", "-1", "two"],
+    "--lambda": ["1", "3/2", "-3/2", "2", "1e3", "1/0", "-1", "x"],
+    "--nu": ["1", "5/2", "-1/2", "1/0"],
+    "--z": ["2", "-1/3", "5/2", "1e-3", "1/0"],
+    "--format": ["text", "json", "csv", "xml", "-"],
+    "--out": ["table.txt", "", "-", "-table.txt"],
+}
+
+
+@st.composite
+def table_argv(draw):
+    """An argv drawn from the flag tables: mostly a subcommand and its flags
+    as `--flag value` pairs, with prefixes, `=` forms, repeated and missing
+    flags, negative and malformed values, -h, -- and stray tokens mixed in."""
+    name, _, spec = draw(st.sampled_from(_SUBCOMMANDS))
+    options = [flag.partition(":")[0] for flag in spec.split()]
+    required = [o for o, flag in zip(options, spec.split()) if _FLAGS[flag].get("required")]
+    optional = draw(st.lists(st.sampled_from(options), unique=True))
+    flags = draw(st.permutations(sorted(set(required) | set(optional))))
+    argv = [name]
+    for flag in flags:
+        value = draw(st.sampled_from(TABLE_VALUES[flag]))
+        form = draw(st.sampled_from(["pair"] * 12 + ["prefix", "equals", "repeat", "drop"]))
+        if form == "prefix":
+            argv += [flag[:draw(st.integers(3, len(flag)))], value]
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "repeat":
+            argv += [flag, draw(st.sampled_from(TABLE_VALUES[flag])), flag, value]
+        elif form == "pair":
+            argv += [flag, value]
+    if draw(st.integers(0, 5)) == 0:
+        stray = draw(st.sampled_from(["-h", "--help", "--", "--bogus", "7", name, "--m"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+def argparse_reads(argv):
+    """The attributes of build_parser().parse_args(argv), or None where it
+    exits; its output is thrown away."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_argv())
+def test_reader_accepts_only_what_argparse_reads_alike(argv):
+    # argparse is the oracle: wherever the reader accepts, argparse accepts
+    # too and reads the same attributes
+    read = _read_flags(list(argv))
+    if read is not None:
+        assert argparse_reads(argv) == vars(read), argv
+
+
+def benchmark_argv():
+    """The invocations the benchmark times, as perfbench/workloads.py builds
+    them for the workloads BENCHMARK.json names."""
+    import importlib.util
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    return [workloads.WORKLOADS[name].argv(seed) for name in names for seed in (0, 1, 9)]
+
+
+def test_reader_takes_the_benchmark_and_golden_invocations():
+    # the fast path applies to what is timed and to every well-formed golden
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    well_formed = [
+        c["argv"] for c in cases
+        if not any(token.startswith("-") for token in c["argv"][2::2])
+        and all(token in TABLE_VALUES for token in c["argv"][1::2])
+    ]
+    assert len(well_formed) > len(cases) // 2
+    argvs = benchmark_argv() + well_formed
+    assert [argv for argv in argvs if _read_flags(argv) is None] == []
+    for argv in argvs:
+        assert vars(_read_flags(argv)) == argparse_reads(argv)

@@ -12,19 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lieball.harmonic as hm
+import lieball.polynomial as poly
 from lieball.cli import main
 from lieball.harmonic import (
     CertificationError,
-    SparsePolynomial,
     harmonic_dimension,
     harmonic_dimension_formula,
-    laplacian,
     polynomial_space_dimension,
-    random_homogeneous,
-    rotation_generator,
     so_invariance_check,
     sol_ktype_table,
 )
+from lieball.polynomial import SparsePolynomial, laplacian, random_homogeneous, rotation_generator
 from lieball.repdata import KTypeParam
 from oracles import (
     Polynomial,
@@ -462,7 +460,7 @@ def test_so_invariance_check_flags_broken_generator(monkeypatch):
         xa, xb = var(f.nvars, a), var(f.nvars, b)
         return xa * partial(f, b) + xb * partial(f, a)
 
-    monkeypatch.setattr(hm, "rotation_generator", broken)
+    monkeypatch.setattr(poly, "rotation_generator", broken)
     assert not so_invariance_check(4, 6, seed=0)
 
 
@@ -489,7 +487,7 @@ def second_order_fault(f, a, b):
 def test_support_restricted_check_matches_all_pairs(n, trials, seed, faulty):
     with pytest.MonkeyPatch.context() as mp:
         if faulty:
-            mp.setattr(hm, "rotation_generator", second_order_fault)
+            mp.setattr(poly, "rotation_generator", second_order_fault)
         assert so_invariance_check(n, trials, seed=seed) \
             == all_pairs_invariance_check(n, trials, seed=seed)
 

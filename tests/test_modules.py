@@ -2,8 +2,8 @@
 slow references live with the tests, not in the package, the analytic route
 imports nothing of the algebraic one, importing the package or the CLI
 loads no route and no command module and stays off the costly standard
-modules, and each subcommand loads only its own command module and the
-route it runs."""
+modules, each subcommand loads only its own command module and the
+route it runs, and only help or a usage error loads argparse."""
 
 import ast
 import importlib
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import lieball
-from lieball import blattner, cli, harmonic, kostant, repdata, weyl
+from lieball import blattner, cli, harmonic, kostant, ktype, polynomial, repdata, weyl
 
 # `__main__` runs the CLI when imported; `commands` is a package of one
 # module per subcommand.
@@ -43,12 +43,15 @@ def test_oracles_are_not_in_the_package():
         "monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
         "_block_columns", "_compositions", "laplacian_power")]
     moved += [(weyl, "enumerate_group"), (weyl, "is_coset_rep")]
+    # the polynomials of the sampled check live in `polynomial`, off the certificate
+    moved += [(harmonic, name) for name in (
+        "SparsePolynomial", "laplacian", "rotation_generator", "random_homogeneous")]
     # the forward signed sum, and what it walks with
     moved += [(blattner, name) for name in ("enumerate_coset_reps", "length", "_shifted_weight")]
     assert [name for module, name in moved if hasattr(module, name)] == []
     ring = ["variable", "partial", "_check_same_ring", "__add__", "__sub__", "__neg__",
             "__mul__", "__rmul__"]
-    assert [name for name in ring if hasattr(harmonic.SparsePolynomial, name)] == []
+    assert [name for name in ring if hasattr(polynomial.SparsePolynomial, name)] == []
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("lieball.linalg")
 
@@ -82,27 +85,36 @@ def nested_imports(name):
 
 def test_euler_sum_imports_only_the_vocabulary():
     # multiplicity and ktype_table straighten their one term in blattner itself
-    assert package_imports("blattner") == {"repdata"}
+    assert package_imports("blattner") == {"ktype"}
 
 
 def test_forward_walk_imports_the_group_and_the_vocabulary():
     # at the top: no function-local import and no TYPE_CHECKING block
-    assert package_imports("kostant") == {"repdata", "weyl"}
+    assert package_imports("kostant") == {"ktype", "weyl"}
     assert nested_imports("kostant") == []
 
 
 def test_analytic_route_imports_only_the_shared_vocabulary():
-    assert package_imports("harmonic") == {"repdata"}
-    assert package_imports("repdata") == set()
+    # the polynomials only inside the sampled check, never at the top
+    assert package_imports("harmonic") == {"ktype", "polynomial"}
+    lines = Path(harmonic.__file__).read_text(encoding="utf-8").splitlines()
+    assert [lines[n - 1].strip() for n in nested_imports("harmonic")] == [
+        "import random",
+        "from .polynomial import laplacian, random_homogeneous, rotation_generator"]
+    assert package_imports("polynomial") == set()
+    assert package_imports("ktype") == set()
+    assert package_imports("repdata") == {"ktype"}
     assert "fractions" not in {m.split(".")[0] for m in imported_modules("harmonic")}
 
 
 def test_moved_vocabulary_still_resolves_at_its_old_paths():
     # perfbench/traced.py builds kostant.KTypeParam itself
-    assert kostant.KTypeParam is repdata.KTypeParam
-    assert kostant.rho_c is repdata.rho_c
-    assert blattner.KTypeTable is repdata.KTypeTable
-    assert weyl._Record is repdata._Record
+    assert kostant.KTypeParam is repdata.KTypeParam is ktype.KTypeParam
+    assert kostant.rho_c is repdata.rho_c is ktype.rho_c
+    assert blattner.KTypeTable is repdata.KTypeTable is ktype.KTypeTable
+    assert harmonic.weyl_dim_so2m is repdata.weyl_dim_so2m is ktype.weyl_dim_so2m
+    assert repdata.is_dominant is ktype.is_dominant
+    assert weyl._Record is repdata._Record is ktype._Record
     assert weyl.Root is repdata.Root
 
 
@@ -134,7 +146,7 @@ def modules_after(statement):
     """The names in sys.modules once `statement` has run in a fresh
     interpreter; -S keeps whatever site loads (a .pth file, say) out of it."""
     src = Path(lieball.__file__).resolve().parent.parent
-    code = f"import sys; sys.path.insert(0, {str(src)!r}); {statement}; print(sorted(sys.modules))"
+    code = f"import sys\nsys.path.insert(0, {str(src)!r})\n{statement}\nprint(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
@@ -150,6 +162,11 @@ def test_package_import_loads_no_submodule():
 
 ROUTE_MODULES = {"lieball.weyl", "lieball.kostant", "lieball.blattner", "lieball.harmonic"}
 EXACT = {"fractions", "decimal", "numbers"}  # what a Fraction or a coefficient check loads
+# what argparse loads, only to print help or a usage error
+PARSER = {"argparse", "gettext", "locale"}
+# a well-formed run reads its flags without argparse, and only the sampled
+# equivariance check of `verify` loads the polynomials
+OFF = PARSER | {"lieball.polynomial"}
 
 
 def run_cli(*argv):
@@ -158,28 +175,29 @@ def run_cli(*argv):
 
 @pytest.mark.parametrize("statement, command, loaded, unloaded", [
     ("import lieball.cli", None, set(),
-     ROUTE_MODULES | {"lieball.repdata", "fractions", "decimal"}),
-    # the analytic route alone: no Euler-sum module, no Fraction built and
-    # no coefficient checked
+     ROUTE_MODULES | OFF | {"lieball.ktype", "lieball.repdata", "fractions", "decimal"}),
+    # the certificate alone: no Euler-sum module, no scalar arithmetic, no
+    # Fraction built and no polynomial
     (run_cli("harmonic", "--m", "4", "--max-l", "16"), "harmonic",
-     {"lieball.harmonic", "lieball.repdata"},
-     ROUTE_MODULES - {"lieball.harmonic"} | EXACT),
+     {"lieball.harmonic", "lieball.ktype"},
+     ROUTE_MODULES - {"lieball.harmonic"} | OFF | EXACT | {"lieball.repdata"}),
     # straightening walks no group element, and every parameter is an int
     (run_cli("ktypes", "--m", "3"), "ktypes",
-     {"lieball.blattner", "lieball.repdata"},
-     ROUTE_MODULES - {"lieball.blattner"} | {"fractions", "decimal"}),
+     {"lieball.blattner", "lieball.ktype", "lieball.repdata"},
+     ROUTE_MODULES - {"lieball.blattner"} | OFF | {"fractions", "decimal"}),
     (run_cli("verify", "--m", "6", "--max-l", "10"), "verify",
-     {"lieball.blattner", "lieball.harmonic", "lieball.repdata"},
-     {"lieball.weyl", "lieball.kostant"} | EXACT),
+     {"lieball.blattner", "lieball.harmonic", "lieball.ktype", "lieball.polynomial",
+      "lieball.repdata"},
+     {"lieball.weyl", "lieball.kostant"} | PARSER | EXACT),
     (run_cli("weyl", "--m", "3"), "weyl",
-     {"lieball.weyl"}, ROUTE_MODULES - {"lieball.weyl"} | EXACT),
+     {"lieball.weyl"}, ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT),
     (run_cli("ranges", "--m", "3"), "ranges",
-     {"lieball.repdata"}, ROUTE_MODULES | EXACT),
+     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT),
     (run_cli("verma", "--m", "3"), "verma",
-     {"lieball.repdata"}, ROUTE_MODULES | EXACT),
+     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT),
     # --z is a rational flag, so ehw builds a Fraction
     (run_cli("ehw", "--n", "4", "--z", "1"), "ehw",
-     {"lieball.repdata", "fractions"}, ROUTE_MODULES),
+     {"lieball.repdata", "fractions"}, ROUTE_MODULES | OFF),
 ], ids=["cli", "harmonic", "ktypes", "verify", "weyl", "ranges", "verma", "ehw"])
 def test_each_entry_point_loads_only_what_it_runs(statement, command, loaded, unloaded):
     modules = modules_after(statement)
@@ -187,6 +205,18 @@ def test_each_entry_point_loads_only_what_it_runs(statement, command, loaded, un
     assert unloaded & modules == set()
     # main imports the chosen subcommand's module and no other
     assert COMMAND_MODULES & modules == ({f"lieball.commands.{command}"} if command else set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["harmonic", "-h"],
+    ["harmonic", "--m", "4", "--bogus"],  # refused while parsing
+    ["harmonic", "--m", "1"],  # refused after parsing
+    ["weyl", "--m", "9"],  # refused by the handler
+], ids=["help", "subcommand-help", "unrecognized", "small-m", "handler"])
+def test_help_and_usage_errors_load_argparse(argv):
+    statement = f"import contextlib\nwith contextlib.suppress(SystemExit): {run_cli(*argv)}"
+    assert {"argparse"} <= modules_after(statement)
 
 
 def test_package_names_resolve_lazily():
