@@ -10,7 +10,7 @@ which matches degree-ℓ symmetric tensors of u∩p twisted by the bottom
 character.  The sum is an honest multiplicity inside the weakly fair range
 and an Euler characteristic otherwise.  At most one term is nonzero, and
 Bott's straightening of the target names it, so no group element is walked
-and this module imports only `repdata`.
+and this module imports only `ktype`.
 """
 
 from __future__ import annotations

@@ -199,7 +199,7 @@ def _subcommand_flags(command: str) -> Optional[dict]:
     return None
 
 
-def build_parser(command: Optional[str] = None):
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `lieball` argparse parser, or with `command` that subcommand's
     parser, whose .error() prints a usage error."""
     import argparse

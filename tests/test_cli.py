@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieball.cli import main
+from lieball.cli import _FLAGS, _SUBCOMMANDS, _read_flags, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -702,8 +702,6 @@ def test_subprocess_matches_in_process(capsys):
 
 
 # --- The flag-table reader against argparse -----------------------------------
-
-from lieball.cli import _FLAGS, _SUBCOMMANDS, _read_flags, build_parser  # noqa: E402
 
 TABLE_VALUES = {
     "--m": ["2", "3", "4", "0", "-1", "007", " 3", "x", "2.5", ""],
