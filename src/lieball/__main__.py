@@ -1,5 +1,6 @@
-import sys
+"""`python -m lieball`: the process entry `cli.run`, as the `lieball` console
+script and `python -m lieball.cli` run it."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

@@ -19,16 +19,22 @@ goes to the argparse parser of `build_parser`, which also prints the help.
 A handler reports a usage error that parsing cannot find by raising
 `UsageError`; `main` prints it through the subcommand's argparse parser.
 So `argparse` is loaded only to print help or a usage error.
+
+`run` is the process entry that `python -m lieball`, the `lieball` console
+script and `python -m lieball.cli` all call: `main`, then `gc.freeze()`,
+then the exit with `main`'s code.  `main` itself changes no process-wide
+state, so tests and library callers run it in process.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from importlib import import_module
 from types import SimpleNamespace
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, NoReturn, Optional, Sequence
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 WEYL_ENUMERATION_BOUND = 8
 VERIFY_GRID_BOUND = 4
@@ -318,5 +324,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return report.code
 
 
+def run() -> NoReturn:
+    """Run `main` on sys.argv and exit with its code, the heap frozen first.
+
+    Freezing once `main` has returned moves every live object to the
+    permanent generation, which the collections at interpreter shutdown do
+    not walk, so the OS takes that memory back instead.  atexit handlers
+    and the stdio flush run as usual.  A `SystemExit` raised inside `main`
+    (help, a usage error) passes through unfrozen.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    # This copy of the module runs as `__main__`; the handlers raise the
+    # `UsageError` of the package's `lieball.cli`, so run that module's entry.
+    import_module("lieball.cli").run()

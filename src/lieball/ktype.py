@@ -1,11 +1,12 @@
 """The K-type vocabulary both routes share.
 
 It imports no other `lieball` module and owns the K-type format: the record
-base `_Record`, the compact half-sum `rho_c`, SO(2m) dominance, `KTypeParam`
-and `KTypeTable`, and the Weyl dimension formula for SO(2m).  The Euler-sum
-and the harmonic routes import these names from here, so the harmonic
-certificate compiles none of the scalar arithmetic in `repdata`, which
-imports them back.
+base `_Record`, the root triple `Root` and its writer `root_vector`, the
+compact half-sum `rho_c`, SO(2m) dominance, `KTypeParam` and `KTypeTable`,
+and the Weyl dimension formula for SO(2m).  The Euler-sum and the harmonic
+routes and the group `weyl` import these names from here, so neither the
+harmonic certificate nor the `weyl` listing compiles the scalar arithmetic
+in `repdata`, which imports them back.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from math import gcd
 from typing import Dict, List, NamedTuple, Tuple
 
 __all__ = [
+    "Root",
+    "root_vector",
     "rho_c",
     "is_dominant",
     "KTypeParam",
@@ -46,6 +49,19 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+# A root e_i + σ·e_j (i < j, σ = ±1) stored as the int triple (i, j, σ).
+Root = Tuple[int, int, int]
+
+
+def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
+    """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
+    i, j, sigma = alpha
+    out = [0] * rank
+    out[i] = 1
+    out[j] = sigma
+    return tuple(out)
 
 
 def rho_c(m: int) -> Tuple[int, ...]:

@@ -1,12 +1,12 @@
 """Scalar representation arithmetic around the K-type vocabulary.
 
-It covers the root triple `Root` and its writer `root_vector`,
-infinitesimal characters and their regularity, the good and weakly fair
-positivity ranges, scalar generalized Verma homomorphism arithmetic,
-Knapp–Stein residue degrees, the Enright–Howe–Wallach unitarizability
-window for scalar lowest weights, the Borel–Weil–Bott K-type target on the
-compact cycle, and Weyl-orbit equality in type D.  The K-type vocabulary
-(`_Record`, `rho_c`, `is_dominant`, `KTypeParam`, `KTypeTable`,
+It covers infinitesimal characters and their regularity, the good and
+weakly fair positivity ranges, scalar generalized Verma homomorphism
+arithmetic, Knapp–Stein residue degrees, the Enright–Howe–Wallach
+unitarizability window for scalar lowest weights, the Borel–Weil–Bott
+K-type target on the compact cycle, and Weyl-orbit equality in type D.
+The K-type vocabulary (`_Record`, the root triple `Root` and its writer
+`root_vector`, `rho_c`, `is_dominant`, `KTypeParam`, `KTypeTable`,
 `weyl_dim_so2m`) lives in `ktype`, the one `lieball` module imported here,
 and resolves here too.  Exact parameters stay plain ints when they are
 given as ints, and become Fractions otherwise, so `fractions` is loaded
@@ -20,11 +20,11 @@ from math import comb
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 # Imported back, so that `repdata.KTypeParam` and the rest still resolve.
-from .ktype import KTypeParam, KTypeTable, _Record, is_dominant, rho_c, weyl_dim_so2m
+from .ktype import (
+    KTypeParam, KTypeTable, Root, _Record, is_dominant, rho_c, root_vector, weyl_dim_so2m,
+)
 
 __all__ = [
-    "Root",
-    "root_vector",
     "Weight",
     "as_weight",
     "inf_char",
@@ -42,19 +42,6 @@ __all__ = [
     "borel_weil_bott_ktype",
     "orbit_equal",
 ]
-
-# A root e_i + σ·e_j (i < j, σ = ±1) stored as the int triple (i, j, σ).
-Root = Tuple[int, int, int]
-
-
-def root_vector(rank: int, alpha: Root) -> Tuple[int, ...]:
-    """α = e_i + σ·e_j as its int coordinate vector of the given rank."""
-    i, j, sigma = alpha
-    out = [0] * rank
-    out[i] = 1
-    out[j] = sigma
-    return tuple(out)
-
 
 # G-weights in rank m+1 (basis e_0..e_m, e_0 attached to the so(2) factor),
 # exact, with denominators 1 or 2: ints where every parameter was an int.

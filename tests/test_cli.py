@@ -1,6 +1,7 @@
 """Command line behaviour: formats, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import pathlib
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieball import cli
 from lieball.cli import _FLAGS, _SUBCOMMANDS, _read_flags, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -98,24 +100,27 @@ def test_verify_is_byte_stable(capsys):
     assert first == second
 
 
+# `verify --m 2 --max-l 3` with `blattner.rho_c` patched to zero.
+FAULT_ARGV = ["verify", "--m", "2", "--max-l", "3"]
+FAULT_REPORT = (
+    "verification report  m=2  lambda=1  max_l=3  seed=0\n"
+    "[FAIL] ktype tables: first difference at (mu0=1; mu=(0, 0)): "
+    "euler-sum=0 harmonic-kernel=1\n"
+    "[FAIL] unique scalar match: exhaustive over the dominant grid with bound 4\n"
+    "[PASS] positivity ranges: lambda=1 weakly_fair=True good=False; "
+    "good witness <shift, (1, 0, 1)> = 0\n"
+    "[PASS] infinitesimal character: (1, 0, -1) is singular\n"
+    "[PASS] verma homomorphisms: degrees 0..5 accepted with orbit-equal parameters\n"
+    "[PASS] laplacian equivariance: n=4, 15 trials, seed=0\n"
+    "result: FAIL (4/6)\n"
+)
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     import lieball.blattner as bl
 
     monkeypatch.setattr(bl, "rho_c", lambda m: (0,) * m)
-    code, out = run(capsys, ["verify", "--m", "2", "--max-l", "3"])
-    assert code == 1
-    assert out == (
-        "verification report  m=2  lambda=1  max_l=3  seed=0\n"
-        "[FAIL] ktype tables: first difference at (mu0=1; mu=(0, 0)): "
-        "euler-sum=0 harmonic-kernel=1\n"
-        "[FAIL] unique scalar match: exhaustive over the dominant grid with bound 4\n"
-        "[PASS] positivity ranges: lambda=1 weakly_fair=True good=False; "
-        "good witness <shift, (1, 0, 1)> = 0\n"
-        "[PASS] infinitesimal character: (1, 0, -1) is singular\n"
-        "[PASS] verma homomorphisms: degrees 0..5 accepted with orbit-equal parameters\n"
-        "[PASS] laplacian equivariance: n=4, 15 trials, seed=0\n"
-        "result: FAIL (4/6)\n"
-    )
+    assert run(capsys, FAULT_ARGV) == (1, FAULT_REPORT)
 
 
 def test_verify_names_the_smallest_difference_on_either_side(capsys, monkeypatch):
@@ -699,6 +704,98 @@ def test_subprocess_matches_in_process(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout == inproc
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--m", "9"],  # the handler's bound
+    ["ranges", "--m", "3", "--lambda", "1/2"],  # _integer_lambda
+], ids=["weyl-bound", "integer-lambda"])
+def test_cli_module_prints_handler_usage_errors_as_the_package(argv):
+    # `python -m lieball.cli` runs a second copy of the module as __main__; a
+    # handler's UsageError must still be printed, not raised as a traceback
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True)
+        for name in ("lieball", "lieball.cli"))
+    assert package.returncode == module.returncode == 2
+    assert module.stderr == package.stderr
+    assert package.stderr.startswith(f"usage: lieball {argv[0]} ")
+    assert module.stdout == package.stdout == ""
+
+
+# --- The process entry ----------------------------------------------------------
+
+SRC = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+
+
+def entry(argv, setup=""):
+    """Exit code, stdout and stderr of `python -m lieball argv`, started in a
+    fresh interpreter through runpy after the statements `setup`.  An atexit
+    hook registered before the run writes `frozen <gc.get_freeze_count()>`
+    as the last line of stderr."""
+    script = "\n".join([
+        "import atexit, gc, runpy, sys",
+        f"sys.path.insert(0, {SRC!r})",
+        setup,
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))",
+        f"sys.argv = ['lieball', *{list(argv)!r}]",
+        "runpy.run_module('lieball', run_name='__main__')",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def frozen(stderr):
+    """The freeze count the atexit hook saw, and the stderr before it."""
+    *before, last = stderr.splitlines(keepends=True)
+    name, count = last.split()
+    assert name == "frozen"
+    return int(count), "".join(before)
+
+
+def test_console_script_is_the_entry():
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    assert 'lieball = "lieball.cli:run"' in pyproject.read_text(encoding="utf-8").splitlines()
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["harmonic", "--m", "4", "--max-l", "16"]) == 0
+    assert main(["weyl", "--m", "3", "--format", "json"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+KERNEL_ARGV = ["harmonic", "--m", "4", "--max-l", "16"]
+REFUSE_CERTIFICATE = """
+import lieball.harmonic as hm
+def refuse(m, s): raise hm.CertificationError('patched certificate')
+hm._shape_kernel_dimension = refuse
+"""
+
+
+@pytest.mark.parametrize("argv, setup, code, out, err", [
+    (KERNEL_ARGV, "", 0, (GOLDEN / "harmonic_m4_l16.txt").read_text(encoding="utf-8"), ""),
+    (FAULT_ARGV, "import lieball.blattner as bl; bl.rho_c = lambda m: (0,) * m",
+     1, FAULT_REPORT, ""),
+    (KERNEL_ARGV, REFUSE_CERTIFICATE, 3, "",
+     "certification failure: patched certificate; it is the block of weight "
+     "w=(0, 0, 0, 0) for n=8, l=0, 1 of 1 weights of the k=0 shape\n"),
+], ids=["ok", "verification-failure", "certification-failure"])
+def test_entry_freezes_the_heap_once_main_returns(argv, setup, code, out, err):
+    # main's exit code and output pass through the entry unchanged
+    result = entry(argv, setup)
+    assert result[:2] == (code, out)
+    count, rest = frozen(result[2])
+    assert count > 0
+    assert rest == err
+
+
+def test_entry_leaves_a_usage_error_unfrozen():
+    # a SystemExit raised inside main passes through the entry as it is
+    code, out, err = entry(["weyl", "--m", "9"])
+    assert (code, out) == (2, "")
+    count, rest = frozen(err)
+    assert count == 0
+    assert rest.endswith("lieball weyl: error: --m exceeds the enumeration bound 8\n")
 
 
 # --- The flag-table reader against argparse -----------------------------------

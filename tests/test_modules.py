@@ -94,6 +94,11 @@ def test_forward_walk_imports_the_group_and_the_vocabulary():
     assert nested_imports("kostant") == []
 
 
+def test_group_imports_only_the_vocabulary():
+    # the root triple and its writer come from ktype, not repdata
+    assert package_imports("weyl") == {"ktype"}
+
+
 def test_analytic_route_imports_only_the_shared_vocabulary():
     # the polynomials only inside the sampled check, never at the top
     assert package_imports("harmonic") == {"ktype", "polynomial"}
@@ -115,7 +120,8 @@ def test_moved_vocabulary_still_resolves_at_its_old_paths():
     assert harmonic.weyl_dim_so2m is repdata.weyl_dim_so2m is ktype.weyl_dim_so2m
     assert repdata.is_dominant is ktype.is_dominant
     assert weyl._Record is repdata._Record is ktype._Record
-    assert weyl.Root is repdata.Root
+    assert weyl.Root is repdata.Root is ktype.Root
+    assert weyl.root_vector is repdata.root_vector is ktype.root_vector
 
 
 def test_length_counts_without_inversion_set(monkeypatch):
@@ -189,8 +195,10 @@ def run_cli(*argv):
      {"lieball.blattner", "lieball.harmonic", "lieball.ktype", "lieball.polynomial",
       "lieball.repdata"},
      {"lieball.weyl", "lieball.kostant"} | PARSER | EXACT),
+    # the listing and its roots: no scalar arithmetic
     (run_cli("weyl", "--m", "3"), "weyl",
-     {"lieball.weyl"}, ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT),
+     {"lieball.weyl", "lieball.ktype"},
+     ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT | {"lieball.repdata"}),
     (run_cli("ranges", "--m", "3"), "ranges",
      {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT),
     (run_cli("verma", "--m", "3"), "verma",
