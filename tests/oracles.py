@@ -29,7 +29,10 @@ replaced, or that they are checked against, live here:
 - `laplacian_power`, `laplacian` applied l times;
 - `all_pairs_invariance_check`, the sampled equivariance check over all
   C(n, 2) rotation generators, which the check restricted to the pairs that
-  meet each polynomial's support is held equal to.
+  meet each polynomial's support is held equal to;
+- `reference_parser`, the `lieball` argparse parser whose subcommand
+  parsers join a negative fraction to its flag themselves, which the CLI's
+  reading of a command line is held equal to.
 
 Everything is exact; nothing here is fast.
 """
@@ -401,3 +404,56 @@ def all_pairs_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
                 if laplacian(rotated) != polynomial.rotation_generator(lap_f, a, b):
                     return False
     return True
+
+
+# --- The parser that joins a negative fraction itself ---------------------------
+
+# The flags whose value may be a negative fraction such as -3/2.
+RATIONAL_FLAGS = ("--lambda", "--nu", "--z")
+
+
+def reference_parser():
+    """The `lieball` argparse parser built from the CLI's flag tables, whose
+    subcommand parsers read `--lambda -3/2` as `--lambda=-3/2`, and likewise
+    for --nu and --z."""
+    import argparse
+
+    from lieball.cli import _SUBCOMMANDS, _subcommand_flags
+
+    class _SubcommandParser(argparse.ArgumentParser):
+        """argparse takes a token that starts with '-' as a value only if it
+        reads as a plain negative decimal, so it would take -3/2 for an
+        option.  Such a token is joined to the flag before it when that flag
+        names one of the rational flags the way argparse reads it: in full,
+        or as a prefix that no other option of the subcommand shares, such
+        as --lamb.  A token that starts with '--' is left alone, as is every
+        other token."""
+
+        def _long_option(self, token: str):
+            """The option string argparse reads `token` as, or None."""
+            options = self._option_string_actions
+            if token in options:
+                return token
+            matches = [o for o in options if o.startswith(token)]
+            return matches[0] if len(matches) == 1 else None
+
+        def parse_known_args(self, args=None, namespace=None):
+            out: List[str] = []
+            for token in args:
+                negative = token.startswith("-") and not token.startswith("--")
+                if negative and out and self._long_option(out[-1]) in RATIONAL_FLAGS:
+                    out[-1] += "=" + token
+                else:
+                    out.append(token)
+            return super().parse_known_args(out, namespace)
+
+    parser = argparse.ArgumentParser(
+        prog="lieball",
+        description="Exact K-type tables for the conformal group of the Lie ball",
+    )
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, help_, _ in _SUBCOMMANDS:
+        p = subs.add_parser(name, help=help_)
+        for flag, keywords in _subcommand_flags(name).items():
+            p.add_argument(flag, **keywords)
+    return parser

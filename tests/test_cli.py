@@ -4,11 +4,14 @@ import contextlib
 import gc
 import io
 import json
+import os
 import pathlib
 import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from lieball import cli
 from lieball.cli import _FLAGS, _SUBCOMMANDS, _read_flags, build_parser, main
+from oracles import reference_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -814,7 +818,7 @@ TABLE_VALUES = {
 
 
 @st.composite
-def table_argv(draw):
+def table_argv(draw, values=TABLE_VALUES):
     """An argv drawn from the flag tables: mostly a subcommand and its flags
     as `--flag value` pairs, with prefixes, `=` forms, repeated and missing
     flags, negative and malformed values, -h, -- and stray tokens mixed in."""
@@ -825,14 +829,14 @@ def table_argv(draw):
     flags = draw(st.permutations(sorted(set(required) | set(optional))))
     argv = [name]
     for flag in flags:
-        value = draw(st.sampled_from(TABLE_VALUES[flag]))
+        value = draw(st.sampled_from(values[flag]))
         form = draw(st.sampled_from(["pair"] * 12 + ["prefix", "equals", "repeat", "drop"]))
         if form == "prefix":
             argv += [flag[:draw(st.integers(3, len(flag)))], value]
         elif form == "equals":
             argv.append(f"{flag}={value}")
         elif form == "repeat":
-            argv += [flag, draw(st.sampled_from(TABLE_VALUES[flag])), flag, value]
+            argv += [flag, draw(st.sampled_from(values[flag])), flag, value]
         elif form == "pair":
             argv += [flag, value]
     if draw(st.integers(0, 5)) == 0:
@@ -859,6 +863,78 @@ def test_reader_accepts_only_what_argparse_reads_alike(argv):
     read = _read_flags(list(argv))
     if read is not None:
         assert argparse_reads(argv) == vars(read), argv
+
+
+# Every value may start with '-'.  No --m below 2: `main` refuses it only
+# after parsing, with a usage error of its own.
+JOIN_VALUES = {
+    **TABLE_VALUES,
+    "--m": ["2", "3", "x", "-3/2", "-", "-1/2"],
+    "--n": ["4", "-4", "-1/3", "x"],
+    "--seed": ["0", "-2", "-1/2"],
+    "--max-l": ["3", "-1", "-1/2"],
+    "--lambda": ["1", "-3/2", "-1", "-1e3", "-1/0", "-", "-x", "-h", "--"],
+    "--nu": ["1", "-1/2", "-5/2", "-"],
+    "--z": ["2", "-1/3", "-1e-3", "-1/0", "--z"],
+}
+JOIN_STRAYS = [["-3/2"], ["-1"], ["-"], ["-h"], ["--"], ["-x"], ["--lambda=-1"], ["verma"],
+               ["ehw"], ["ktypes"], ["--lamb", "-3/2"], ["--l", "-1/2"], ["--n", "-1/3"],
+               ["--nu", "-"], ["--z", "-1/3"], ["--m", "-3/2"], ["--lambda", "-h"]]
+
+
+@st.composite
+def join_argv(draw):
+    """A `table_argv` whose values may all start with '-', with up to three
+    stray tokens or flag and value pairs anywhere, before the subcommand
+    too."""
+    argv = draw(table_argv(JOIN_VALUES))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.sampled_from(JOIN_STRAYS))
+    return argv
+
+
+class _Parsed(Exception):
+    """Raised by the stand-in handler with the namespace `main` hands it."""
+
+
+def parse_outcome(parse, argv):
+    """What parse(argv) reads: the namespace's attributes (None where it
+    exits), the exit code, stdout and stderr, at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    read, code = None, None
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            read = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return read, code, out.getvalue(), err.getvalue()
+
+
+def main_parses(argv):
+    """The namespace `main` reads argv as, taken from a stand-in handler."""
+
+    def handler(name, package):
+        def run(args):
+            raise _Parsed(args)
+        return SimpleNamespace(run=run)
+
+    with mock.patch.object(cli, "import_module", handler):
+        try:
+            main(argv)
+        except _Parsed as parsed:
+            return parsed.args[0]
+    raise AssertionError(f"main handed no namespace on: {argv}")
+
+
+@settings(max_examples=600, deadline=None)
+@given(join_argv())
+def test_main_reads_argv_as_the_joining_reference_parser(argv):
+    # every negative fraction is read where the parser that joins it to its
+    # flag itself reads it, with the same output and exit code elsewhere
+    reference = parse_outcome(lambda a: reference_parser().parse_args(a), argv)
+    assert parse_outcome(main_parses, argv) == reference, argv
 
 
 def benchmark_argv():
