@@ -15,7 +15,9 @@ Euler-sum route, nor `ktypes` `harmonic`.
 `main` reads a well-formed command line, a subcommand and then
 `--flag value` pairs, straight off the `_FLAGS` and `_SUBCOMMANDS` tables,
 into the namespace argparse would return for it.  Every other command line
-goes to the argparse parser of `build_parser`, which also prints the help.
+goes to the argparse parser of `build_parser`, which also prints the help,
+once `_join_fractions` has joined each negative fraction to its flag; the
+flag tables decide which flags take one.
 A handler reports a usage error that parsing cannot find by raising
 `UsageError`; `main` prints it through the subcommand's argparse parser.
 So `argparse` is loaded only to print help or a usage error.
@@ -32,7 +34,13 @@ import gc
 import sys
 from importlib import import_module
 from types import SimpleNamespace
-from typing import Callable, List, NamedTuple, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, NoReturn, Optional, Sequence
+
+if TYPE_CHECKING:
+    import argparse
+    from fractions import Fraction
+
+    from .ktype import KTypeTable
 
 __all__ = ["main", "run"]
 
@@ -44,8 +52,6 @@ VERIFY_EQUIVARIANCE_TRIALS = 15
 # rational flag when the limit is off: a flag in exponent notation is refused
 # by its digit count before Fraction builds it, at any size.
 RATIONAL_DIGIT_BOUND = 4300
-# The flags whose value may be a negative fraction such as -3/2.
-RATIONAL_FLAGS = ("--lambda", "--nu", "--z")
 
 
 def _fmt_weight(w) -> str:
@@ -210,41 +216,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser, whose .error() prints a usage error."""
     import argparse
 
-    class _SubcommandParser(argparse.ArgumentParser):
-        """A subcommand's parser that reads `--lambda -3/2` as `--lambda=-3/2`,
-        and likewise for --nu and --z.
-
-        argparse takes a token that starts with '-' as a value only if it reads
-        as a plain negative decimal, so it would take -3/2 for an option.  Such a
-        token is joined to the flag before it when that flag names one of the
-        rational flags the way argparse reads it: in full, or as a prefix that no
-        other option of the subcommand shares, such as --lamb.  A token that
-        starts with '--' is left alone, as is every other token.
-        """
-
-        def _long_option(self, token: str) -> Optional[str]:
-            """The option string argparse reads `token` as, or None."""
-            options = self._option_string_actions
-            if token in options:
-                return token
-            matches = [o for o in options if o.startswith(token)]
-            return matches[0] if len(matches) == 1 else None
-
-        def parse_known_args(self, args=None, namespace=None):
-            out: List[str] = []
-            for token in args:
-                negative = token.startswith("-") and not token.startswith("--")
-                if negative and out and self._long_option(out[-1]) in RATIONAL_FLAGS:
-                    out[-1] += "=" + token
-                else:
-                    out.append(token)
-            return super().parse_known_args(out, namespace)
-
     parser = argparse.ArgumentParser(
         prog="lieball",
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, help_, _ in _SUBCOMMANDS:
         p = subs.add_parser(name, help=help_)
         for flag, keywords in _subcommand_flags(name).items():
@@ -287,10 +263,36 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
         for flag, keywords in flags.items()})
 
 
+def _join_fractions(argv: List[str]) -> List[str]:
+    """`argv` with each negative fraction joined to its flag: `--lambda -3/2`
+    as `--lambda=-3/2`, which argparse reads; it takes a token that starts
+    with '-' as a value only if it reads as a plain negative decimal.
+
+    After the first token that names a subcommand, a token that starts with
+    a single '-' is joined to the token before it when that token names a
+    flag of `_rational` type the way argparse reads it: in full, or as a
+    prefix that no other option of the subcommand, -h and --help included,
+    shares, such as --lamb.  Every other token is left alone.
+    """
+    out: List[str] = []
+    options = None
+    for token in argv:
+        if options is None:
+            flags = _subcommand_flags(token)
+            options = flags and {**flags, "-h": {}, "--help": {}}
+        elif token.startswith("-") and not token.startswith("--"):
+            named = [o for o in options if o.startswith(out[-1])]
+            flag = out[-1] if out[-1] in options else named[0] if len(named) == 1 else None
+            if options.get(flag, {}).get("type") is _rational:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _read_flags(sys.argv[1:] if argv is None else list(argv))
-    if args is None:
-        args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_flags(argv) or build_parser().parse_args(_join_fractions(argv))
     try:
         m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
         if m < 2:

@@ -10,15 +10,15 @@ __all__ = ["run"]
 
 
 def _witnesses_json(m: int, witnesses) -> List[dict]:
-    from ..repdata import root_vector
+    from ..ktype import root_vector
     return [
         {"root": list(root_vector(m + 1, root)), "pairing": _json_q(p)} for root, p in witnesses
     ]
 
 
 def run(args) -> Report:
+    from ..ktype import root_vector
     from ..repdata import inf_char, is_regular_type_d, range_verdict, range_violation_counts
-    from ..repdata import root_vector
     lam = _integer_lambda(args)
     chi = inf_char(args.m, lam)
     regular = is_regular_type_d(chi)

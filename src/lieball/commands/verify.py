@@ -19,7 +19,8 @@ __all__ = ["run"]
 def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
     from ..blattner import ktype_table, unique_scalar_match_check
     from ..harmonic import so_invariance_check, sol_ktype_table
-    from ..repdata import inf_char, is_regular_type_d, orbit_equal, range_verdict, root_vector
+    from ..ktype import root_vector
+    from ..repdata import inf_char, is_regular_type_d, orbit_equal, range_verdict
     from ..repdata import verma_hom_condition, verma_inf_char
 
     lam = m - 1

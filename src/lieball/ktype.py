@@ -3,10 +3,10 @@
 It imports no other `lieball` module and owns the K-type format: the record
 base `_Record`, the root triple `Root` and its writer `root_vector`, the
 compact half-sum `rho_c`, SO(2m) dominance, `KTypeParam` and `KTypeTable`,
-and the Weyl dimension formula for SO(2m).  The Euler-sum and the harmonic
-routes and the group `weyl` import these names from here, so neither the
-harmonic certificate nor the `weyl` listing compiles the scalar arithmetic
-in `repdata`, which imports them back.
+and the Weyl dimension formula for SO(2m).  This module is the one home of
+these names: the Euler-sum and the harmonic routes, the group `weyl` and
+the `ranges` and `verify` handlers import them from here, and no other
+module exports them.  `repdata`'s scalar arithmetic does not load it.
 """
 
 from __future__ import annotations
@@ -113,9 +113,6 @@ class KTypeTable(NamedTuple):
 
     def sorted_entries(self) -> List[Tuple[KTypeParam, int]]:
         return sorted(self.entries.items(), key=lambda kv: (kv[0].mu0, kv[0].mu))
-
-    def same_entries(self, other: "KTypeTable") -> bool:
-        return self.m == other.m and self.entries == other.entries
 
 
 def weyl_dim_so2m(m: int, mu: Tuple[int, ...]) -> int:

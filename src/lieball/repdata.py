@@ -1,28 +1,26 @@
-"""Scalar representation arithmetic around the K-type vocabulary.
+"""Scalar representation arithmetic.
 
 It covers infinitesimal characters and their regularity, the good and
 weakly fair positivity ranges, scalar generalized Verma homomorphism
 arithmetic, Knapp–Stein residue degrees, the Enright–Howe–Wallach
-unitarizability window for scalar lowest weights, the Borel–Weil–Bott
-K-type target on the compact cycle, and Weyl-orbit equality in type D.
-The K-type vocabulary (`_Record`, the root triple `Root` and its writer
-`root_vector`, `rho_c`, `is_dominant`, `KTypeParam`, `KTypeTable`,
-`weyl_dim_so2m`) lives in `ktype`, the one `lieball` module imported here,
-and resolves here too.  Exact parameters stay plain ints when they are
-given as ints, and become Fractions otherwise, so `fractions` is loaded
-only for a parameter that needs it.
+unitarizability window for scalar lowest weights, and Weyl-orbit equality
+in type D.  It imports no `lieball` module at run time: a witness names its
+root by the triple `ktype.Root`, which `ktype.root_vector` writes out.
+Exact parameters stay plain ints when they are given as ints, and become
+Fractions otherwise, so `fractions` is loaded only for a parameter that
+needs it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Tuple
 
-# Imported back, so that `repdata.KTypeParam` and the rest still resolve.
-from .ktype import (
-    KTypeParam, KTypeTable, Root, _Record, is_dominant, rho_c, root_vector, weyl_dim_so2m,
-)
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .ktype import Root
 
 __all__ = [
     "Weight",
@@ -39,7 +37,6 @@ __all__ = [
     "ehw_first_reduction_point",
     "ehw_last_unitary_point",
     "ehw_unitarizable",
-    "borel_weil_bott_ktype",
     "orbit_equal",
 ]
 
@@ -209,21 +206,6 @@ def ehw_unitarizable(n: int, z: object) -> bool:
         raise ValueError("need n >= 4")
     zq = _q(z)
     return zq <= 0 or zq == ehw_first_reduction_point(n) or zq == ehw_last_unitary_point(n)
-
-
-def borel_weil_bott_ktype(m: int, lam: int) -> Optional[KTypeParam]:
-    """The K-type (λ; (λ−m+1)·1_m) cut out on the compact cycle, when dominant.
-
-    The weight is the bottom character pushed through the top cohomology of
-    the cycle; it is a valid SO(2m) highest weight iff λ ≥ m − 1, and the
-    transform has zero target otherwise.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    entry = lam - m + 1
-    if entry < 0:
-        return None
-    return KTypeParam(lam, (entry,) * m)
 
 
 def orbit_equal(w1: Weight, w2: Weight) -> bool:

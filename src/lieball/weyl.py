@@ -4,10 +4,9 @@ Elements permute the basis e_1..e_m and flip an even number of signs.  The
 action convention is act(w, e_j) = signs[perm(j)] · e_{perm(j)}, so on
 coordinate vectors (w·μ)_i = signs_i · μ_{perm⁻¹(i)}.  Indices are 0-based
 internally; printed one-line windows are 1-based.  A root is the triple
-`ktype.Root`, written out by `ktype.root_vector`, which is imported here
-so that `weyl.root_vector` still resolves.  The `weyl` listing and the
-forward walk in `kostant` use this module; `ktypes` and `verify` never load
-it, and the listing loads no `repdata`.
+`ktype.Root`, which `inversion_set` writes out with `ktype.root_vector`.
+The `weyl` listing and the forward walk in `kostant` use this module;
+`ktypes` and `verify` never load it, and the listing loads no `repdata`.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ import lieball.polynomial as polynomial
 from lieball.harmonic import Weight, _column_rows
 from lieball.polynomial import Exponents, SparsePolynomial, laplacian, random_homogeneous
 from lieball.kostant import _shifted_weight
-from lieball.repdata import KTypeParam
+from lieball.ktype import KTypeParam
 from lieball.weyl import SignedPermutation, _inversions, enumerate_coset_reps, length
 
 Vector = Dict[int, int]

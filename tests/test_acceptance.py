@@ -15,9 +15,8 @@ from lieball.blattner import ktype_table, unique_scalar_match_check
 from lieball.cli import main
 from lieball.harmonic import harmonic_dimension, harmonic_dimension_formula, so_invariance_check
 from lieball.polynomial import laplacian, random_homogeneous, rotation_generator
+from lieball.ktype import KTypeParam, weyl_dim_so2m
 from lieball.repdata import (
-    KTypeParam,
-    borel_weil_bott_ktype,
     ehw_first_reduction_point,
     ehw_last_unitary_point,
     ehw_unitarizable,
@@ -26,7 +25,6 @@ from lieball.repdata import (
     range_verdict,
     verma_hom_condition,
     verma_inf_char,
-    weyl_dim_so2m,
 )
 from lieball.weyl import act
 from oracles import enumerate_group, is_coset_rep, laplacian_power
@@ -188,10 +186,14 @@ def test_criterion_9_degenerate_point_values():
         ok = ok and ehw_unitarizable(n, Q(2 * m - 1))
         ok = ok and not ehw_unitarizable(n, Q(2 * m - 1) + Q(1, 2))
         ok = ok and not ehw_unitarizable(n, Q(1, 2))
-        ok = ok and borel_weil_bott_ktype(m, m - 1) == KTypeParam(m - 1, (0,) * m)
+        # the bottom K-type (λ; (λ − m + 1)·1_m) is the table's l = 0 row
+        for lam in range(m - 1, m + 4):
+            bottom = ktype_table(m, lam, max_mu0=lam, max_mu1=lam).entries
+            ok = ok and bottom == {KTypeParam(lam, (lam - m + 1,) * m): 1}
     assert _line(
         9,
         "at n=2m, lambda=m-1 the residual operator is the single Laplacian "
-        "power and the unitarizability window has A=m, B=2m-1",
+        "power and the unitarizability window has A=m, B=2m-1; for lambda >= m-1 "
+        "the bottom K-type is the Euler-sum table's l=0 row",
         ok,
     )

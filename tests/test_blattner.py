@@ -16,7 +16,7 @@ from lieball.blattner import (
 import lieball.blattner as bl
 import lieball.kostant as ks
 import lieball.weyl as wl
-from lieball.repdata import KTypeParam, KTypeTable, is_dominant, rho_c
+from lieball.ktype import KTypeParam, is_dominant, rho_c
 from lieball.weyl import act, enumerate_coset_reps, inverse
 from oracles import forward_multiplicity
 
@@ -166,15 +166,6 @@ def test_dominant_mu_vectors_are_dominant(m, bound):
         assert mu[0] <= bound
         assert all(a >= b for a, b in zip(mu, mu[1:]))
         assert mu[-2] >= abs(mu[-1])
-
-
-def test_same_entries_detects_differences():
-    a = ktype_table(2, 1, max_mu0=3, max_mu1=2)
-    b = ktype_table(2, 1, max_mu0=3, max_mu1=2)
-    assert a.same_entries(b)
-    c = KTypeTable(2, 1, dict(a.entries))
-    c.entries[KTypeParam(2, (1, 0))] = 5
-    assert not a.same_entries(c)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -130,7 +130,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 def test_verify_names_the_smallest_difference_on_either_side(capsys, monkeypatch):
     # the analytic table lacks its last row and has an extra, smaller one
     import lieball.harmonic as hm
-    from lieball.repdata import KTypeParam
+    from lieball.ktype import KTypeParam
 
     real = hm.sol_ktype_table
 

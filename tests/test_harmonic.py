@@ -23,7 +23,7 @@ from lieball.harmonic import (
     sol_ktype_table,
 )
 from lieball.polynomial import SparsePolynomial, laplacian, random_homogeneous, rotation_generator
-from lieball.repdata import KTypeParam
+from lieball.ktype import KTypeParam
 from oracles import (
     Polynomial,
     all_pairs_invariance_check,

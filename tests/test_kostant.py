@@ -20,7 +20,8 @@ from lieball.kostant import (
     euler_character,
     rho_c,
 )
-from lieball.repdata import KTypeParam, as_weight, is_dominant
+from lieball.ktype import KTypeParam, is_dominant
+from lieball.repdata import as_weight
 from lieball.weyl import act, enumerate_coset_reps, inverse, length
 from oracles import negative_pairs
 

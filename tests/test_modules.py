@@ -1,11 +1,14 @@
-"""Every `lieball` module's `__all__` names only what the module defines, the
-slow references live with the tests, not in the package, the analytic route
-imports nothing of the algebraic one, importing the package or the CLI
+"""Every `lieball` module's `__all__` names only what the module defines, each
+name read in an annotation is bound, the slow references live with the
+tests, not in the package, the analytic route imports nothing of the
+algebraic one, `ktype` alone exports the K-type vocabulary, what the
+benchmark reads off the package resolves, importing the package or the CLI
 loads no route and no command module and stays off the costly standard
 modules, each subcommand loads only its own command module and the
 route it runs, and only help or a usage error loads argparse."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
 import subprocess
@@ -56,12 +59,29 @@ def test_oracles_are_not_in_the_package():
         importlib.import_module("lieball.linalg")
 
 
+def module_tree(name):
+    """The syntax tree of `lieball.<name>`."""
+    path = Path(lieball.__file__).parent.joinpath(*name.split(".")).with_suffix(".py")
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def type_checking_blocks(tree):
+    """The `if TYPE_CHECKING:` statements of `tree`, run by a type checker only."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.If)
+            and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"]
+
+
 def imported_modules(name):
-    """Every module the source of `lieball.<name>` imports, anywhere in it,
-    with relative imports written out from `lieball`."""
-    source = Path(lieball.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+    """Every module the source of `lieball.<name>` imports at run time,
+    anywhere in it but an `if TYPE_CHECKING:` block, with relative imports
+    written out from `lieball`."""
+    tree = module_tree(name)
+    checker_only = {id(node) for block in type_checking_blocks(tree)
+                    for stmt in block.body for node in ast.walk(stmt)}
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if id(node) in checker_only:
+            continue
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -77,7 +97,7 @@ def package_imports(name):
 def nested_imports(name):
     """The line of each import in `lieball.<name>` that is not a statement of
     the module's own body: one inside a function or an `if` block."""
-    tree = ast.parse(Path(lieball.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    tree = module_tree(name)
     top = {id(node) for node in tree.body}
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
@@ -108,25 +128,99 @@ def test_analytic_route_imports_only_the_shared_vocabulary():
         "from .polynomial import laplacian, random_homogeneous, rotation_generator"]
     assert package_imports("polynomial") == set()
     assert package_imports("ktype") == set()
-    assert package_imports("repdata") == {"ktype"}
+    assert package_imports("repdata") == set()
     assert "fractions" not in {m.split(".")[0] for m in imported_modules("harmonic")}
 
 
-def test_moved_vocabulary_still_resolves_at_its_old_paths():
-    # perfbench/traced.py builds kostant.KTypeParam itself
-    assert kostant.KTypeParam is repdata.KTypeParam is ktype.KTypeParam
-    assert kostant.rho_c is repdata.rho_c is ktype.rho_c
-    assert blattner.KTypeTable is repdata.KTypeTable is ktype.KTypeTable
-    assert harmonic.weyl_dim_so2m is repdata.weyl_dim_so2m is ktype.weyl_dim_so2m
-    assert repdata.is_dominant is ktype.is_dominant
-    assert weyl._Record is repdata._Record is ktype._Record
-    assert weyl.Root is repdata.Root is ktype.Root
-    assert weyl.root_vector is repdata.root_vector is ktype.root_vector
+def test_ktype_alone_exports_the_vocabulary():
+    # the scalar arithmetic names a root only in its annotations
+    assert [name for name in (*ktype.__all__, "_Record") if hasattr(repdata, name)] == []
+
+
+def test_what_the_benchmark_reads_resolves():
+    # each attribute perfbench/traced.py reads off a `lieball` module, and
+    # each name it imports from one; a name that `patched` takes as a string
+    # may be missing on purpose, and is not read here
+    traced = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+    tree = ast.parse(traced.read_text(encoding="utf-8"))
+    modules = {"lieball": lieball, "cli": cli, "lieball.cli": cli, "blattner": blattner,
+               "harmonic": harmonic, "kostant": kostant, "repdata": repdata, "weyl": weyl}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    read |= {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in modules
+             for alias in node.names}
+    assert ("cli", "main") in read
+    assert [f"{module}.{name}" for module, name in sorted(read)
+            if not hasattr(modules[module], name)] == []
+
+
+def annotation_names(tree):
+    """Every name read in an annotation in `tree`; an annotation written as
+    a string is parsed and read too."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= annotation_names(ast.parse(f"x: {node.value}"))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+def top_level_names(tree):
+    """Every name a statement of the module's own body binds, or an import
+    in one of its `if TYPE_CHECKING:` blocks."""
+    statements = list(tree.body)
+    statements += [stmt for block in type_checking_blocks(tree) if block in tree.body
+                   for stmt in block.body]
+    names = set()
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_annotation_name_is_bound(name):
+    # a type checker can resolve each annotation; a name bound under
+    # TYPE_CHECKING stays unbound at run time, so nothing loads for it
+    tree = module_tree(name)
+    assert annotation_names(tree) - top_level_names(tree) - set(dir(builtins)) == set()
+
+
+def test_type_hints_resolve_under_type_checking():
+    # with the TYPE_CHECKING blocks run, typing.get_type_hints resolves every
+    # function, class and method that a `lieball` module defines
+    src = Path(lieball.__file__).resolve().parent.parent
+    code = f"""
+import importlib, inspect, sys, typing
+sys.path.insert(0, {str(src)!r})
+typing.TYPE_CHECKING = True
+for name in {[f"lieball.{name}" for name in MODULES]!r}:
+    for obj in list(vars(importlib.import_module(name)).values()):
+        if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ == name:
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for hinted in [obj, *filter(inspect.isfunction, members)]:
+                typing.get_type_hints(hinted)
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_length_counts_without_inversion_set(monkeypatch):
     # length counts on integers; only the `weyl` listing prints inversion sets
-    cases = [(m, repdata.KTypeParam(m, mu))
+    cases = [(m, ktype.KTypeParam(m, mu))
              for m in (2, 3, 5) for mu in ((0,) * m, (2, 1) + (0,) * (m - 2))]
     reps = weyl.enumerate_coset_reps(5)
     expected = [kostant.euler_character(m, pi) for m, pi in cases]
@@ -199,13 +293,15 @@ def run_cli(*argv):
     (run_cli("weyl", "--m", "3"), "weyl",
      {"lieball.weyl", "lieball.ktype"},
      ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT | {"lieball.repdata"}),
+    # the witnesses' roots are written out by ktype.root_vector
     (run_cli("ranges", "--m", "3"), "ranges",
-     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT),
+     {"lieball.repdata", "lieball.ktype"}, ROUTE_MODULES | OFF | EXACT),
+    # the scalar arithmetic alone: no K-type vocabulary
     (run_cli("verma", "--m", "3"), "verma",
-     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT),
+     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT | {"lieball.ktype"}),
     # --z is a rational flag, so ehw builds a Fraction
     (run_cli("ehw", "--n", "4", "--z", "1"), "ehw",
-     {"lieball.repdata", "fractions"}, ROUTE_MODULES | OFF),
+     {"lieball.repdata", "fractions"}, ROUTE_MODULES | OFF | {"lieball.ktype"}),
 ], ids=["cli", "harmonic", "ktypes", "verify", "weyl", "ranges", "verma", "ehw"])
 def test_each_entry_point_loads_only_what_it_runs(statement, command, loaded, unloaded):
     modules = modules_after(statement)

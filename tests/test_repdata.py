@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieball.blattner import ktype_table
+from lieball.harmonic import sol_ktype_table
+from lieball.ktype import KTypeParam, root_vector, weyl_dim_so2m
 from lieball.repdata import (
-    KTypeParam,
-    borel_weil_bott_ktype,
     ehw_first_reduction_point,
     ehw_last_unitary_point,
     ehw_unitarizable,
@@ -22,9 +23,8 @@ from lieball.repdata import (
     range_violation_counts,
     verma_hom_condition,
     verma_inf_char,
-    weyl_dim_so2m,
 )
-from lieball.weyl import act, root_vector
+from lieball.weyl import act
 from oracles import dense_roots, dot, enumerate_group, half_sum
 
 
@@ -327,20 +327,26 @@ class TestDegeneratePoints:
             assert ehw_unitarizable(n, z) == (z == a or z == b)
 
 
-class TestBorelWeilBott:
-    def test_values(self):
-        assert borel_weil_bott_ktype(2, 1) == KTypeParam(1, (0, 0))
-        assert borel_weil_bott_ktype(3, 2) == KTypeParam(2, (0, 0, 0))
-        assert borel_weil_bott_ktype(2, 5) == KTypeParam(5, (4, 4))
+def bottom_row(m, lam):
+    """The l = 0 row of the Euler-sum table: the charge μ_0 = λ alone."""
+    return ktype_table(m, lam, max_mu0=lam, max_mu1=lam).entries
 
-    def test_below_threshold_vanishes(self):
-        assert borel_weil_bott_ktype(3, 1) is None
-        assert borel_weil_bott_ktype(4, 0) is None
+
+class TestBorelWeilBott:
+    """The K-type (λ; (λ − m + 1)·1_m) that the compact cycle cuts out, once
+    λ ≥ m − 1, is the l = 0 row of the Euler-sum table."""
+
+    def test_values(self):
+        for m in (2, 3, 4, 5):
+            for lam in range(m - 1, m + 4):
+                assert bottom_row(m, lam) == {KTypeParam(lam, (lam - m + 1,) * m): 1}
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_threshold_case_is_trivial_weight(self, m):
-        pi = borel_weil_bott_ktype(m, m - 1)
-        assert pi == KTypeParam(m - 1, (0,) * m)
+        # at λ = m − 1 the analytic route's first row is the same trivial weight
+        pi = KTypeParam(m - 1, (0,) * m)
+        assert bottom_row(m, m - 1) == {pi: 1}
+        assert sol_ktype_table(m, 0).entries == {pi: 1}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,7 @@
 """Root triples and half sums, against the roots built as dense vectors.
 
-The other modules keep only closed forms: `weyl.root_vector` writes a root
-triple out, `repdata.rho_c` is (m−1, ..., 0), `repdata.verma_inf_char(m, 0)`
+The other modules keep only closed forms: `ktype.root_vector` writes a root
+triple out, `ktype.rho_c` is (m−1, ..., 0), `repdata.verma_inf_char(m, 0)`
 is ρ_g, and `repdata.range_verdict` reads its pairings with ρ(u) and ρ_l off
 i and j.  Each is checked here against the dense roots and their half sums.
 """
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lieball.repdata import as_weight, range_verdict, rho_c, verma_inf_char
-from lieball.weyl import root_vector
+from lieball.ktype import rho_c, root_vector
+from lieball.repdata import as_weight, range_verdict, verma_inf_char
 from oracles import dense_roots, dot, half_sum
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieball.repdata import _Record
+from lieball.ktype import _Record
 from lieball.weyl import (
     SignedPermutation,
     act,
