@@ -12,12 +12,12 @@ imports only the module of the subcommand asked for.  So a cold invocation
 compiles one handler and loads one route: `harmonic` never loads the
 Euler-sum route, nor `ktypes` `harmonic`.
 
-`main` reads a well-formed command line, a subcommand and then
-`--flag value` pairs, straight off the `_FLAGS` and `_SUBCOMMANDS` tables,
-into the namespace argparse would return for it.  Every other command line
-goes to the argparse parser of `build_parser`, which also prints the help,
-once `_join_fractions` has joined each negative fraction to its flag; the
-flag tables decide which flags take one.
+`main` reads its command line in one call, `_parse`.  A well-formed one, a
+subcommand and then `--flag value` pairs, is read straight off the `_FLAGS`
+and `_SUBCOMMANDS` tables.  Any other, or one with a value that a flag's
+type raises on, goes to the argparse parser of `build_parser`, which alone
+judges a refused value and prints the help, once `_join_fractions` has
+joined each negative fraction to its flag.
 A handler reports a usage error that parsing cannot find by raising
 `UsageError`; `main` prints it through the subcommand's argparse parser.
 So `argparse` is loaded only to print help or a usage error.
@@ -235,8 +235,7 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
     Well formed: a subcommand, then `--flag value` pairs, each flag one of
     the subcommand's, in full and given once, each value not starting with
     '-', accepted by the flag's type and in its choices, and every required
-    flag present.  A type refuses a value as argparse sees it: by raising
-    ArgumentTypeError, TypeError or ValueError.
+    flag present.  A value that its type raises on is left to argparse.
     """
     flags = _subcommand_flags(argv[0]) if len(argv) % 2 else None
     if flags is None:
@@ -248,11 +247,8 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
         keywords = flags[flag]
         try:
             value = keywords.get("type", str)(raw)
-        except Exception as exc:
-            from argparse import ArgumentTypeError  # loaded only for a refused value
-            if isinstance(exc, (ArgumentTypeError, TypeError, ValueError)):
-                return None
-            raise
+        except Exception:
+            return None
         if value not in keywords.get("choices", (value,)):
             return None
         given[flag] = value
@@ -290,9 +286,14 @@ def _join_fractions(argv: List[str]) -> List[str]:
     return out
 
 
+def _parse(argv: List[str]) -> argparse.Namespace | SimpleNamespace:
+    """The namespace `main` reads `argv` as: off the flag tables, else by argparse."""
+    return _read_flags(argv) or build_parser().parse_args(_join_fractions(argv))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_flags(argv) or build_parser().parse_args(_join_fractions(argv))
+    args = _parse(argv)
     try:
         m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
         if m < 2:

@@ -132,11 +132,9 @@ def range_verdict(m: int, lam: int) -> RangeVerdict:
     )
     good_witnesses = tuple(
         ((i, j, 1), 2 * lam - i - j)
-        for i, j in combinations(range(m + 1), 2)
-        if i + j >= 2 * lam
+        for i in range(m + 1) for j in range(max(i + 1, 2 * lam - i), m + 1)
     )
-    good = not range_violation_counts(m, lam)[1]
-    return RangeVerdict(m, lam, fair, good, wf_witnesses, good_witnesses)
+    return RangeVerdict(m, lam, fair, not good_witnesses, wf_witnesses, good_witnesses)
 
 
 def verma_hom_condition(m: int, lam: object, nu: object) -> Optional[int]:

@@ -10,15 +10,14 @@ import re
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieball import cli
-from lieball.cli import _FLAGS, _SUBCOMMANDS, _read_flags, build_parser, main
+from lieball.cli import _FLAGS, _SUBCOMMANDS, _parse, _read_flags, build_parser, main
 from oracles import reference_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -865,8 +864,9 @@ def test_reader_accepts_only_what_argparse_reads_alike(argv):
         assert argparse_reads(argv) == vars(read), argv
 
 
-# Every value may start with '-'.  No --m below 2: `main` refuses it only
-# after parsing, with a usage error of its own.
+# Every value may start with '-'.  The values of --m are read alike below 2
+# too, and a stray --m and a stray -1 can combine into one: only `main`
+# refuses an --m below 2, after parsing, with a usage error of its own.
 JOIN_VALUES = {
     **TABLE_VALUES,
     "--m": ["2", "3", "x", "-3/2", "-", "-1/2"],
@@ -894,10 +894,6 @@ def join_argv(draw):
     return argv
 
 
-class _Parsed(Exception):
-    """Raised by the stand-in handler with the namespace `main` hands it."""
-
-
 def parse_outcome(parse, argv):
     """What parse(argv) reads: the namespace's attributes (None where it
     exits), the exit code, stdout and stderr, at 80 columns."""
@@ -912,29 +908,25 @@ def parse_outcome(parse, argv):
     return read, code, out.getvalue(), err.getvalue()
 
 
-def main_parses(argv):
-    """The namespace `main` reads argv as, taken from a stand-in handler."""
-
-    def handler(name, package):
-        def run(args):
-            raise _Parsed(args)
-        return SimpleNamespace(run=run)
-
-    with mock.patch.object(cli, "import_module", handler):
-        try:
-            main(argv)
-        except _Parsed as parsed:
-            return parsed.args[0]
-    raise AssertionError(f"main handed no namespace on: {argv}")
-
-
 @settings(max_examples=600, deadline=None)
 @given(join_argv())
+@example(["ktypes", "--m", "2", "--m", "-1"])
 def test_main_reads_argv_as_the_joining_reference_parser(argv):
     # every negative fraction is read where the parser that joins it to its
     # flag itself reads it, with the same output and exit code elsewhere
     reference = parse_outcome(lambda a: reference_parser().parse_args(a), argv)
-    assert parse_outcome(main_parses, argv) == reference, argv
+    assert parse_outcome(_parse, argv) == reference, argv
+
+
+def test_a_flag_type_raising_no_refusal_propagates(monkeypatch):
+    # the table reader leaves the value to argparse, which calls the type
+    # again and lets anything but a refusal out of `main`
+    def broken(raw):
+        raise RuntimeError(f"broken type on {raw!r}")
+
+    monkeypatch.setitem(_FLAGS, "--seed", {**_FLAGS["--seed"], "type": broken})
+    with pytest.raises(RuntimeError, match="broken type on '1'"):
+        main(["verify", "--m", "2", "--seed", "1"])
 
 
 def benchmark_argv():
