@@ -233,16 +233,17 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
     flag tables; None for any other argv.
 
     Well formed: a subcommand, then `--flag value` pairs, each flag one of
-    the subcommand's, in full and given once, each value not starting with
-    '-', accepted by the flag's type and in its choices, and every required
-    flag present.  A value that its type raises on is left to argparse.
+    the subcommand's, in full (the last of a repeated one wins, as in
+    argparse), each value not starting with '-', accepted by the flag's type
+    and in its choices, and every required flag present.  A value that its
+    type raises on is left to argparse.
     """
     flags = _subcommand_flags(argv[0]) if len(argv) % 2 else None
     if flags is None:
         return None
     given = {}
     for flag, raw in zip(argv[1::2], argv[2::2]):
-        if flag not in flags or flag in given or raw.startswith("-"):
+        if flag not in flags or raw.startswith("-"):
             return None
         keywords = flags[flag]
         try:
@@ -295,6 +296,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv)
     try:
+        for flag, keywords in _subcommand_flags(args.command).items():
+            # argparse before 3.13 reads `--flag=--` as [] without calling the type
+            if getattr(args, keywords.get("dest", flag[2:].replace("-", "_"))) == []:
+                raise UsageError(f"argument {flag}: expected one argument")
         m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
         if m < 2:
             raise UsageError("--m must be at least 2")

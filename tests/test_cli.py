@@ -6,9 +6,9 @@ import io
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
+import tempfile
 import time
 from unittest import mock
 
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieball import cli
-from lieball.cli import _FLAGS, _SUBCOMMANDS, _parse, _read_flags, build_parser, main
+from lieball.cli import _FLAGS, _SUBCOMMANDS, _parse, _read_flags, main
 from oracles import reference_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -624,71 +624,6 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
-SMALL_PARAMS = st.sampled_from(["-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "3", "7/2", "1/0"])
-OPTIONAL_FLAGS = {
-    "ktypes": ("--lambda",),
-    "harmonic": (),
-    "verify": ("--seed",),
-    "weyl": (),
-    "ranges": ("--lambda",),
-    "verma": ("--lambda", "--nu"),
-    "ehw": ("--lambda",),
-}
-
-
-@st.composite
-def cli_argv(draw):
-    """A small invocation: m <= 4 and max_l <= 4, so nothing large runs.
-    Values may be out of range, and a junk token may be inserted anywhere."""
-    sub = draw(st.sampled_from(sorted(OPTIONAL_FLAGS)))
-    argv = [sub]
-    if sub == "ehw":
-        z = draw(SMALL_PARAMS)
-        argv.append(f"--n={draw(st.integers(2, 8))}")
-        argv += ["--z", z] if draw(st.booleans()) else [f"--z={z}"]
-    else:
-        argv.append(f"--m={draw(st.integers(-1, 4))}")
-    if sub in ("ktypes", "harmonic", "verify", "verma"):
-        argv.append(f"--max-l={draw(st.integers(-3, 4))}")
-    for flag in OPTIONAL_FLAGS[sub]:
-        if draw(st.booleans()):
-            value = draw(SMALL_PARAMS)
-            argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
-    argv.append(f"--format={draw(st.sampled_from(['text', 'json', 'csv']))}")
-    if draw(st.integers(0, 4)) == 0:
-        junk = draw(st.sampled_from(["--bogus", "7", "--m", "--nu=1", "--format=xml", "--z"]))
-        argv.insert(draw(st.integers(0, len(argv))), junk)
-    return argv
-
-
-def _invoke(argv):
-    """Exit code, stdout and stderr of main(argv); usage errors must be
-    SystemExit(2)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            code = 2
-        else:
-            assert code in (0, 1, 3), argv
-    return code, out.getvalue(), err.getvalue()
-
-
-@settings(max_examples=100, deadline=None)
-@given(cli_argv())
-def test_random_argv_maps_to_an_exit_code(argv):
-    result = _invoke(argv)
-    assert result == _invoke(argv)
-    # a drawn -p/q given as its own argument is read as the flag's value (a
-    # junk copy of the flag elsewhere may still lack one)
-    for flag, value in zip(argv, argv[1:]):
-        if flag in ("--lambda", "--nu", "--z") and argv.count(flag) == 1:
-            if re.fullmatch(r"-\d+/\d+", value):
-                assert f"argument {flag}: expected one argument" not in result[2], argv
-
-
 def test_subprocess_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "lieball", "verify", "--m", "2", "--max-l", "3"],
@@ -801,26 +736,40 @@ def test_entry_leaves_a_usage_error_unfrozen():
     assert rest.endswith("lieball weyl: error: --m exceeds the enumeration bound 8\n")
 
 
-# --- The flag-table reader against argparse -----------------------------------
+# --- Random command lines -------------------------------------------------------
 
-TABLE_VALUES = {
-    "--m": ["2", "3", "4", "0", "-1", "007", " 3", "x", "2.5", ""],
-    "--n": ["4", "5", "6", "-4", "x"],
-    "--seed": ["0", "7", "-2", "1_0", "seed"],
-    "--max-l": ["0", "3", "6", "-1", "two"],
-    "--lambda": ["1", "3/2", "-3/2", "2", "1e3", "1/0", "-1", "x"],
-    "--nu": ["1", "5/2", "-1/2", "1/0"],
-    "--z": ["2", "-1/3", "5/2", "1e-3", "1/0"],
-    "--format": ["text", "json", "csv", "xml", "-"],
-    "--out": ["table.txt", "", "-", "-table.txt"],
+# The values each flag is drawn with: in range and out of it, negative,
+# fractional, malformed, led by '-', and '--'.  Every run stays small (--m
+# at most 7, --n at most 8, --max-l at most 6), since no subcommand refuses
+# a large request up front.  The values of --m are read alike below 2 too,
+# and a stray --m and a stray -1 can combine into one: only `main` refuses
+# an --m below 2, after parsing, with a usage error of its own.
+VALUES = {
+    "--m": ["2", "3", "4", "007", "1", "0", "-1", " 3", "x", "2.5", "", "-3/2", "-", "-1/2", "--"],
+    "--n": ["4", "5", "6", "8", "2", "3", "-4", "x", "-1/3", "--"],
+    "--seed": ["0", "7", "-2", "1_0", "seed", "-1/2", "--"],
+    "--max-l": ["0", "1", "3", "4", "6", "-1", "-3", "two", "-1/2", "--"],
+    "--lambda": ["1", "3/2", "2", "0", "1/2", "3", "7/2", "1e3", "1/0", "x", "-1", "-2", "-3/2",
+                 "-1/2", "-1e3", "-1/0", "-", "-x", "-h", "--"],
+    "--nu": ["1", "5/2", "2", "0", "1/2", "3/2", "3", "7/2", "1/0", "-1", "-2", "-1/2", "-3/2",
+             "-5/2", "-", "--"],
+    "--z": ["2", "5/2", "1", "0", "1/2", "3/2", "3", "7/2", "1e-3", "1/0", "-1", "-2", "-1/2",
+            "-3/2", "-1/3", "-1e-3", "-1/0", "--z", "--"],
+    "--format": ["text", "json", "csv", "xml", "-", "--"],
+    "--out": ["table.txt", "", "-", "-table.txt", "--"],
 }
+STRAYS = [["-h"], ["--help"], ["--"], ["--bogus"], ["7"], ["-3/2"], ["-1"], ["-"], ["-x"],
+          ["--m"], ["--z"], ["--nu=1"], ["--format=xml"], ["--lambda=-1"], ["--lamb", "-3/2"],
+          ["--l", "-1/2"], ["--n", "-1/3"], ["--nu", "-"], ["--z", "-1/3"], ["--m", "-3/2"],
+          ["--lambda", "-h"], *([name] for name, _, _ in _SUBCOMMANDS)]
 
 
 @st.composite
-def table_argv(draw, values=TABLE_VALUES):
-    """An argv drawn from the flag tables: mostly a subcommand and its flags
-    as `--flag value` pairs, with prefixes, `=` forms, repeated and missing
-    flags, negative and malformed values, -h, -- and stray tokens mixed in."""
+def command_lines(draw):
+    """A command line drawn from the flag tables: mostly a subcommand and its
+    flags as `--flag value` pairs, with prefixes, `=` forms, repeated and
+    missing flags mixed in, and up to three stray tokens or flag and value
+    pairs anywhere, before the subcommand too."""
     name, _, spec = draw(st.sampled_from(_SUBCOMMANDS))
     options = [flag.partition(":")[0] for flag in spec.split()]
     required = [o for o, flag in zip(options, spec.split()) if _FLAGS[flag].get("required")]
@@ -828,69 +777,19 @@ def table_argv(draw, values=TABLE_VALUES):
     flags = draw(st.permutations(sorted(set(required) | set(optional))))
     argv = [name]
     for flag in flags:
-        value = draw(st.sampled_from(values[flag]))
+        value = draw(st.sampled_from(VALUES[flag]))
         form = draw(st.sampled_from(["pair"] * 12 + ["prefix", "equals", "repeat", "drop"]))
         if form == "prefix":
             argv += [flag[:draw(st.integers(3, len(flag)))], value]
         elif form == "equals":
             argv.append(f"{flag}={value}")
         elif form == "repeat":
-            argv += [flag, draw(st.sampled_from(values[flag])), flag, value]
+            argv += [flag, draw(st.sampled_from(VALUES[flag])), flag, value]
         elif form == "pair":
             argv += [flag, value]
-    if draw(st.integers(0, 5)) == 0:
-        stray = draw(st.sampled_from(["-h", "--help", "--", "--bogus", "7", name, "--m"]))
-        argv.insert(draw(st.integers(0, len(argv))), stray)
-    return argv
-
-
-def argparse_reads(argv):
-    """The attributes of build_parser().parse_args(argv), or None where it
-    exits; its output is thrown away."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(build_parser().parse_args(argv))
-        except SystemExit:
-            return None
-
-
-@settings(max_examples=400, deadline=None)
-@given(table_argv())
-def test_reader_accepts_only_what_argparse_reads_alike(argv):
-    # argparse is the oracle: wherever the reader accepts, argparse accepts
-    # too and reads the same attributes
-    read = _read_flags(list(argv))
-    if read is not None:
-        assert argparse_reads(argv) == vars(read), argv
-
-
-# Every value may start with '-'.  The values of --m are read alike below 2
-# too, and a stray --m and a stray -1 can combine into one: only `main`
-# refuses an --m below 2, after parsing, with a usage error of its own.
-JOIN_VALUES = {
-    **TABLE_VALUES,
-    "--m": ["2", "3", "x", "-3/2", "-", "-1/2"],
-    "--n": ["4", "-4", "-1/3", "x"],
-    "--seed": ["0", "-2", "-1/2"],
-    "--max-l": ["3", "-1", "-1/2"],
-    "--lambda": ["1", "-3/2", "-1", "-1e3", "-1/0", "-", "-x", "-h", "--"],
-    "--nu": ["1", "-1/2", "-5/2", "-"],
-    "--z": ["2", "-1/3", "-1e-3", "-1/0", "--z"],
-}
-JOIN_STRAYS = [["-3/2"], ["-1"], ["-"], ["-h"], ["--"], ["-x"], ["--lambda=-1"], ["verma"],
-               ["ehw"], ["ktypes"], ["--lamb", "-3/2"], ["--l", "-1/2"], ["--n", "-1/3"],
-               ["--nu", "-"], ["--z", "-1/3"], ["--m", "-3/2"], ["--lambda", "-h"]]
-
-
-@st.composite
-def join_argv(draw):
-    """A `table_argv` whose values may all start with '-', with up to three
-    stray tokens or flag and value pairs anywhere, before the subcommand
-    too."""
-    argv = draw(table_argv(JOIN_VALUES))
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(argv)))
-        argv[at:at] = draw(st.sampled_from(JOIN_STRAYS))
+        argv[at:at] = draw(st.sampled_from(STRAYS))
     return argv
 
 
@@ -909,13 +808,64 @@ def parse_outcome(parse, argv):
 
 
 @settings(max_examples=600, deadline=None)
-@given(join_argv())
+@given(command_lines())
 @example(["ktypes", "--m", "2", "--m", "-1"])
 def test_main_reads_argv_as_the_joining_reference_parser(argv):
     # every negative fraction is read where the parser that joins it to its
-    # flag itself reads it, with the same output and exit code elsewhere
+    # flag itself reads it, with the same output and exit code elsewhere; an
+    # argv the table reader takes has no '-'-led value, so argparse reads it alike
     reference = parse_outcome(lambda a: reference_parser().parse_args(a), argv)
     assert parse_outcome(_parse, argv) == reference, argv
+
+
+def run_outcome(argv):
+    """Exit code, stdout, stderr and the files written of main(argv), run in
+    an empty temporary working directory."""
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as cwd:
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                    assert code in (0, 1, 3), argv  # no drawn run is too large for memory
+                except SystemExit as exc:
+                    assert exc.code in (0, 2), argv  # help, or a usage error
+                    code = exc.code
+            files = {path.name: path.read_bytes() for path in pathlib.Path(cwd).iterdir()}
+        finally:
+            os.chdir(home)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example(["ktypes", "--m", "3", "--lambda=--"])
+def test_every_run_keeps_the_exit_code_contract(argv):
+    # 0 ok, 1 verification failure, 2 usage, 3 certification; no traceback,
+    # stdout only with a report, and the same outcome every time
+    code, out, err, _ = outcome = run_outcome(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    assert code in (0, 1) or out == "", argv
+    assert run_outcome(argv) == outcome, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [name, *(["--n", "4", "--z", "1"] if name == "ehw" else ["--m", "3"]), f"{flag}=--"]
+    for name, _, _ in _SUBCOMMANDS for flag in cli._subcommand_flags(name)
+], ids=lambda argv: argv[0] + argv[-1][:-3])
+def test_a_flag_given_double_dash_is_usage_error(argv):
+    # every flag of every subcommand: argparse before Python 3.13 reads
+    # `--flag=--` as [] without calling the flag's type, and `main` refuses
+    # it; 3.13 calls the type on '--', which refuses it for every flag but
+    # --out, whose report goes to the file '--'
+    code, out, err, files = run_outcome(argv)
+    assert out == "" and "Traceback" not in err
+    if code == 0:
+        assert _parse(argv).out == "--" and files["--"]
+    else:
+        assert code == 2 and f"lieball {argv[0]}: error: argument {argv[-1][:-3]}: " in err
 
 
 def test_a_flag_type_raising_no_refusal_propagates(monkeypatch):
@@ -952,10 +902,10 @@ def test_reader_takes_the_benchmark_and_golden_invocations():
     well_formed = [
         c["argv"] for c in cases
         if not any(token.startswith("-") for token in c["argv"][2::2])
-        and all(token in TABLE_VALUES for token in c["argv"][1::2])
+        and all(token in VALUES for token in c["argv"][1::2])
     ]
     assert len(well_formed) > len(cases) // 2
     argvs = benchmark_argv() + well_formed
     assert [argv for argv in argvs if _read_flags(argv) is None] == []
     for argv in argvs:
-        assert vars(_read_flags(argv)) == argparse_reads(argv)
+        assert vars(_read_flags(argv)) == vars(reference_parser().parse_args(argv))

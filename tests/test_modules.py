@@ -5,7 +5,8 @@ algebraic one, `ktype` alone exports the K-type vocabulary, what the
 benchmark reads off the package resolves, importing the package or the CLI
 loads no route and no command module and stays off the costly standard
 modules, each subcommand loads only its own command module and the
-route it runs, and only help or a usage error loads argparse."""
+route it runs, only help or a usage error loads argparse, and the
+README's library example returns what its comments say."""
 
 import ast
 import builtins
@@ -333,3 +334,19 @@ def test_package_names_resolve_lazily():
     assert set(lieball.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="nope"):
         lieball.nope
+
+
+def test_readme_library_example_returns_what_its_comments_say():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").partition("## Library\n\n```python\n")[2]
+    namespace, values = {}, []
+    # each statement runs once, in order; each expression's value is kept
+    for node in ast.parse(block.partition("```")[0]).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    reps, constituents, mult, tables_equal, harmonic_dim, weyl_dim = values
+    assert [weyl.length(w) for w in reps] == [0, 1, 2, 3]
+    assert [(c.charge, c.hw) for c in constituents] == [(0, (-2, -2))]
+    assert (mult, tables_equal, harmonic_dim, weyl_dim) == (1, True, 1386, 224)
