@@ -7,19 +7,19 @@ time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
 and where the block of w has entries depends only on k = l − |w|₁.  A row or
 column of that shape is a monomial in m variables, held as the multiset of
-its variable indices.  So the rank is certified once per k, by one witness
-column per row, checked once per order type of the column, and counted once
-for every weight with that k.  Every row of the resulting K-type table, the
-analytic counterpart of the algebraic Euler-sum table, is then checked to be
-the expected SO(2m) constituent: the kernel holds its highest-weight vector
-u_1^l and has its Weyl dimension.  No matrix is built, neither a weight's
-block nor the full one.
+its variable indices.  Each row is the last row of its own witness column
+(a lemma proved in `harmonic_dimension`), so the rank is the row count; the
+support rule is checked on one witness per run count, and each shape's
+kernel dimension is counted once for every weight with that k.  Every row
+of the resulting K-type table, the analytic counterpart of the algebraic
+Euler-sum table, is then checked to be the expected SO(2m) constituent: the
+kernel holds its highest-weight vector u_1^l and has its Weyl dimension.
+No matrix is built, neither a weight's block nor the full one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Dict, Iterator, Tuple
 
@@ -60,23 +60,19 @@ def _column_rows(t: Multiset) -> Iterator[Tuple[int, Multiset]]:
 @lru_cache(maxsize=None)
 def _shape_kernel_dimension(m: int, s: int) -> int:
     """Certified kernel dimension of every weight block of Pol^l in 2m
-    variables with l − |w|₁ = 2s, its witnesses checked once per order type
-    (see `harmonic_dimension`)."""
-    rows = 0
+    variables with l − |w|₁ = 2s: Pascal's C(m + s − 2, s) once the lemma
+    of `harmonic_dimension` gives full row rank.  The support rule is
+    checked on one witness column per number k ≤ min(m, s) of distinct
+    indices, t = (0^(s−k+1), 1, 2, ..., k−1)."""
     for k in range(1, min(m, s) + 1):
-        count = comb(m - 1, k - 1)  # the rows of each order type with k runs
-        for cuts in combinations(range(1, s), k - 1):
-            t = ()
-            for v, (a, b) in enumerate(zip((0,) + cuts, cuts + (s,))):
-                t += (v,) * (b - a)
-            if max((row for _, row in _column_rows(t)), default=None) != t[1:]:
-                row, column = (tuple(u.count(j) for j in range(m)) for u in (t[1:], t))
-                raise CertificationError(
-                    f"row {row} is not the last row of its witness column {column} in the "
-                    f"k={2 * s} shape for n={2 * m}"
-                )
-            rows += count
-    return polynomial_space_dimension(m, s) - rows
+        t = (0,) * (s - k + 1) + tuple(range(1, k))
+        if max((row for _, row in _column_rows(t)), default=None) != t[1:]:
+            row, column = (tuple(u.count(j) for j in range(m)) for u in (t[1:], t))
+            raise CertificationError(
+                f"row {row} is not the last row of its witness column {column} in the "
+                f"k={2 * s} shape for n={2 * m}"
+            )
+    return polynomial_space_dimension(m, s) - polynomial_space_dimension(m, s - 1)
 
 
 def _weight_count(m: int, s: int) -> int:
@@ -106,19 +102,21 @@ def harmonic_dimension(n: int, l: int) -> int:
     4.  Every entry is a positive integer, so every block with this s has
     nonzero entries exactly where the shape places them.
 
-    The witness of row r is column t = (0,) + r, and the support rule must
-    make r its last row, the lexicographically largest (the column with its
-    smallest index removed).  The witnesses, with pairwise distinct last
-    rows, are independent, so the rank is the row count and the kernel
-    dimension is C(m + s − 1, s) minus it, for each of the
-    `_weight_count(m, l − 2s)` weights with this s.  Whether r passes
-    depends only on the order type of t, the sizes c of its k ≤ m runs of
-    equal indices: lexicographic order and the support rule commute with
-    order-preserving relabellings, and 0 is the smallest index.  So each
-    composition c of s is checked once, on t = (0^c1, 1^c2, ..., (k−1)^ck),
-    and stands for the C(m − 1, k − 1) rows with that order type; by
-    Vandermonde's identity these sum to the C(m + s − 2, s − 1) rows.  A
-    wrong support or witness rule fails on a named row and column.
+    The witness of row r is column t = (0,) + r, and r is its last row,
+    the lexicographically largest.  Lemma: for any nondecreasing t that
+    starts with 0, t[1:] is the largest of its rows t minus one j.  Proof:
+    if t has no index j > 0, t[1:] is its only row.  Otherwise let c1 be
+    the length of the first run of t, its 0s.  Removing a 0 and removing
+    some j > 0 give tuples that agree before position c1 − 1, and at that
+    position the first holds t[c1] ≥ 1 and the second holds 0.  The
+    witnesses, with pairwise distinct last rows, are therefore triangular
+    and independent, so the block has full row rank C(m + s − 2, s − 1),
+    and its kernel dimension is C(m + s − 1, s) − C(m + s − 2, s − 1)
+    = C(m + s − 2, s) by Pascal's rule, for each of the
+    `_weight_count(m, l − 2s)` weights with this s.  The lemma rests on
+    the support rule `_column_rows` alone, so that rule is checked on one
+    witness per run count k (see `_shape_kernel_dimension`), and a wrong
+    rule fails on a named row and column.
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
@@ -207,7 +205,8 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
     Pol^l (adding any positive root of SO(2m) raises |w|₁ above l), so u_1^l
     is a highest-weight vector, and the SO(2m)-stable kernel contains the
     irreducible V_(l,0,...,0) it generates.  The kernel dimension, exact in
-    2m variables, must then equal the Weyl dimension of V_(l,0,...,0), so the
+    2m variables by the lemma of `harmonic_dimension` (each block has full
+    row rank), must then equal the Weyl dimension of V_(l,0,...,0), so the
     kernel is that constituent and nothing more; a mismatch raises
     CertificationError.
     """

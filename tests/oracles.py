@@ -1,7 +1,7 @@
 """Slow reference computations that the tests hold `lieball` to.
 
 The package keeps one path per computation: the straightened Euler sum,
-the per-shape witness walk over index multisets for the Laplacian's rank,
+the per-shape lemma and closed form for the Laplacian's rank,
 and the term-wise `laplacian` and `rotation_generator`.  The paths they
 replaced, or that they are checked against, live here:
 
@@ -9,11 +9,14 @@ replaced, or that they are checked against, live here:
   full Laplacian matrix and over each weight block;
 - `Polynomial` and `partial`, the polynomial ring the tests build their
   inputs and the product-form generator with;
-- the per-row witness walk over index multisets,
-  `multiset_shape_kernel_dimension`, which the walk over order types is
-  checked against shape by shape, and the dense walk over exponent vectors
-  (`compositions`, the support rule `dense_column_rows` and
-  `dense_shape_kernel_dimension`), which the multiset walk is checked against;
+- the witness walk over order types, `order_type_shape_kernel_dimension`,
+  which checks the witness rule once per composition of s and which the
+  lemma's closed form `_shape_kernel_dimension` is held to shape by shape;
+  the per-row witness walk over index multisets,
+  `multiset_shape_kernel_dimension`, which the closed form is also held
+  to, and the dense walk over exponent vectors (`compositions`, the
+  support rule `dense_column_rows` and `dense_shape_kernel_dimension`),
+  which the multiset walk is checked against;
 - `negative_pairs`, the double-loop count behind the sign of a
   straightened Euler-sum term;
 - the full matrix over the z-monomials (`monomial_exponents`,
@@ -41,12 +44,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, gcd, prod
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import lieball.polynomial as polynomial
-from lieball.harmonic import Weight, _column_rows
+from lieball.harmonic import CertificationError, Weight, _column_rows
 from lieball.polynomial import Exponents, SparsePolynomial, laplacian, random_homogeneous
 from lieball.kostant import _shifted_weight
 from lieball.ktype import KTypeParam
@@ -172,6 +175,34 @@ def partial(f: SparsePolynomial, i: int) -> Polynomial:
             e2 = exps[:i] + (a - 1,) + exps[i + 1 :]
             out[e2] = out.get(e2, Q(0)) + c * a
     return Polynomial(f.nvars, out)
+
+
+# --- The walk over order types ----------------------------------------------
+
+
+def order_type_shape_kernel_dimension(m: int, s: int) -> int:
+    """`harmonic._shape_kernel_dimension` checked once per order type: row r
+    passes or fails by the order type of its witness column t = (0,) + r,
+    the sizes c of its k ≤ m runs of equal indices, since lexicographic
+    order and the support rule commute with order-preserving relabellings
+    and 0 is the smallest index.  So each composition c of s is checked on
+    t = (0^c1, 1^c2, ..., (k−1)^ck) and counted for the C(m − 1, k − 1)
+    rows with that order type; a failing one raises CertificationError."""
+    rows = 0
+    for k in range(1, min(m, s) + 1):
+        count = comb(m - 1, k - 1)  # the rows of each order type with k runs
+        for cuts in combinations(range(1, s), k - 1):
+            t = ()
+            for v, (a, b) in enumerate(zip((0,) + cuts, cuts + (s,))):
+                t += (v,) * (b - a)
+            if max((row for _, row in _column_rows(t)), default=None) != t[1:]:
+                row, column = (tuple(u.count(j) for j in range(m)) for u in (t[1:], t))
+                raise CertificationError(
+                    f"row {row} is not the last row of its witness column {column} in the "
+                    f"k={2 * s} shape for n={2 * m}"
+                )
+            rows += count
+    return comb(m + s - 1, s) - rows
 
 
 # --- The per-row walk over index multisets -----------------------------------

@@ -36,6 +36,7 @@ from oracles import (
     laplacian_power,
     monomial_exponents,
     multiset_shape_kernel_dimension,
+    order_type_shape_kernel_dimension,
     partial,
     weight_blocks,
 )
@@ -291,6 +292,24 @@ def test_order_type_walk_is_the_row_walk(m):
         clear_caches()
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_closed_form_is_the_order_type_walk(m):
+    clear_caches()
+    try:
+        for s in range(17):
+            assert hm._shape_kernel_dimension(m, s) == order_type_shape_kernel_dimension(m, s)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("s", range(1, 17))
+def test_every_order_type_passes_the_witness_rule(s):
+    # The lemma of `harmonic_dimension` on all 2^(s−1) compositions of s: at
+    # m = s each one is an order type, and the walk raises on the first that
+    # fails.  What passes leaves Pascal's C(m + s − 2, s) kernel vectors.
+    assert order_type_shape_kernel_dimension(s, s) == comb(2 * s - 2, s)
+
+
 def drop_entries(monkeypatch, broken):
     """Patch the support rule so that the columns of each shape whose k
     satisfies `broken` have no entries."""
@@ -355,11 +374,11 @@ def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, m
         clear_caches()
 
 
-def test_failed_order_type_names_its_realisation(monkeypatch):
+def test_failed_witness_names_its_row_and_column(monkeypatch):
     # The support rule loses index 0 from columns with two or more distinct
-    # indices.  The order type (3) of the k=6 shape still passes; the next,
-    # (1, 2), fails on its realisation t = (0, 1, 1), whose last row is then
-    # (0, 1) rather than r = (1, 1).
+    # indices.  The k=6 shape's witness with one run, t = (0, 0, 0), still
+    # passes; the one with two, t = (0, 0, 1), fails, since its last row is
+    # then (0, 0) rather than r = (0, 1).
     column_rows = hm._column_rows
     monkeypatch.setattr(
         hm, "_column_rows",
@@ -369,8 +388,8 @@ def test_failed_order_type_names_its_realisation(monkeypatch):
     try:
         with pytest.raises(
             CertificationError,
-            match=r"^row \(0, 2, 0, 0\) is not the last row of its witness column "
-                  r"\(1, 2, 0, 0\) in the k=6 shape for n=8$",
+            match=r"^row \(1, 1, 0, 0\) is not the last row of its witness column "
+                  r"\(2, 1, 0, 0\) in the k=6 shape for n=8$",
         ):
             hm._shape_kernel_dimension(4, 3)
     finally:
