@@ -668,13 +668,15 @@ SRC = str(pathlib.Path(cli.__file__).resolve().parent.parent)
 def entry(argv, setup=""):
     """Exit code, stdout and stderr of `python -m lieball argv`, started in a
     fresh interpreter through runpy after the statements `setup`.  An atexit
-    hook registered before the run writes `frozen <gc.get_freeze_count()>`
-    as the last line of stderr."""
+    hook registered before the run writes `frozen <count>` as the last line of
+    stderr, the count being what `gc.get_freeze_count()` gained over the run:
+    some interpreters (3.12) start with objects already frozen."""
     script = "\n".join([
         "import atexit, gc, runpy, sys",
         f"sys.path.insert(0, {SRC!r})",
         setup,
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))",
+        "start = gc.get_freeze_count()",
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() - start, file=sys.stderr))",
         f"sys.argv = ['lieball', *{list(argv)!r}]",
         "runpy.run_module('lieball', run_name='__main__')",
     ])
@@ -683,7 +685,8 @@ def entry(argv, setup=""):
 
 
 def frozen(stderr):
-    """The freeze count the atexit hook saw, and the stderr before it."""
+    """The freeze count the run gained, as the atexit hook saw it, and the
+    stderr before it."""
     *before, last = stderr.splitlines(keepends=True)
     name, count = last.split()
     assert name == "frozen"

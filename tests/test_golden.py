@@ -63,6 +63,15 @@ def test_golden_out_file_through_the_process(tmp_path):
     assert target.read_bytes() == (GOLDEN / "harmonic_m4_l16.txt").read_bytes()
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_both_routes_write_the_same_table_file(m, fmt):
+    # ktypes and harmonic share the JSON and CSV table layout, so the two
+    # routes' tables agree byte for byte; only their text reports differ
+    euler = (GOLDEN / f"ktypes_m{m}.{fmt}").read_bytes()
+    assert euler and euler == (GOLDEN / f"harmonic_m{m}.{fmt}").read_bytes()
+
+
 HELP = ["", "ktypes", "harmonic", "verify", "weyl", "ranges", "verma", "ehw"]
 
 
