@@ -1,7 +1,7 @@
 """Harmonic polynomials for the holomorphic Laplacian Δ = Σ ∂²/∂z_i².
 
 `ktype` is the one package module imported at the top; the sampled
-equivariance check imports the polynomials of `polynomial` when it runs.
+equivariance check imports the term-dict functions of `polynomial` as it runs.
 Kernel dimensions in n = 2m variables are certified one block shape at a
 time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
@@ -165,7 +165,9 @@ def harmonic_dimension_formula(n: int, l: int) -> int:
 
 def so_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
     """Check Δ(Gf) = G(Δf) for every rotation generator G = z_a ∂_b − z_b ∂_a
-    on random polynomials: the SO(n)-equivariance of the Laplacian.
+    on random polynomials: the SO(n)-equivariance of the Laplacian.  Each
+    polynomial is a term dict {exponent tuple: nonzero int}, as `polynomial`
+    builds and maps it, and two sides are equal when their dicts are.
 
     Only the pairs (a, b) that meet the support of f (the variables it
     involves) are applied.  For any other pair both sides are 0:
@@ -185,7 +187,7 @@ def so_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
         degree = rng.randint(1, 4)
         f = random_homogeneous(n, degree, rng)
         lap_f = laplacian(f)
-        support = {i for exps in f.terms for i, e in enumerate(exps) if e}
+        support = {i for exps in f for i, e in enumerate(exps) if e}
         for a in range(n):
             for b in range(a + 1, n):
                 if a not in support and b not in support:

@@ -99,16 +99,16 @@ class KTypeTable(NamedTuple):
     """A window of K-types with integer multiplicities.
 
     entries maps KTypeParam to a nonzero integer; the scan bounds record the
-    window μ_0 ≤ max_mu0, μ_1 ≤ max_mu1 the table was computed over (None
-    when no window was given).  A table certified against the harmonic
-    kernel also records, per entry, its kernel and Weyl dimensions.
+    window μ_0 ≤ max_mu0, μ_1 ≤ max_mu1 the table was computed over.  A
+    table certified against the harmonic kernel also records, per entry, its
+    kernel and Weyl dimensions.
     """
 
     m: int
     lam: int
     entries: Dict[KTypeParam, int]
-    max_mu0: int | None = None
-    max_mu1: int | None = None
+    max_mu0: int
+    max_mu1: int
     dims: Dict[KTypeParam, Tuple[int, int]] | None = None
 
     def sorted_entries(self) -> List[Tuple[KTypeParam, int]]:

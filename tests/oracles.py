@@ -2,13 +2,15 @@
 
 The package keeps one path per computation: the straightened Euler sum,
 the per-shape lemma and closed form for the Laplacian's rank,
-and the term-wise `laplacian` and `rotation_generator`.  The paths they
-replaced, or that they are checked against, live here:
+and the term-wise `laplacian` and `rotation_generator` on term dicts
+(exponent tuple to nonzero coefficient).  The paths they replaced, or that
+they are checked against, live here:
 
 - `exact_kernel`, a fraction-free elimination, the kernel oracle over the
   full Laplacian matrix and over each weight block;
 - `Polynomial` and `partial`, the polynomial ring the tests build their
-  inputs and the product-form generator with;
+  inputs, the sums of second partials and the product-form generator
+  with, a class of its own whose `terms` is the package's term dict;
 - the witness walk over order types, `order_type_shape_kernel_dimension`,
   which checks the witness rule once per composition of s and which the
   lemma's closed form `_shape_kernel_dimension` is held to shape by shape;
@@ -29,7 +31,7 @@ replaced, or that they are checked against, live here:
   forward signed sum over every coset representative,
   `forward_multiplicity`, which the straightened `multiplicity` and
   `ktype_table` are checked against;
-- `laplacian_power`, `laplacian` applied l times;
+- `laplacian_power`, `laplacian` applied l times to a term dict;
 - `all_pairs_invariance_check`, the sampled equivariance check over all
   C(n, 2) rotation generators, which the check restricted to the pairs that
   meet each polynomial's support is held equal to;
@@ -50,7 +52,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import lieball.polynomial as polynomial
 from lieball.harmonic import CertificationError, Weight, _column_rows
-from lieball.polynomial import Exponents, SparsePolynomial, laplacian, random_homogeneous
+from lieball.polynomial import Exponents, Terms, laplacian, random_homogeneous
 from lieball.kostant import _shifted_weight
 from lieball.ktype import KTypeParam
 from lieball.weyl import SignedPermutation, _inversions, enumerate_coset_reps, length
@@ -118,12 +120,19 @@ def exact_kernel(vectors: List[Vector]) -> List[Vector]:
 # --- The polynomial ring ----------------------------------------------------
 
 
-class Polynomial(SparsePolynomial):
-    """A `SparsePolynomial` with the ring operations (+, −, negation,
-    products with polynomials and rationals).  The other operand may be any
-    `SparsePolynomial`, such as a result of `laplacian`."""
+class Polynomial:
+    """A polynomial in nvars variables with exact rational coefficients and
+    the ring operations (+, −, negation, products with polynomials and
+    rationals), the ring the package does not have.  `terms` maps exponent
+    tuples to the nonzero coefficients, as given: the term dict that the
+    functions of `lieball.polynomial` take and return, so
+    `Polynomial(n, laplacian(p.terms))` is Δp."""
 
-    __slots__ = ()
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: Dict[Exponents, object] | None = None):
+        self.nvars = nvars
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
@@ -133,25 +142,39 @@ class Polynomial(SparsePolynomial):
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exps: Q(1)})
 
-    def _check_same_ring(self, other: SparsePolynomial) -> None:
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Polynomial)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __repr__(self) -> str:
+        bits = [
+            f"{c}" + "".join(f"*z{i + 1}^{a}" for i, a in enumerate(exps) if a)
+            for exps, c in sorted(self.terms.items())
+        ]
+        return "Polynomial(" + (" + ".join(bits) or "0") + ")"
+
+    def _check_same_ring(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
 
-    def __add__(self, other: SparsePolynomial) -> "Polynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, Q(0)) + c
         return Polynomial(self.nvars, out)
 
-    def __sub__(self, other: SparsePolynomial) -> "Polynomial":
-        return self + Polynomial(other.nvars, {e: -c for e, c in other.terms.items()})
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, SparsePolynomial):
+        if isinstance(other, Polynomial):
             self._check_same_ring(other)
             out: Dict[Exponents, Q] = {}
             for e1, c1 in self.terms.items():
@@ -164,8 +187,8 @@ class Polynomial(SparsePolynomial):
     __rmul__ = __mul__
 
 
-def partial(f: SparsePolynomial, i: int) -> Polynomial:
-    """∂f/∂z_i, for any `SparsePolynomial` f."""
+def partial(f: Polynomial, i: int) -> Polynomial:
+    """∂f/∂z_i."""
     if not 0 <= i < f.nvars:
         raise ValueError("variable index out of range")
     out: Dict[Exponents, Q] = {}
@@ -403,8 +426,8 @@ def forward_multiplicity(m: int, lam: int, pi: KTypeParam) -> int:
 # --- Iterated Laplacians -------------------------------------------------------
 
 
-def laplacian_power(f: SparsePolynomial, l: int) -> SparsePolynomial:
-    """Δ^l f, one `laplacian` at a time."""
+def laplacian_power(f: Terms, l: int) -> Terms:
+    """Δ^l f on a term dict, one `laplacian` at a time."""
     if l < 0:
         raise ValueError("power must be nonnegative")
     for _ in range(l):
@@ -419,7 +442,7 @@ def all_pairs_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
     """`harmonic.so_invariance_check` over all C(n, 2) generators, the pairs
     off the support of f included.  The generator is looked up on
     `polynomial`, where the check imports it from when it runs, so a test
-    that patches it patches both checks."""
+    that patches it with a fault on term dicts patches both checks."""
     if n < 2:
         raise ValueError("need at least two variables")
     if trials < 1:

@@ -47,15 +47,17 @@ def test_oracles_are_not_in_the_package():
         "monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
         "_block_columns", "_compositions", "laplacian_power")]
     moved += [(weyl, "enumerate_group"), (weyl, "is_coset_rep")]
-    # the polynomials of the sampled check live in `polynomial`, off the certificate
+    # the operators of the sampled check live in `polynomial`, off the certificate
     moved += [(harmonic, name) for name in (
-        "SparsePolynomial", "laplacian", "rotation_generator", "random_homogeneous")]
+        "laplacian", "rotation_generator", "random_homogeneous")]
     # the forward signed sum, and what it walks with
     moved += [(blattner, name) for name in ("enumerate_coset_reps", "length", "_shifted_weight")]
     assert [name for module, name in moved if hasattr(module, name)] == []
-    ring = ["variable", "partial", "_check_same_ring", "__add__", "__sub__", "__neg__",
-            "__mul__", "__rmul__"]
-    assert [name for name in ring if hasattr(polynomial.SparsePolynomial, name)] == []
+    # they are three functions on term dicts: the polynomial type and its
+    # ring are `oracles.Polynomial`
+    assert sorted(polynomial.__all__) == ["laplacian", "random_homogeneous", "rotation_generator"]
+    assert [node.name for node in ast.walk(module_tree("polynomial"))
+            if isinstance(node, ast.ClassDef)] == []
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("lieball.linalg")
 
@@ -262,7 +264,7 @@ def test_package_import_loads_no_submodule():
 
 
 ROUTE_MODULES = {"lieball.weyl", "lieball.kostant", "lieball.blattner", "lieball.harmonic"}
-EXACT = {"fractions", "decimal", "numbers"}  # what a Fraction or a coefficient check loads
+EXACT = {"fractions", "decimal", "numbers"}  # what building a Fraction loads
 # what argparse loads, only to print help or a usage error
 PARSER = {"argparse", "gettext", "locale"}
 # a well-formed run reads its flags without argparse, and only the sampled
