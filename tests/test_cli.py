@@ -629,6 +629,7 @@ def test_subprocess_entry_point(tmp_path):
         [sys.executable, "-m", "lieball", "verify", "--m", "2", "--max-l", "3"],
         capture_output=True,
         text=True,
+        timeout=60,
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
@@ -638,7 +639,7 @@ def test_subprocess_matches_in_process(capsys):
     args = ["ktypes", "--m", "2", "--max-l", "3", "--format", "json"]
     _, inproc = run(capsys, args)
     proc = subprocess.run(
-        [sys.executable, "-m", "lieball", *args], capture_output=True, text=True
+        [sys.executable, "-m", "lieball", *args], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
     assert proc.stdout == inproc
@@ -652,7 +653,8 @@ def test_cli_module_prints_handler_usage_errors_as_the_package(argv):
     # `python -m lieball.cli` runs a second copy of the module as __main__; a
     # handler's UsageError must still be printed, not raised as a traceback
     package, module = (
-        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True)
+        subprocess.run(
+            [sys.executable, "-m", name, *argv], capture_output=True, text=True, timeout=60)
         for name in ("lieball", "lieball.cli"))
     assert package.returncode == module.returncode == 2
     assert module.stderr == package.stderr
@@ -680,7 +682,8 @@ def entry(argv, setup=""):
         f"sys.argv = ['lieball', *{list(argv)!r}]",
         "runpy.run_module('lieball', run_name='__main__')",
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 

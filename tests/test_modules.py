@@ -217,7 +217,8 @@ for name in {[f"lieball.{name}" for name in MODULES]!r}:
             for hinted in [obj, *filter(inspect.isfunction, members)]:
                 typing.get_type_hints(hinted)
 """
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -250,7 +251,8 @@ def modules_after(statement):
     interpreter; -S keeps whatever site loads (a .pth file, say) out of it."""
     src = Path(lieball.__file__).resolve().parent.parent
     code = f"import sys\nsys.path.insert(0, {str(src)!r})\n{statement}\nprint(sorted(sys.modules))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
