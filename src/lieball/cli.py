@@ -30,7 +30,9 @@ state, so tests and library callers run it in process.
 
 from __future__ import annotations
 
+import errno
 import gc
+import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -320,15 +322,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(f"lieball: error: cannot write --out: {exc}\n")
-            raise SystemExit(2)
+        elif sys.stdout is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if args.out is None and sys.stdout is not None:
+            # what the failed write left buffered goes to the null device, so
+            # that the flush at exit does not fail on it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = "stdout" if args.out is None else "--out"
+        sys.stderr.write(f"lieball: error: cannot write {target}: {exc}\n")
+        raise SystemExit(2)
     return report.code
 
 

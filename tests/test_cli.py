@@ -29,80 +29,6 @@ def run(capsys, argv):
     return code, captured.out
 
 
-def test_ktypes_text(capsys):
-    code, out = run(capsys, ["ktypes", "--m", "2", "--max-l", "3"])
-    assert code == 0
-    assert "K-type table  m=2  lambda=1  (multiplicity)" in out
-    assert "1  (0, 0)  1" in out
-    assert "entries: 4" in out
-
-
-def test_ktypes_json_schema(capsys):
-    code, out = run(capsys, ["ktypes", "--m", "3", "--max-l", "2", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert set(payload) == {"m", "lambda", "entries"}
-    assert payload["m"] == 3 and payload["lambda"] == 2
-    for entry in payload["entries"]:
-        assert set(entry) == {"mu0", "mu", "mult"}
-        assert len(entry["mu"]) == 3
-    assert payload["entries"][0] == {"mu0": 2, "mu": [0, 0, 0], "mult": 1}
-
-
-def test_ktypes_csv(capsys):
-    code, out = run(capsys, ["ktypes", "--m", "2", "--max-l", "2", "--format", "csv"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "mu0,mu_1,mu_2,mult"
-    assert lines[1:] == ["1,0,0,1", "2,1,0,1", "3,2,0,1"]
-
-
-def test_ktypes_euler_label_outside_weakly_fair(capsys):
-    code, out = run(capsys, ["ktypes", "--m", "3", "--lambda", "1", "--max-l", "2"])
-    assert code == 0
-    assert "(Euler characteristic)" in out
-
-
-def test_ktypes_matches_harmonic_bytes(capsys):
-    code, algebraic = run(capsys, ["ktypes", "--m", "2", "--max-l", "4", "--format", "json"])
-    assert code == 0
-    code, analytic = run(capsys, ["harmonic", "--m", "2", "--max-l", "4", "--format", "json"])
-    assert code == 0
-    assert algebraic == analytic
-
-
-def test_harmonic_text_reports_dimensions(capsys):
-    code, out = run(capsys, ["harmonic", "--m", "2", "--max-l", "2"])
-    assert code == 0
-    assert "kernel_dim" in out
-    assert "3  (2, 0)  1  9  9" in out
-
-
-def test_verify_passes(capsys):
-    code, out = run(capsys, ["verify", "--m", "2", "--max-l", "3"])
-    assert code == 0
-    assert out.count("[PASS]") == 6
-    assert "[FAIL]" not in out
-    assert out.strip().endswith("result: PASS (6/6)")
-
-
-def test_verify_json(capsys):
-    code, out = run(capsys, ["verify", "--m", "2", "--max-l", "3", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["pass"] is True
-    assert payload["seed"] == 0
-    assert len(payload["checks"]) == 6
-    assert all(c["pass"] for c in payload["checks"])
-
-
-def test_verify_is_byte_stable(capsys):
-    args = ["verify", "--m", "2", "--max-l", "3", "--seed", "7"]
-    _, first = run(capsys, args)
-    _, second = run(capsys, args)
-    assert first == second
-
-
 # `verify --m 2 --max-l 3` with `blattner.rho_c` patched to zero.
 FAULT_ARGV = ["verify", "--m", "2", "--max-l", "3"]
 FAULT_REPORT = (
@@ -224,118 +150,6 @@ def test_ranges_csv_builds_no_range_verdict(capsys, monkeypatch):
         assert counts in out
 
 
-def test_out_writes_identical_bytes(capsys, tmp_path):
-    target = tmp_path / "table.json"
-    code, out = run(capsys, ["ktypes", "--m", "2", "--format", "json"])
-    assert code == 0
-    code2 = main(["ktypes", "--m", "2", "--format", "json", "--out", str(target)])
-    captured = capsys.readouterr()
-    assert code2 == 0
-    assert captured.out == ""
-    assert target.read_text(encoding="utf-8") == out
-
-
-def test_weyl_listing(capsys):
-    code, out = run(capsys, ["weyl", "--m", "3"])
-    assert code == 0
-    assert "count=4" in out
-    code, out = run(capsys, ["weyl", "--m", "4", "--format", "json"])
-    payload = json.loads(out)
-    assert payload["count"] == 8
-    assert payload["elements"][0]["length"] == 0
-    assert max(e["length"] for e in payload["elements"]) == 6
-
-
-def test_weyl_rejects_large_rank():
-    with pytest.raises(SystemExit) as exc:
-        main(["weyl", "--m", "9"])
-    assert exc.value.code == 2
-
-
-def test_ktypes_beyond_the_weyl_listing_bound(capsys):
-    code, out = run(capsys, ["ktypes", "--m", "12", "--max-l", "4"])
-    assert code == 0
-    rows = out.splitlines()[3:-1]
-    assert rows == [f"{l + 11}  ({l}, {', '.join(['0'] * 11)})  1" for l in range(5)]
-
-
-def test_verify_beyond_the_weyl_listing_bound(capsys):
-    code, out = run(capsys, ["verify", "--m", "12", "--max-l", "4"])
-    assert code == 0
-    assert out.strip().endswith("result: PASS (6/6)")
-
-
-def test_rejects_small_rank():
-    for sub in ("ktypes", "weyl", "verify", "harmonic", "ranges"):
-        with pytest.raises(SystemExit) as exc:
-            main([sub, "--m", "1"])
-        assert exc.value.code == 2
-
-
-def test_ranges_text(capsys):
-    code, out = run(capsys, ["ranges", "--m", "2"])
-    assert code == 0
-    assert "weakly_fair: true" in out
-    assert "good: false" in out
-    assert "singular" in out
-
-
-def test_ranges_json(capsys):
-    code, out = run(capsys, ["ranges", "--m", "2", "--lambda", "2", "--format", "json"])
-    payload = json.loads(out)
-    assert payload["weakly_fair"] is True and payload["good"] is True
-    assert payload["good_witnesses"] == []
-    assert payload["inf_char"] == [2, 1, 0]
-
-
-def test_verma_sweep(capsys):
-    code, out = run(capsys, ["verma", "--m", "2", "--format", "csv"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "l,lambda,nu,degree,orbit_equal"
-    assert lines[1] == "0,2,2,0,true"
-    assert lines[2] == "1,1,3,1,true"
-
-
-def test_verma_pair(capsys):
-    code, out = run(capsys, ["verma", "--m", "2", "--lambda", "1", "--nu", "3"])
-    assert code == 0
-    assert "degree 1" in out
-    code, out = run(capsys, ["verma", "--m", "2", "--lambda", "1", "--nu", "2"])
-    assert code == 0
-    assert "no homomorphism" in out
-
-
-def test_verma_requires_both_params():
-    with pytest.raises(SystemExit) as exc:
-        main(["verma", "--m", "2", "--lambda", "1"])
-    assert exc.value.code == 2
-
-
-def test_ehw_text(capsys):
-    code, out = run(capsys, ["ehw", "--n", "4", "--z", "2", "--lambda", "1"])
-    assert code == 0
-    assert "unitarizable: true" in out
-    assert "Laplacian power 1" in out
-    code, out = run(capsys, ["ehw", "--n", "4", "--z", "5/2"])
-    assert code == 0
-    assert "unitarizable: false" in out
-
-
-def test_ehw_json(capsys):
-    code, out = run(capsys, ["ehw", "--n", "6", "--z", "3", "--format", "json"])
-    payload = json.loads(out)
-    assert payload["unitarizable"] is True
-    assert payload["first_reduction_point"] == 3
-    assert payload["last_unitary_point"] == 5
-
-
-def test_ehw_rejects_odd_rank_with_lambda():
-    with pytest.raises(SystemExit) as exc:
-        main(["ehw", "--n", "5", "--z", "1", "--lambda", "1"])
-    assert exc.value.code == 2
-
-
 def test_negative_fraction_as_its_own_argument(capsys):
     code, joined = run(capsys, ["verma", "--m", "3", "--lambda=-3/2", "--nu", "1"])
     assert code == 0
@@ -361,18 +175,6 @@ def test_negative_z_as_its_own_argument_matches_golden(capsysbinary):
     assert capsysbinary.readouterr().out == golden.read_bytes()
 
 
-def test_ktypes_rejects_fractional_lambda():
-    with pytest.raises(SystemExit) as exc:
-        main(["ktypes", "--m", "2", "--lambda", "3/2"])
-    assert exc.value.code == 2
-
-
-def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -394,6 +196,9 @@ def test_missing_subcommand_is_usage_error():
          f"--m must be at most {sys.maxsize}"),
         (["verma", "--m", str(sys.maxsize + 1), "--max-l", "1"],
          f"--m must be at most {sys.maxsize}"),
+        (["weyl", "--m", "1"], "--m must be at least 2"),
+        (["ranges", "--m", "1"], "--m must be at least 2"),
+        (["verma", "--m", "2", "--lambda", "1"], "verma needs both --lambda and --nu, or neither"),
     ],
 )
 def test_checked_usage_errors_name_the_subcommand(capsys, monkeypatch, argv, message):
@@ -425,7 +230,9 @@ def usage(command=""):
     # after `--` every token is a positional argument, and none is expected
     (["harmonic", "--", "--m", "3"], 2, None,
      usage("harmonic") + "lieball harmonic: error: the following arguments are required: --m\n"),
-], ids=["unrecognized", "prefix", "repeated", "equals", "double-dash"])
+    # no subcommand at all
+    ([], 2, None, usage() + "lieball: error: the following arguments are required: command\n"),
+], ids=["unrecognized", "prefix", "repeated", "equals", "double-dash", "empty"])
 def test_argparse_forms_keep_their_output(capsys, monkeypatch, argv, code, same_as, err):
     monkeypatch.setenv("COLUMNS", "80")
     expected = ""
@@ -624,27 +431,6 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
-def test_subprocess_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lieball", "verify", "--m", "2", "--max-l", "3"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert "result: PASS" in proc.stdout
-
-
-def test_subprocess_matches_in_process(capsys):
-    args = ["ktypes", "--m", "2", "--max-l", "3", "--format", "json"]
-    _, inproc = run(capsys, args)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lieball", *args], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == inproc
-
-
 @pytest.mark.parametrize("argv", [
     ["weyl", "--m", "9"],  # the handler's bound
     ["ranges", "--m", "3", "--lambda", "1/2"],  # _integer_lambda
@@ -740,6 +526,19 @@ def test_entry_leaves_a_usage_error_unfrozen():
     count, rest = frozen(err)
     assert count == 0
     assert rest.endswith("lieball weyl: error: --m exceeds the enumeration bound 8\n")
+
+
+@pytest.mark.parametrize("redirect, reason", [
+    ("> /dev/full", "[Errno 28] No space left on device"),
+    (">&-", "[Errno 9] Bad file descriptor"),
+], ids=["full-device", "closed"])
+def test_a_failed_stdout_write_is_usage_error(redirect, reason):
+    # the one line an unwritable --out prints, and no second error from the
+    # flush at exit
+    proc = subprocess.run(
+        ["bash", "-c", f'"$0" -m lieball "$@" {redirect}', sys.executable, *KERNEL_ARGV],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, f"lieball: error: cannot write stdout: {reason}\n")
 
 
 # --- Random command lines -------------------------------------------------------
