@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieball.ktype import _Record
 from lieball.weyl import (
     SignedPermutation,
     act,
@@ -90,6 +91,35 @@ def test_validation_rejects_bad_sign_value():
         sp((0, 1), (2, 2))
     with pytest.raises(ValueError, match="matching length"):
         sp((0, 1), (1, 1, 1, 1))
+
+
+def test_signed_permutation_record_semantics():
+    a, b, c = sp((1, 0), (-1, -1)), sp((1, 0), (-1, -1)), identity(2)
+    assert a == b and hash(a) == hash(b) and a != c
+    table = {a: "a", c: "c"}
+    assert table[b] == "a" and len({a, b, c}) == 2
+    assert repr(a) == "SignedPermutation(perm=(1, 0), signs=(-1, -1))"
+    for name in ("perm", "signs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (0, 1))
+    for name in ("perm", "signs"):
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and a.perm == (1, 0)
+
+
+def test_signed_permutation_differs_from_other_classes_with_its_fields():
+    class Twin(_Record):
+        __slots__ = ("perm", "signs")
+
+        def __init__(self, perm, signs):
+            object.__setattr__(self, "perm", perm)
+            object.__setattr__(self, "signs", signs)
+
+    a, twin = sp((1, 0), (-1, -1)), Twin((1, 0), (-1, -1))
+    assert twin._fields() == a._fields()
+    assert a != twin and twin != a
+    assert a != ((1, 0), (-1, -1))
 
 
 def test_act_example():
