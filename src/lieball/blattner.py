@@ -15,6 +15,7 @@ and this module imports only `ktype`.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 from .ktype import KTypeParam, KTypeTable, rho_c
@@ -94,23 +95,11 @@ def dominant_mu_vectors(m: int, max_mu1: int) -> List[Tuple[int, ...]]:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    if max_mu1 < 0:
-        return []
-    out: List[Tuple[int, ...]] = []
-
-    def extend(prefix: Tuple[int, ...]) -> None:
-        if len(prefix) == m - 1:
-            bound = prefix[-1]
-            for last in range(-bound, bound + 1):
-                out.append(prefix + (last,))
-            return
-        for nxt in range(prefix[-1], -1, -1):
-            extend(prefix + (nxt,))
-
-    for mu1 in range(max_mu1, -1, -1):
-        extend((mu1,))
-    out.sort()
-    return out
+    return sorted(
+        head + (last,)
+        for head in combinations_with_replacement(range(max_mu1, -1, -1), m - 1)
+        for last in range(-head[-1], head[-1] + 1)
+    )
 
 
 def ktype_table(m: int, lam: int, max_mu0: int, max_mu1: int) -> KTypeTable:

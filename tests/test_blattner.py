@@ -1,6 +1,6 @@
 """Branching multiplicities from the alternating coset sum."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +166,17 @@ def test_dominant_mu_vectors_are_dominant(m, bound):
         assert mu[0] <= bound
         assert all(a >= b for a, b in zip(mu, mu[1:]))
         assert mu[-2] >= abs(mu[-1])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_dominant_mu_vectors_are_the_dominant_weights_of_the_box(m):
+    # every dominant weight in [-b, b]^m, where μ_1 ≤ b holds already, in
+    # sorted order; b = -1 leaves the box empty
+    for bound in range(-1, 5):
+        box = product(range(-bound, bound + 1), repeat=m)
+        dominant = [mu for mu in box
+                    if all(a >= b for a, b in zip(mu, mu[1:-1])) and mu[-2] >= abs(mu[-1])]
+        assert dominant_mu_vectors(m, bound) == dominant
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -684,21 +684,47 @@ def test_a_flag_type_raising_no_refusal_propagates(monkeypatch):
         main(["verify", "--m", "2", "--seed", "1"])
 
 
-def benchmark_argv():
-    """The invocations the benchmark times, as perfbench/workloads.py builds
-    them for the workloads BENCHMARK.json names."""
+def perfbench():
+    """perfbench/workloads.py and perfbench/oracle.py, loaded from their files
+    and left as they are, and the names of the workloads BENCHMARK.json runs."""
     import importlib.util
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses looks its module up
+    modules = {}
     try:
-        spec.loader.exec_module(workloads)
+        for name in ("workloads", "oracle"):
+            spec = importlib.util.spec_from_file_location(name, root / "perfbench" / f"{name}.py")
+            # dataclasses looks its module up, and oracle imports workloads
+            modules[name] = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(modules[name])
     finally:
-        del sys.modules[spec.name]
+        for name in modules:
+            del sys.modules[name]
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    return modules["workloads"], modules["oracle"], names
+
+
+def benchmark_argv():
+    """The invocations the benchmark times, as perfbench/workloads.py builds
+    them for the workloads BENCHMARK.json names."""
+    workloads, _, names = perfbench()
     return [workloads.WORKLOADS[name].argv(seed) for name in names for seed in (0, 1, 9)]
+
+
+def test_the_benchmark_oracle_accepts_each_workload_golden():
+    # the oracle that judges the benchmark's runs holds each timed
+    # invocation's golden at seed 1, so an output change that it would
+    # refuse fails here too; its corrupted copy refuses the golden
+    workloads, oracle, names = perfbench()
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        argv = workload.argv(1) + ["--format", "text"]
+        [golden] = [c["stdout"] for c in cases if c["argv"] == argv]
+        out = (GOLDEN / golden).read_text(encoding="utf-8")
+        want = oracle.expected(workload, 1)
+        assert want.check(0, out) is None, name
+        assert want.corrupted().check(0, out) is not None, name
 
 
 def test_reader_takes_the_benchmark_and_golden_invocations():

@@ -54,7 +54,7 @@ def radial_square(n):
     return sum((var(n, i) * var(n, i) for i in range(n)), Polynomial(n))
 
 
-class TestSparsePolynomial:
+class TestOraclePolynomial:
     """The ring of `oracles.Polynomial`, the reference whose `terms` are the
     term dicts of `lieball.polynomial`."""
 

@@ -9,10 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lieball.kostant as ks
-import lieball.weyl as wl
 from lieball.blattner import _dominant_preimage, _negative_pairs
-from lieball.cli import main
 from lieball.kostant import (
     LKTypeParam,
     _shifted_weight,
@@ -261,17 +258,3 @@ def test_negative_pairs_match_the_double_loop(entries):
     # repeated |s_i| included
     s = sorted(entries, reverse=True)
     assert _negative_pairs(s) == negative_pairs(s)
-
-
-def test_cli_path_walks_no_group_element(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a group element walked")
-
-    # kostant binds weyl's names at import, so both modules' are patched
-    names = ("enumerate_coset_reps", "act", "length", "inverse")
-    for module in (ks, wl):
-        for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    assert main(["ktypes", "--m", "8"]) == 0
-    assert main(["verify", "--m", "6", "--max-l", "10"]) == 0
