@@ -165,22 +165,23 @@ def _rational(raw: str) -> Fraction:
 
 
 # Each flag once: its add_argument keywords under its option string, or under
-# the option string, ':' and a name, for a variant of the flag.
+# the option string, ':' and a name, for a variant of the flag.  Every entry
+# names its `dest`, the attribute of the namespace that holds its value.
 _FLAGS = {
-    "--m": dict(type=int, required=True, help="rank parameter m >= 2"),
-    "--n": dict(type=int, required=True, help="rank parameter n >= 4"),
-    "--z": dict(type=_rational, required=True, help="lowest-weight parameter"),
+    "--m": dict(dest="m", type=int, required=True, help="rank parameter m >= 2"),
+    "--n": dict(dest="n", type=int, required=True, help="rank parameter n >= 4"),
+    "--z": dict(dest="z", type=_rational, required=True, help="lowest-weight parameter"),
     "--lambda": dict(dest="lam", type=_rational, default=None,
                      help="scalar parameter (default m-1)"),
     "--lambda:residue": dict(dest="lam", type=_rational, default=None,
                              help="also report the residual operator degree at this parameter"),
-    "--nu": dict(type=_rational, default=None, help="second scalar parameter"),
+    "--nu": dict(dest="nu", type=_rational, default=None, help="second scalar parameter"),
     "--max-l": dict(dest="max_l", type=_nonnegative_int, default=6,
                     help="largest symmetric-power degree (default %(default)s)"),
-    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
-    "--format": dict(choices=("text", "json", "csv"), default="text",
+    "--seed": dict(dest="seed", type=int, default=0, help="seed for randomized checks"),
+    "--format": dict(dest="format", choices=("text", "json", "csv"), default="text",
                      help="output format (default text)"),
-    "--out": dict(default=None, help="write output to this path"),
+    "--out": dict(dest="out", default=None, help="write output to this path"),
 }
 _FLAGS["--max-l:verma"] = {**_FLAGS["--max-l"], "default": 5}
 
@@ -258,7 +259,7 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
     if any(keywords.get("required") and flag not in given for flag, keywords in flags.items()):
         return None
     return SimpleNamespace(command=argv[0], **{
-        keywords.get("dest", flag[2:].replace("-", "_")): given.get(flag, keywords.get("default"))
+        keywords["dest"]: given.get(flag, keywords.get("default"))
         for flag, keywords in flags.items()})
 
 
@@ -300,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         for flag, keywords in _subcommand_flags(args.command).items():
             # argparse before 3.13 reads `--flag=--` as [] without calling the type
-            if getattr(args, keywords.get("dest", flag[2:].replace("-", "_"))) == []:
+            if getattr(args, keywords["dest"]) == []:
                 raise UsageError(f"argument {flag}: expected one argument")
         m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
         if m < 2:

@@ -8,9 +8,10 @@ the Laplacian has integer coefficients and keeps the weight w of each monomial,
 and where the block of w has entries depends only on k = l − |w|₁.  A row or
 column of that shape is a monomial in m variables, held as the multiset of
 its variable indices.  Each row is the last row of its own witness column
-(a lemma proved in `harmonic_dimension`), so the rank is the row count; the
-support rule is checked on one witness per run count, and each shape's
-kernel dimension is counted once for every weight with that k.  Every row
+(a lemma proved in `harmonic_dimension`), so every block has full row rank;
+the support rule is checked on one witness per run count.  Every monomial of
+degree l − 2 is a row of exactly one block, so Δ maps Pol^l onto Pol^(l−2),
+and the kernel dimension is dim Pol^l − dim Pol^(l−2).  Every row
 of the resulting K-type table, the analytic counterpart of the algebraic
 Euler-sum table, is then checked to be the expected SO(2m) constituent: the
 kernel holds its highest-weight vector u_1^l and has its Weyl dimension.
@@ -75,17 +76,9 @@ def _shape_kernel_dimension(m: int, s: int) -> int:
     return polynomial_space_dimension(m, s) - polynomial_space_dimension(m, s - 1)
 
 
-def _weight_count(m: int, s: int) -> int:
-    """Number of torus weights w ∈ Z^m with |w|₁ = s: j nonzero entries in
-    C(m, j) places, 2^j signs and C(s − 1, j − 1) sizes."""
-    if s == 0:
-        return 1
-    return sum(comb(m, j) * comb(s - 1, j - 1) << j for j in range(1, min(m, s) + 1))
-
-
 def harmonic_dimension(n: int, l: int) -> int:
-    """dim ker(Δ) on degree-l polynomials in n = 2m variables, certified once
-    per block shape and counted once per torus weight.
+    """dim ker(Δ) on degree-l polynomials in n = 2m variables, read off the
+    rank: once every block shape is certified, Δ maps Pol^l onto Pol^(l−2).
 
     In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j), Δ = 4 Σ_j
     ∂_(u_j) ∂_(v_j) has integer coefficients and keeps the weight w = a − b
@@ -110,20 +103,23 @@ def harmonic_dimension(n: int, l: int) -> int:
     some j > 0 give tuples that agree before position c1 − 1, and at that
     position the first holds t[c1] ≥ 1 and the second holds 0.  The
     witnesses, with pairwise distinct last rows, are therefore triangular
-    and independent, so the block has full row rank C(m + s − 2, s − 1),
-    and its kernel dimension is C(m + s − 1, s) − C(m + s − 2, s − 1)
-    = C(m + s − 2, s) by Pascal's rule, for each of the
-    `_weight_count(m, l − 2s)` weights with this s.  The lemma rests on
-    the support rule `_column_rows` alone, so that rule is checked on one
-    witness per run count k (see `_shape_kernel_dimension`), and a wrong
+    and independent, so every block of the shape has full row rank
+    C(m + s − 2, s − 1).  The lemma rests on the support rule `_column_rows`
+    alone, so that rule is checked on one witness per run count (see
+    `_shape_kernel_dimension`) for each shape k = 2, 4, ..., l, and a wrong
     rule fails on a named row and column.
+
+    Every monomial u^a v^b of degree l − 2 is a row of exactly one block:
+    that of its own weight a − b, at b' = min(a, b), with k ≥ 2.  Each
+    block has full row rank, so rank Δ = dim Pol^(l−2): Δ is onto, and
+    dim ker Δ = dim Pol^l − dim Pol^(l−2), which
+    `harmonic_dimension_formula` gives.
 
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
     why).  Any failed check raises CertificationError naming n, l, the
-    shape's k and its dominant weight (l − k, 0, ..., 0), and how many
-    weights share the shape.  An n that is not even and at least 2 raises
-    ValueError.
+    shape's k and its dominant weight (l − k, 0, ..., 0).  An n that is not
+    even and at least 2 raises ValueError.
     """
     if n < 2 or n % 2:
         raise ValueError(f"need an even number n = 2m >= 2 of variables, got {n}")
@@ -134,24 +130,24 @@ def harmonic_dimension(n: int, l: int) -> int:
     def dominant(k: int) -> Weight:
         return (l - k,) + (0,) * (m - 1)
 
-    def where(k: int) -> str:
-        return f"for n={n}, l={l}, 1 of {_weight_count(m, l - k)} weights of the k={k} shape"
-
     def certified(k: int) -> int:
         try:
             return _shape_kernel_dimension(m, k // 2)
         except CertificationError as e:
             raise CertificationError(
-                f"{e}; it is the block of weight w={dominant(k)} {where(k)}"
+                f"{e}; it is the block of weight w={dominant(k)} for n={n}, l={l}, "
+                f"in the k={k} shape"
             ) from e
 
     top_kernel = certified(0)
     if top_kernel != 1:
         raise CertificationError(
             f"the block of weight w={dominant(0)} has {top_kernel} kernel vectors, "
-            f"not u_1^{l} alone, {where(0)}"
+            f"not u_1^{l} alone, for n={n}, l={l}, in the k=0 shape"
         )
-    return sum(_weight_count(m, l - k) * certified(k) for k in range(0, l + 1, 2))
+    for k in range(2, l + 1, 2):
+        certified(k)
+    return harmonic_dimension_formula(n, l)
 
 
 def harmonic_dimension_formula(n: int, l: int) -> int:

@@ -37,14 +37,20 @@ they are checked against, live here:
   meet each polynomial's support is held equal to;
 - `reference_parser`, the `lieball` argparse parser whose subcommand
   parsers join a negative fraction to its flag themselves, which the CLI's
-  reading of a command line is held equal to.
+  reading of a command line is held equal to;
+- `perfbench`, which loads the benchmark's output oracle
+  (`perfbench/oracle.py`, the table rows in closed form) and its workloads
+  from their files, read-only.
 
 Everything is exact; nothing here is fast.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
+import sys
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, gcd, prod
@@ -511,3 +517,23 @@ def reference_parser():
         for flag, keywords in _subcommand_flags(name).items():
             p.add_argument(flag, **keywords)
     return parser
+
+
+def perfbench():
+    """perfbench/workloads.py and perfbench/oracle.py, loaded from their files
+    and left as they are, and the names of the workloads BENCHMARK.json runs."""
+    import importlib.util
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    modules = {}
+    try:
+        for name in ("workloads", "oracle"):
+            spec = importlib.util.spec_from_file_location(name, root / "perfbench" / f"{name}.py")
+            # dataclasses looks its module up, and oracle imports workloads
+            modules[name] = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(modules[name])
+    finally:
+        for name in modules:
+            del sys.modules[name]
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    return modules["workloads"], modules["oracle"], names

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lieball import cli
 from lieball.cli import _FLAGS, _SUBCOMMANDS, _parse, _read_flags, main
-from oracles import reference_parser
+from oracles import perfbench, reference_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -508,7 +508,7 @@ hm._shape_kernel_dimension = refuse
      1, FAULT_REPORT, ""),
     (KERNEL_ARGV, REFUSE_CERTIFICATE, 3, "",
      "certification failure: patched certificate; it is the block of weight "
-     "w=(0, 0, 0, 0) for n=8, l=0, 1 of 1 weights of the k=0 shape\n"),
+     "w=(0, 0, 0, 0) for n=8, l=0, in the k=0 shape\n"),
 ], ids=["ok", "verification-failure", "certification-failure"])
 def test_entry_freezes_the_heap_once_main_returns(argv, setup, code, out, err):
     # main's exit code and output pass through the entry unchanged
@@ -682,26 +682,6 @@ def test_a_flag_type_raising_no_refusal_propagates(monkeypatch):
     monkeypatch.setitem(_FLAGS, "--seed", {**_FLAGS["--seed"], "type": broken})
     with pytest.raises(RuntimeError, match="broken type on '1'"):
         main(["verify", "--m", "2", "--seed", "1"])
-
-
-def perfbench():
-    """perfbench/workloads.py and perfbench/oracle.py, loaded from their files
-    and left as they are, and the names of the workloads BENCHMARK.json runs."""
-    import importlib.util
-
-    root = pathlib.Path(__file__).resolve().parent.parent
-    modules = {}
-    try:
-        for name in ("workloads", "oracle"):
-            spec = importlib.util.spec_from_file_location(name, root / "perfbench" / f"{name}.py")
-            # dataclasses looks its module up, and oracle imports workloads
-            modules[name] = sys.modules[name] = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(modules[name])
-    finally:
-        for name in modules:
-            del sys.modules[name]
-    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
-    return modules["workloads"], modules["oracle"], names
 
 
 def benchmark_argv():

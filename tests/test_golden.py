@@ -10,7 +10,8 @@ The help goldens, `help.txt` and `help_<cmd>.txt`, are `lieball -h` and
 `lieball <cmd> -h` at 80 columns.  One case per subcommand and format is
 also run as `python -m lieball`, through the process entry, and so are the
 end-to-end runs in `PROCESS_RUNS` and the README's loops over a range of
-ranks.
+ranks.  A run too long for a golden is held to the benchmark's oracle, the
+table rows in closed form.
 """
 
 import json
@@ -25,6 +26,7 @@ import pytest
 
 import lieball
 from lieball.cli import main
+from oracles import perfbench
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -81,13 +83,16 @@ def test_golden_out_file_through_the_process(tmp_path):
 
 class ProcessRun(NamedTuple):
     """A `python -m lieball` run and what it must give: its exit code, the
-    golden its stdout equals, and a line its stderr holds.  Only where the run
-    needs one: an environment variable, the 100,000 KiB cap on the address
-    space, or a bound in seconds tighter than the default 60."""
+    golden its stdout equals (or, with `oracle`, the table perfbench/oracle.py
+    builds from closed forms for `harmonic --m M --max-l L`), and a line its
+    stderr holds.  Only where the run needs one: an environment variable, the
+    100,000 KiB cap on the address space, or a bound in seconds tighter than
+    the default 60."""
 
     argv: list
     code: int = 0
     golden: Optional[str] = None
+    oracle: bool = False
     err: Optional[str] = None
     env: Optional[dict] = None
     capped: bool = False
@@ -116,6 +121,9 @@ PROCESS_RUNS = {
     # each block shape certified by its lemma
     "harmonic-m8-l60-in-10s": ProcessRun(
         ["harmonic", "--m", "8", "--max-l", "60"], golden="harmonic_m8_l60.txt", seconds=10),
+    # every shape certified, and the kernel dimension read off the rank
+    "harmonic-m2-l2000-in-10s": ProcessRun(
+        ["harmonic", "--m", "2", "--max-l", "2000"], oracle=True, seconds=10),
     # argparse takes the last --m, then main's range check refuses it
     "repeated-m": ProcessRun(["ktypes", "--m", "2", "--m", "-1"], 2, err="--m must be at least 2"),
 }
@@ -135,6 +143,11 @@ def test_run_through_the_process(run):
     assert proc.returncode == run.code, proc.stderr
     if run.golden:
         assert proc.stdout == (GOLDEN / run.golden).read_bytes()
+    if run.oracle:
+        workloads, oracle, _ = perfbench()
+        command, _, m, _, max_l = run.argv
+        want = oracle.expected(workloads.Workload(command, command, int(m), int(max_l)), 0)
+        assert want.check(proc.returncode, proc.stdout.decode()) is None
     if run.err:
         assert run.err.encode() in proc.stderr
     assert b"Traceback" not in proc.stderr

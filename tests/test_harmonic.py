@@ -1,7 +1,6 @@
 """Polynomial Laplacian kernels and their certification against Weyl dimensions."""
 
 import random
-from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 from math import comb
@@ -244,10 +243,8 @@ def test_every_block_has_its_shapes_rank(n):
     clear_caches()
     try:
         for l in range(7):
-            sizes = Counter()
             for w, shape, _ in weight_blocks(n, l):
                 s = sum(map(abs, w))
-                sizes[s] += 1
                 cols = block_columns(w, shape)
                 # the elimination oracle, block by block
                 assert len(exact_kernel(cols)) == hm._shape_kernel_dimension(m, (l - s) // 2)
@@ -256,7 +253,6 @@ def test_every_block_has_its_shapes_rank(n):
                 # witnesses' last rows are the shape's
                 for (_, entries), col in zip(shape, cols):
                     assert set(col) == {r for r, _ in entries}
-            assert sizes == {l - k: hm._weight_count(m, l - k) for k in range(0, l + 1, 2)}
     finally:
         clear_caches()
 
@@ -349,11 +345,11 @@ def test_uncertified_rank_is_refused(monkeypatch, capsys):
         # The shape of the top weight (k = 0) loses u_1^2, its only column.
         ((2, 0), lambda mp, broken: drop_a_column(mp, broken),
          r"block of weight w=\(2, 0\) has 0 kernel vectors, not u_1\^2 alone, for n=4, l=2"),
-        # The same faults, with the number of weights that share the shape.
+        # The same faults, with the degree and the shape they were met at.
         ((0, 0), lambda mp, broken: drop_entries(mp, broken),
-         r"w=\(0, 0\) for n=4, l=2, 1 of 1 weights of the k=2 shape$"),
+         r"w=\(0, 0\) for n=4, l=2, in the k=2 shape$"),
         ((2, 0), lambda mp, broken: drop_a_column(mp, broken),
-         r"w=\(2, 0\) has 0 kernel vectors.* for n=4, l=2, 1 of 8 weights of the k=0 shape$"),
+         r"w=\(2, 0\) has 0 kernel vectors, not u_1\^2 alone, for n=4, l=2, in the k=0 shape$"),
     ],
 )
 def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
