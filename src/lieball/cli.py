@@ -4,13 +4,13 @@ Subcommands: ktypes, harmonic, verify, weyl, ranges, verma, ehw.  All
 output is deterministic for a fixed invocation and seed.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 certification failure.
 
-This module holds what every subcommand shares: the report record and its
-rendering, the formatters, the flag and subcommand tables, the parser and
-`main`.  Each subcommand's handler is the `run(args)` of its own module,
-`lieball.commands.<subcommand>`, which imports the route it runs; `main`
-imports only the module of the subcommand asked for.  So a cold invocation
-compiles one handler and loads one route: `harmonic` never loads the
-Euler-sum route, nor `ktypes` `harmonic`.
+This module is the whole command line: the report record and its
+rendering, the formatters, one handler per subcommand, the flag and
+subcommand tables, the parser and `main`.  A handler takes the parsed
+namespace and returns a `Report`, and each `_SUBCOMMANDS` row names its
+subcommand's handler.  A handler imports the route it runs when it runs,
+not when this module loads, so a cold invocation loads one route:
+`harmonic` never loads the Euler-sum route, nor `ktypes` `harmonic`.
 
 `main` reads its command line in one call, `_parse`.  A well-formed one, a
 subcommand and then `--flag value` pairs, is read straight off the `_FLAGS`
@@ -18,8 +18,9 @@ and `_SUBCOMMANDS` tables.  Any other, or one with a value that a flag's
 type raises on, goes to the argparse parser of `build_parser`, which alone
 judges a refused value and prints the help, once `_join_fractions` has
 joined each negative fraction to its flag.
-A handler reports a usage error that parsing cannot find by raising
-`UsageError`; `main` prints it through the subcommand's argparse parser.
+A handler reports a usage error that parsing cannot find, such as an --m
+beyond the `weyl` listing's bound, by raising `UsageError`; `main` prints
+it through the subcommand's argparse parser.
 So `argparse` is loaded only to print help or a usage error.
 
 `run` is the process entry that `python -m lieball`, the `lieball` console
@@ -34,9 +35,10 @@ import errno
 import gc
 import os
 import sys
-from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, NoReturn, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, List, NamedTuple, NoReturn, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:
     import argparse
@@ -123,6 +125,282 @@ def _integer_lambda(args) -> int:
     return int(lam)
 
 
+# --- The handlers: one per subcommand, from the parsed namespace to a Report.
+
+
+def _ktypes(args) -> Report:
+    """The K-type table from the Euler sum."""
+    from .blattner import ktype_table
+    from .repdata import weakly_fair
+    lam = _integer_lambda(args)
+    table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
+    semantics = "multiplicity" if weakly_fair(args.m, lam) else "Euler characteristic"
+    return _table_report(table, lambda: [
+        f"K-type table  m={table.m}  lambda={table.lam}  ({semantics})",
+        f"window: mu0 <= {table.max_mu0}, mu1 <= {table.max_mu1}",
+        "mu0  mu  mult",
+        *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}" for pi, mult in table.sorted_entries()),
+        f"entries: {len(table.entries)}",
+    ])
+
+
+def _harmonic(args) -> Report:
+    """The K-type table from the Laplacian kernel."""
+    from .harmonic import sol_ktype_table
+    table = sol_ktype_table(args.m, args.max_l)
+    return _table_report(table, lambda: [
+        f"harmonic kernel K-types  m={args.m}  lambda={args.m - 1}",
+        "mu0  mu  mult  kernel_dim  weyl_dim",
+        *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}  " + "  ".join(map(str, table.dims[pi]))
+          for pi, mult in table.sorted_entries()),
+        f"certified rows: {len(table.entries)}",
+    ])
+
+
+def _verify_checks(m: int, max_l: int, seed: int) -> Tuple[List[dict], bool]:
+    """The two K-type tables compared, with the supporting checks of the
+    theory around them: each check's name, verdict and detail, and whether
+    all pass."""
+    from .blattner import ktype_table, unique_scalar_match_check
+    from .harmonic import so_invariance_check, sol_ktype_table
+    from .ktype import root_vector
+    from .repdata import inf_char, is_regular_type_d, orbit_equal, range_verdict
+    from .repdata import verma_hom_condition, verma_inf_char
+
+    lam = m - 1
+    algebraic = ktype_table(m, lam, max_mu0=lam + max_l, max_mu1=max_l).entries
+    analytic = sol_ktype_table(m, max_l).entries
+    diff = min(
+        (pi for pi in algebraic.keys() | analytic.keys()
+         if algebraic.get(pi, 0) != analytic.get(pi, 0)),
+        key=lambda pi: (pi.mu0, pi.mu),
+        default=None,
+    )
+    verdict = range_verdict(m, lam)
+    witnesses = verdict.good_witnesses[:1]
+    chi = inf_char(m, lam)
+    rows = [
+        ("ktype tables", diff is None,
+         f"Euler-sum and harmonic-kernel tables agree on {len(algebraic)} entries"
+         if diff is None else
+         f"first difference at (mu0={diff.mu0}; mu={_fmt_weight(diff.mu)}): "
+         f"euler-sum={algebraic.get(diff, 0)} harmonic-kernel={analytic.get(diff, 0)}"),
+        ("unique scalar match", unique_scalar_match_check(m, VERIFY_GRID_BOUND),
+         f"exhaustive over the dominant grid with bound {VERIFY_GRID_BOUND}"),
+        ("positivity ranges", verdict.weakly_fair and not verdict.good and witnesses,
+         f"lambda={lam} weakly_fair={verdict.weakly_fair} good={verdict.good}" + "".join(
+             f"; good witness <shift, {_fmt_weight(root_vector(m + 1, root))}> = {pairing}"
+             for root, pairing in witnesses)),
+        ("infinitesimal character", not is_regular_type_d(chi), f"{_fmt_weight(chi)} is singular"),
+        ("verma homomorphisms",
+         all(verma_hom_condition(m, m - l, m + l) == l
+             and verma_hom_condition(m, m - l, m + l + 1) is None
+             and orbit_equal(verma_inf_char(m, m - l), verma_inf_char(m, m + l))
+             for l in range(VERIFY_VERMA_DEGREES + 1)),
+         f"degrees 0..{VERIFY_VERMA_DEGREES} accepted with orbit-equal parameters"),
+        ("laplacian equivariance",
+         so_invariance_check(2 * m, VERIFY_EQUIVARIANCE_TRIALS, seed=seed),
+         f"n={2 * m}, {VERIFY_EQUIVARIANCE_TRIALS} trials, seed={seed}"),
+    ]
+    checks = [{"name": name, "pass": bool(ok), "detail": detail} for name, ok, detail in rows]
+    return checks, all(c["pass"] for c in checks)
+
+
+def _verify(args) -> Report:
+    """Cross-check the two K-type tables; exit 1 if any check fails."""
+    checks, ok = _verify_checks(args.m, args.max_l, args.seed)
+    passed = sum(1 for c in checks if c["pass"])
+    return Report(
+        lambda: [
+            f"verification report  m={args.m}  lambda={args.m - 1}  "
+            f"max_l={args.max_l}  seed={args.seed}",
+            *(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: {c['detail']}" for c in checks),
+            f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)})",
+        ],
+        # The CSV detail is always quoted: it holds commas.
+        lambda: [
+            ["check", "pass", "detail"],
+            *([c["name"], c["pass"], '"' + c["detail"].replace('"', '""') + '"'] for c in checks),
+        ],
+        lambda: {"m": args.m, "lambda": args.m - 1, "max_l": args.max_l, "seed": args.seed,
+                 "checks": checks, "pass": ok},
+        code=0 if ok else 1,
+    )
+
+
+def _weyl(args) -> Report:
+    """The minimal coset representatives, up to WEYL_ENUMERATION_BOUND."""
+    from .weyl import enumerate_coset_reps, inversion_set, length, one_line_window
+    if args.m > WEYL_ENUMERATION_BOUND:
+        raise UsageError(f"--m exceeds the enumeration bound {WEYL_ENUMERATION_BOUND}")
+    reps = enumerate_coset_reps(args.m)
+    elements = [
+        {"index": idx, "length": length(w), "window": list(one_line_window(w)),
+         "inversions": [list(alpha) for alpha in inversion_set(w)]}
+        for idx, w in enumerate(reps)
+    ]
+    header = ["index", "length", "window", "inversions"]
+    # Text writes a root as (1,1,0) and the window as a tuple; CSV uses
+    # spaces inside a cell and ';' between roots.
+    return Report(
+        lambda: [
+            f"coset representatives  m={args.m}  count={len(reps)}",
+            "  ".join(header),
+            *(f"{e['index']}  {e['length']}  {_fmt_weight(e['window'])}  "
+              + (" ".join("(" + ",".join(map(str, a)) + ")" for a in e["inversions"]) or "-")
+              for e in elements),
+        ],
+        lambda: [header, *(
+            [e["index"], e["length"], " ".join(map(str, e["window"])),
+             ";".join(" ".join(map(str, a)) for a in e["inversions"])]
+            for e in elements
+        )],
+        lambda: {"m": args.m, "count": len(reps), "elements": elements},
+    )
+
+
+def _witnesses_json(m: int, witnesses) -> List[dict]:
+    from .ktype import root_vector
+    return [
+        {"root": list(root_vector(m + 1, root)), "pairing": _json_q(p)} for root, p in witnesses
+    ]
+
+
+def _ranges(args) -> Report:
+    """The weakly fair and good range verdicts, with their violating roots."""
+    from .ktype import root_vector
+    from .repdata import inf_char, is_regular_type_d, range_verdict, range_violation_counts
+    lam = _integer_lambda(args)
+    chi = inf_char(args.m, lam)
+    regular = is_regular_type_d(chi)
+
+    def text() -> List[str]:
+        verdict = range_verdict(args.m, lam)
+        lines = [f"range verdict  m={args.m}  lambda={lam}"]
+        for name, holds, witnesses in (
+            ("weakly_fair", verdict.weakly_fair, verdict.weakly_fair_witnesses),
+            ("good", verdict.good, verdict.good_witnesses),
+        ):
+            lines.append(f"{name}: {_cell(holds)}")
+            lines += [
+                f"  violated: <shift, {_fmt_weight(root_vector(args.m + 1, root))}> = {p}"
+                for root, p in witnesses
+            ]
+        lines.append(
+            f"infinitesimal character: {_fmt_weight(chi)} "
+            f"({'regular' if regular else 'singular'})"
+        )
+        return lines
+
+    def rows() -> List[list]:
+        fair, good = range_violation_counts(args.m, lam)  # the CSV builds no witness
+        return [["field", "value"], ["m", args.m], ["lambda", lam], ["weakly_fair", not fair],
+                ["good", not good], ["weakly_fair_violations", fair], ["good_violations", good],
+                ["inf_char_regular", regular]]
+
+    def payload() -> dict:
+        verdict = range_verdict(args.m, lam)
+        return {
+            "m": args.m,
+            "lambda": lam,
+            "weakly_fair": verdict.weakly_fair,
+            "good": verdict.good,
+            "weakly_fair_witnesses": _witnesses_json(args.m, verdict.weakly_fair_witnesses),
+            "good_witnesses": _witnesses_json(args.m, verdict.good_witnesses),
+            "inf_char": [_json_q(c) for c in chi],
+            "inf_char_regular": regular,
+        }
+
+    return Report(text, rows, payload)
+
+
+def _verma_pair(m: int, lam, nu) -> dict:
+    """Degree of the homomorphism for (lambda, nu), and whether the two
+    infinitesimal characters share an orbit (None when there is none)."""
+    from .repdata import orbit_equal, verma_hom_condition, verma_inf_char
+    degree = verma_hom_condition(m, lam, nu)
+    consistent = (
+        orbit_equal(verma_inf_char(m, lam), verma_inf_char(m, nu))
+        if degree is not None
+        else None
+    )
+    return {"lambda": lam, "nu": nu, "degree": degree, "orbit_equal": consistent}
+
+
+def _verma(args) -> Report:
+    """Scalar generalized Verma homomorphisms: one pair, or the sweep
+    (m - l, m + l) for l up to --max-l."""
+    if (args.lam is None) != (args.nu is None):
+        raise UsageError("verma needs both --lambda and --nu, or neither")
+    if args.lam is not None:
+        pair = _verma_pair(args.m, args.lam, args.nu)
+        l, consistent = pair["degree"], pair["orbit_equal"]
+        params = f"(lambda, nu) = ({args.lam}, {args.nu})"
+        return Report(
+            lambda: [
+                f"no homomorphism for {params}"
+                if l is None
+                else f"homomorphism of degree {l} for {params}; orbit_equal={_cell(consistent)}"
+            ],
+            lambda: [list(pair), list(pair.values())],
+            lambda: {"m": args.m, "lambda": _json_q(args.lam), "nu": _json_q(args.nu),
+                     "degree": l, "orbit_equal": consistent},
+        )
+    pairs = [
+        {"l": l, **_verma_pair(args.m, args.m - l, args.m + l)} for l in range(args.max_l + 1)
+    ]
+    return Report(
+        lambda: [f"scalar Verma homomorphisms  m={args.m}", "  ".join(pairs[0]),
+                 *("  ".join(map(_cell, r.values())) for r in pairs)],
+        lambda: [list(pairs[0]), *(list(r.values()) for r in pairs)],
+        lambda: {"m": args.m, "pairs": pairs},
+    )
+
+
+def _ehw(args) -> Report:
+    """The scalar lowest-weight unitarizability window, and with --lambda the
+    residual operator's degree."""
+    from .repdata import ehw_first_reduction_point, ehw_last_unitary_point, ehw_unitarizable
+    from .repdata import knapp_stein_residue_degree
+    if args.n < 4:
+        raise UsageError("--n must be at least 4")
+    a = ehw_first_reduction_point(args.n)
+    b = ehw_last_unitary_point(args.n)
+    unit = ehw_unitarizable(args.n, args.z)
+    if args.lam is not None:
+        if args.n % 2 != 0:
+            raise UsageError("--lambda requires even --n for the residue degree")
+        ks_degree = knapp_stein_residue_degree(args.n, args.lam)
+
+    def text() -> List[str]:
+        lines = [
+            f"scalar lowest-weight unitarizability  n={args.n}  z={args.z}",
+            f"first reduction point: {a}",
+            f"last unitary point: {b}",
+            f"unitarizable: {_cell(unit)}",
+        ]
+        if args.lam is not None:
+            lines.append(
+                f"no residual operator at lambda={args.lam}"
+                if ks_degree is None
+                else f"residual operator at lambda={args.lam}: Laplacian power {ks_degree}"
+            )
+        return lines
+
+    def payload() -> dict:
+        out = {"n": args.n, "z": _json_q(args.z), "unitarizable": unit,
+               "first_reduction_point": _json_q(a), "last_unitary_point": _json_q(b)}
+        if args.lam is not None:
+            out.update({"lambda": _json_q(args.lam), "residue_degree": ks_degree})
+        return out
+
+    # A rational renders alike in both formats, so the CSV row is the payload.
+    return Report(text, lambda: [list(payload()), list(payload().values())], payload)
+
+
+# --- Parsing ---------------------------------------------------------------------
+
+
 def _type_error(message: str) -> Exception:
     """The argparse.ArgumentTypeError of a flag's type function; argparse is
     imported only for a value that the type refuses."""
@@ -185,30 +463,29 @@ _FLAGS = {
 }
 _FLAGS["--max-l:verma"] = {**_FLAGS["--max-l"], "default": 5}
 
-# Each subcommand: its name, help and flags in usage order.  Its handler is
-# the `run` of `lieball.commands.<name>`.
+# Each subcommand: its name, help, flags in usage order, and handler.
 _SUBCOMMANDS = (
     ("ktypes", "K-type table from the Euler sum",
-     "--m --lambda --max-l --format --out"),
+     "--m --lambda --max-l --format --out", _ktypes),
     ("harmonic", "K-type table from the Laplacian kernel",
-     "--m --max-l --format --out"),
+     "--m --max-l --format --out", _harmonic),
     ("verify", "cross-check the two K-type tables",
-     "--m --max-l --seed --format --out"),
+     "--m --max-l --seed --format --out", _verify),
     ("weyl", "list the minimal coset representatives",
-     "--m --format --out"),
+     "--m --format --out", _weyl),
     ("ranges", "weakly fair and good range verdicts",
-     "--m --lambda --format --out"),
+     "--m --lambda --format --out", _ranges),
     ("verma", "scalar generalized Verma homomorphisms",
-     "--m --lambda --max-l:verma --format --out --nu"),
+     "--m --lambda --max-l:verma --format --out --nu", _verma),
     ("ehw", "scalar lowest-weight unitarizability window",
-     "--n --z --lambda:residue --format --out"),
+     "--n --z --lambda:residue --format --out", _ehw),
 )
 
 
 def _subcommand_flags(command: str) -> Optional[dict]:
     """The add_argument keywords of each of a subcommand's flags, under the
     option string, in usage order; None for a name that is no subcommand."""
-    for name, _, flags in _SUBCOMMANDS:
+    for name, _, flags, _ in _SUBCOMMANDS:
         if name == command:
             return {flag.partition(":")[0]: _FLAGS[flag] for flag in flags.split()}
     return None
@@ -224,7 +501,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_, _ in _SUBCOMMANDS:
+    for name, help_, _, _ in _SUBCOMMANDS:
         p = subs.add_parser(name, help=help_)
         for flag, keywords in _subcommand_flags(name).items():
             p.add_argument(flag, **keywords)
@@ -308,8 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("--m must be at least 2")
         if m > sys.maxsize:  # the tuples of rank m need an index-sized m
             raise UsageError(f"--m must be at most {sys.maxsize}")
-        command = import_module(f".commands.{args.command}", __package__)
-        report = command.run(args)
+        report = next(h for name, _, _, h in _SUBCOMMANDS if name == args.command)(args)
         text = render(report, args.format)
     except UsageError as exc:
         build_parser(args.command).error(str(exc))
@@ -358,6 +634,4 @@ def run() -> NoReturn:
 
 
 if __name__ == "__main__":
-    # This copy of the module runs as `__main__`; the handlers raise the
-    # `UsageError` of the package's `lieball.cli`, so run that module's entry.
-    import_module("lieball.cli").run()
+    run()

@@ -512,7 +512,7 @@ def reference_parser():
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, help_, _ in _SUBCOMMANDS:
+    for name, help_, *_ in _SUBCOMMANDS:
         p = subs.add_parser(name, help=help_)
         for flag, keywords in _subcommand_flags(name).items():
             p.add_argument(flag, **keywords)

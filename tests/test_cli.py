@@ -125,12 +125,10 @@ def test_ktypes_heading_builds_no_range_verdict(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_ranges_builds_only_the_format_printed(capsys, monkeypatch, fmt):
-    import lieball.commands.ranges as ranges
-
     def refuse(*args):
         raise AssertionError("the JSON witnesses were built for --format " + fmt)
 
-    monkeypatch.setattr(ranges, "_witnesses_json", refuse)
+    monkeypatch.setattr(cli, "_witnesses_json", refuse)
     code, out = run(capsys, ["ranges", "--m", "3", "--lambda", "0", "--format", fmt])
     assert code == 0
     assert ("weakly_fair: false" if fmt == "text" else "weakly_fair_violations,6") in out
@@ -436,8 +434,8 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     ["ranges", "--m", "3", "--lambda", "1/2"],  # _integer_lambda
 ], ids=["weyl-bound", "integer-lambda"])
 def test_cli_module_prints_handler_usage_errors_as_the_package(argv):
-    # `python -m lieball.cli` runs a second copy of the module as __main__; a
-    # handler's UsageError must still be printed, not raised as a traceback
+    # `python -m lieball.cli` runs the module as __main__, not as lieball.cli;
+    # a handler's UsageError must still be printed, not raised as a traceback
     package, module = (
         subprocess.run(
             [sys.executable, "-m", name, *argv], capture_output=True, text=True, timeout=60)
@@ -566,7 +564,7 @@ VALUES = {
 STRAYS = [["-h"], ["--help"], ["--"], ["--bogus"], ["7"], ["-3/2"], ["-1"], ["-"], ["-x"],
           ["--m"], ["--z"], ["--nu=1"], ["--format=xml"], ["--lambda=-1"], ["--lamb", "-3/2"],
           ["--l", "-1/2"], ["--n", "-1/3"], ["--nu", "-"], ["--z", "-1/3"], ["--m", "-3/2"],
-          ["--lambda", "-h"], *([name] for name, _, _ in _SUBCOMMANDS)]
+          ["--lambda", "-h"], *([name] for name, *_ in _SUBCOMMANDS)]
 
 
 @st.composite
@@ -575,7 +573,7 @@ def command_lines(draw):
     flags as `--flag value` pairs, with prefixes, `=` forms, repeated and
     missing flags mixed in, and up to three stray tokens or flag and value
     pairs anywhere, before the subcommand too."""
-    name, _, spec = draw(st.sampled_from(_SUBCOMMANDS))
+    name, _, spec, _ = draw(st.sampled_from(_SUBCOMMANDS))
     options = [flag.partition(":")[0] for flag in spec.split()]
     required = [o for o, flag in zip(options, spec.split()) if _FLAGS[flag].get("required")]
     optional = draw(st.lists(st.sampled_from(options), unique=True))
@@ -658,7 +656,7 @@ def test_every_run_keeps_the_exit_code_contract(argv):
 
 @pytest.mark.parametrize("argv", [
     [name, *(["--n", "4", "--z", "1"] if name == "ehw" else ["--m", "3"]), f"{flag}=--"]
-    for name, _, _ in _SUBCOMMANDS for flag in cli._subcommand_flags(name)
+    for name, *_ in _SUBCOMMANDS for flag in cli._subcommand_flags(name)
 ], ids=lambda argv: argv[0] + argv[-1][:-3])
 def test_a_flag_given_double_dash_is_usage_error(argv):
     # every flag of every subcommand: argparse before Python 3.13 reads

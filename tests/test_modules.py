@@ -2,11 +2,11 @@
 name read in an annotation is bound, the slow references live with the
 tests, not in the package, the analytic route imports nothing of the
 algebraic one, `ktype` alone exports the K-type vocabulary, what the
-benchmark reads off the package resolves, importing the package or the CLI
-loads no route and no command module and stays off the costly standard
-modules, each subcommand loads only its own command module and the
-route it runs, only help or a usage error loads argparse, and the
-README's library example returns what its comments say."""
+benchmark reads off the package resolves, no module but the process entry
+imports the CLI, importing the package or the CLI loads no route and stays
+off the costly standard modules, each subcommand loads only the route it
+runs, only help or a usage error loads argparse, and the README's library
+example returns what its comments say."""
 
 import ast
 import builtins
@@ -21,14 +21,8 @@ import pytest
 import lieball
 from lieball import blattner, cli, harmonic, kostant, ktype, polynomial, repdata, weyl
 
-# `__main__` runs the CLI when imported; `commands` is a package of one
-# module per subcommand.
-COMMANDS_PATH = str(Path(lieball.__file__).with_name("commands"))
-MODULES = [
-    info.name for info in pkgutil.iter_modules(lieball.__path__)
-    if info.name not in ("__main__", "commands")
-] + [f"commands.{info.name}" for info in pkgutil.iter_modules([COMMANDS_PATH])]
-COMMAND_MODULES = {f"lieball.commands.{name}" for name, *_ in cli._SUBCOMMANDS}
+# `__main__` runs the CLI when imported.
+MODULES = [info.name for info in pkgutil.iter_modules(lieball.__path__) if info.name != "__main__"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -239,11 +233,10 @@ def test_length_counts_without_inversion_set(monkeypatch):
     assert [kostant.euler_character(m, pi) for m, pi in cases] == expected
 
 
-def test_each_subcommand_has_a_command_module():
-    assert {f"lieball.{name}" for name in MODULES if name.startswith("commands.")} \
-        == COMMAND_MODULES
-    for name in COMMAND_MODULES:
-        assert callable(importlib.import_module(name).run)
+def test_the_cli_is_a_leaf():
+    # the handlers live in `cli` itself; only the process entry imports it
+    assert [name for name in MODULES if "lieball.cli" in imported_modules(name)] == []
+    assert "lieball.cli" in imported_modules("__main__")
 
 
 def modules_after(statement):
@@ -278,42 +271,40 @@ def run_cli(*argv):
     return f"from lieball.cli import main; main({list(argv)!r})"
 
 
-@pytest.mark.parametrize("statement, command, loaded, unloaded", [
-    ("import lieball.cli", None, set(),
+@pytest.mark.parametrize("statement, loaded, unloaded", [
+    ("import lieball.cli", set(),
      ROUTE_MODULES | OFF | {"lieball.ktype", "lieball.repdata", "fractions", "decimal"}),
     # the certificate alone: no Euler-sum module, no scalar arithmetic, no
     # Fraction built and no polynomial
-    (run_cli("harmonic", "--m", "4", "--max-l", "16"), "harmonic",
+    (run_cli("harmonic", "--m", "4", "--max-l", "16"),
      {"lieball.harmonic", "lieball.ktype"},
      ROUTE_MODULES - {"lieball.harmonic"} | OFF | EXACT | {"lieball.repdata"}),
     # straightening walks no group element, and every parameter is an int
-    (run_cli("ktypes", "--m", "3"), "ktypes",
+    (run_cli("ktypes", "--m", "3"),
      {"lieball.blattner", "lieball.ktype", "lieball.repdata"},
      ROUTE_MODULES - {"lieball.blattner"} | OFF | {"fractions", "decimal"}),
-    (run_cli("verify", "--m", "6", "--max-l", "10"), "verify",
+    (run_cli("verify", "--m", "6", "--max-l", "10"),
      {"lieball.blattner", "lieball.harmonic", "lieball.ktype", "lieball.polynomial",
       "lieball.repdata"},
      {"lieball.weyl", "lieball.kostant"} | PARSER | EXACT),
     # the listing and its roots: no scalar arithmetic
-    (run_cli("weyl", "--m", "3"), "weyl",
+    (run_cli("weyl", "--m", "3"),
      {"lieball.weyl", "lieball.ktype"},
      ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT | {"lieball.repdata"}),
     # the witnesses' roots are written out by ktype.root_vector
-    (run_cli("ranges", "--m", "3"), "ranges",
+    (run_cli("ranges", "--m", "3"),
      {"lieball.repdata", "lieball.ktype"}, ROUTE_MODULES | OFF | EXACT),
     # the scalar arithmetic alone: no K-type vocabulary
-    (run_cli("verma", "--m", "3"), "verma",
+    (run_cli("verma", "--m", "3"),
      {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT | {"lieball.ktype"}),
     # --z is a rational flag, so ehw builds a Fraction
-    (run_cli("ehw", "--n", "4", "--z", "1"), "ehw",
+    (run_cli("ehw", "--n", "4", "--z", "1"),
      {"lieball.repdata", "fractions"}, ROUTE_MODULES | OFF | {"lieball.ktype"}),
 ], ids=["cli", "harmonic", "ktypes", "verify", "weyl", "ranges", "verma", "ehw"])
-def test_each_entry_point_loads_only_what_it_runs(statement, command, loaded, unloaded):
+def test_each_entry_point_loads_only_what_it_runs(statement, loaded, unloaded):
     modules = modules_after(statement)
     assert loaded <= modules
     assert unloaded & modules == set()
-    # main imports the chosen subcommand's module and no other
-    assert COMMAND_MODULES & modules == ({f"lieball.commands.{command}"} if command else set())
 
 
 @pytest.mark.parametrize("argv", [
