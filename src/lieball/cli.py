@@ -99,12 +99,13 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_report(table: KTypeTable, text: Callable[[], List[str]]) -> Report:
-    """A K-type table in the JSON and CSV layout shared by ktypes and harmonic."""
+def _table_report(table: KTypeTable, text: Callable[[list], List[str]]) -> Report:
+    """A K-type table in the JSON and CSV layout shared by ktypes and harmonic;
+    `text` builds the text lines from the sorted entries."""
     entries = table.sorted_entries()
     header = ["mu0", *(f"mu_{i}" for i in range(1, table.m + 1)), "mult"]
     return Report(
-        text,
+        lambda: text(entries),
         lambda: [header, *([pi.mu0, *pi.mu, mult] for pi, mult in entries)],
         lambda: {"m": table.m, "lambda": table.lam, "entries": [
             {"mu0": pi.mu0, "mu": list(pi.mu), "mult": mult} for pi, mult in entries
@@ -135,11 +136,11 @@ def _ktypes(args) -> Report:
     lam = _integer_lambda(args)
     table = ktype_table(args.m, lam, max_mu0=lam + args.max_l, max_mu1=args.max_l)
     semantics = "multiplicity" if weakly_fair(args.m, lam) else "Euler characteristic"
-    return _table_report(table, lambda: [
+    return _table_report(table, lambda entries: [
         f"K-type table  m={table.m}  lambda={table.lam}  ({semantics})",
         f"window: mu0 <= {table.max_mu0}, mu1 <= {table.max_mu1}",
         "mu0  mu  mult",
-        *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}" for pi, mult in table.sorted_entries()),
+        *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}" for pi, mult in entries),
         f"entries: {len(table.entries)}",
     ])
 
@@ -148,11 +149,11 @@ def _harmonic(args) -> Report:
     """The K-type table from the Laplacian kernel."""
     from .harmonic import sol_ktype_table
     table = sol_ktype_table(args.m, args.max_l)
-    return _table_report(table, lambda: [
+    return _table_report(table, lambda entries: [
         f"harmonic kernel K-types  m={args.m}  lambda={args.m - 1}",
         "mu0  mu  mult  kernel_dim  weyl_dim",
         *(f"{pi.mu0}  {_fmt_weight(pi.mu)}  {mult}  " + "  ".join(map(str, table.dims[pi]))
-          for pi, mult in table.sorted_entries()),
+          for pi, mult in entries),
         f"certified rows: {len(table.entries)}",
     ])
 
@@ -395,7 +396,7 @@ def _ehw(args) -> Report:
         return out
 
     # A rational renders alike in both formats, so the CSV row is the payload.
-    return Report(text, lambda: [list(payload()), list(payload().values())], payload)
+    return Report(text, lambda: [list(row := payload()), list(row.values())], payload)
 
 
 # --- Parsing ---------------------------------------------------------------------

@@ -20,7 +20,6 @@ No matrix is built, neither a weight's block nor the full one.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Dict, Iterator, Tuple
 
@@ -49,16 +48,12 @@ def polynomial_space_dimension(n: int, degree: int) -> int:
     return comb(n + degree - 1, degree)
 
 
-Weight = Tuple[int, ...]
-
-
 def _column_rows(t: Multiset) -> Iterator[Tuple[int, Multiset]]:
     """The support rule of every block shape: column t has its (j, row)
     entries at the rows t minus one j, one for each distinct index j in t."""
     return ((j, t[:i] + t[i + 1 :]) for i, j in enumerate(t) if not i or t[i - 1] != j)
 
 
-@lru_cache(maxsize=None)
 def _shape_kernel_dimension(m: int, s: int) -> int:
     """Certified kernel dimension of every weight block of Pol^l in 2m
     variables with l − |w|₁ = 2s: Pascal's C(m + s − 2, s) once the lemma
@@ -74,6 +69,24 @@ def _shape_kernel_dimension(m: int, s: int) -> int:
                 f"k={2 * s} shape for n={2 * m}"
             )
     return polynomial_space_dimension(m, s) - polynomial_space_dimension(m, s - 1)
+
+
+def _certify(n: int, l: int, k: int) -> None:
+    """Certify the k shape as met at degree l, where its dominant weight is
+    (l − k, 0, ..., 0), and the k = 0 shape as holding u_1^l alone."""
+    m = n // 2
+    w = (l - k,) + (0,) * (m - 1)
+    try:
+        kernel = _shape_kernel_dimension(m, k // 2)
+    except CertificationError as e:
+        raise CertificationError(
+            f"{e}; it is the block of weight w={w} for n={n}, l={l}, in the k={k} shape"
+        ) from e
+    if not k and kernel != 1:
+        raise CertificationError(
+            f"the block of weight w={w} has {kernel} kernel vectors, "
+            f"not u_1^{l} alone, for n={n}, l={l}, in the k=0 shape"
+        )
 
 
 def harmonic_dimension(n: int, l: int) -> int:
@@ -118,35 +131,16 @@ def harmonic_dimension(n: int, l: int) -> int:
     The top weight (l, 0, ..., 0) has k = 0; its block holds the single
     monomial u_1^l, which must be a kernel vector (see `sol_ktype_table` for
     why).  Any failed check raises CertificationError naming n, l, the
-    shape's k and its dominant weight (l − k, 0, ..., 0).  An n that is not
-    even and at least 2 raises ValueError.
+    shape's k and its dominant weight (l − k, 0, ..., 0).  Each call
+    certifies every shape anew; a table certifies each shape once.  An n that
+    is not even and at least 2 raises ValueError.
     """
     if n < 2 or n % 2:
         raise ValueError(f"need an even number n = 2m >= 2 of variables, got {n}")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    m = n // 2
-
-    def dominant(k: int) -> Weight:
-        return (l - k,) + (0,) * (m - 1)
-
-    def certified(k: int) -> int:
-        try:
-            return _shape_kernel_dimension(m, k // 2)
-        except CertificationError as e:
-            raise CertificationError(
-                f"{e}; it is the block of weight w={dominant(k)} for n={n}, l={l}, "
-                f"in the k={k} shape"
-            ) from e
-
-    top_kernel = certified(0)
-    if top_kernel != 1:
-        raise CertificationError(
-            f"the block of weight w={dominant(0)} has {top_kernel} kernel vectors, "
-            f"not u_1^{l} alone, for n={n}, l={l}, in the k=0 shape"
-        )
-    for k in range(2, l + 1, 2):
-        certified(k)
+    for k in range(0, l + 1, 2):
+        _certify(n, l, k)
     return harmonic_dimension_formula(n, l)
 
 
@@ -198,8 +192,10 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
 
     Row l is the K-type (l+m−1; l, 0, ..., 0) with multiplicity one; the
     charge carries the shift m−1 coming from the bundle trivialization.
-    Every row is certified as that K-type.  `harmonic_dimension` checks that
-    u_1^l is harmonic.  Its weight (l, 0, ..., 0) is the highest weight of
+    Every row is certified as that K-type.  Pol^l has the shapes of Pol^(l−1)
+    and, for even l, the shape k = l, so each shape is certified once, at
+    l = k.  The k = 0 shape, certified once, holds u_1^l alone at every
+    degree, so u_1^l is harmonic.  Its weight (l, 0, ..., 0) is the highest weight of
     Pol^l (adding any positive root of SO(2m) raises |w|₁ above l), so u_1^l
     is a highest-weight vector, and the SO(2m)-stable kernel contains the
     irreducible V_(l,0,...,0) it generates.  The kernel dimension, exact in
@@ -215,8 +211,10 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
     entries: Dict[KTypeParam, int] = {}
     dims: Dict[KTypeParam, Tuple[int, int]] = {}
     for l in range(max_l + 1):
+        if not l % 2:
+            _certify(2 * m, l, l)
         mu = (l,) + (0,) * (m - 1)
-        kernel_dim = harmonic_dimension(2 * m, l)
+        kernel_dim = harmonic_dimension_formula(2 * m, l)
         rep_dim = weyl_dim_so2m(m, mu)
         if kernel_dim != rep_dim:
             raise CertificationError(

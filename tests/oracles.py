@@ -57,13 +57,14 @@ from math import comb, gcd, prod
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import lieball.polynomial as polynomial
-from lieball.harmonic import CertificationError, Weight, _column_rows
+from lieball.harmonic import CertificationError, _column_rows
 from lieball.polynomial import Exponents, Terms, laplacian, random_homogeneous
 from lieball.kostant import _shifted_weight
 from lieball.ktype import KTypeParam
 from lieball.weyl import SignedPermutation, _inversions, enumerate_coset_reps, length
 
 Vector = Dict[int, int]
+Weight = Tuple[int, ...]
 # One block column: its label b' and the (row, j) of each 4 a_j b_j entry.
 Column = Tuple[Exponents, List[Tuple[int, int]]]
 

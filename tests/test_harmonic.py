@@ -40,10 +40,6 @@ from oracles import (
 )
 
 
-def clear_caches():
-    hm._shape_kernel_dimension.cache_clear()
-
-
 def var(n, i):
     return Polynomial.variable(n, i)
 
@@ -240,21 +236,17 @@ def test_block_columns_are_the_uv_laplacian(n):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_every_block_has_its_shapes_rank(n):
     m = n // 2
-    clear_caches()
-    try:
-        for l in range(7):
-            for w, shape, _ in weight_blocks(n, l):
-                s = sum(map(abs, w))
-                cols = block_columns(w, shape)
-                # the elimination oracle, block by block
-                assert len(exact_kernel(cols)) == hm._shape_kernel_dimension(m, (l - s) // 2)
-                assert all(c > 0 for col in cols for c in col.values())
-                # the entries sit where the shape puts them, and so the
-                # witnesses' last rows are the shape's
-                for (_, entries), col in zip(shape, cols):
-                    assert set(col) == {r for r, _ in entries}
-    finally:
-        clear_caches()
+    for l in range(7):
+        for w, shape, _ in weight_blocks(n, l):
+            s = sum(map(abs, w))
+            cols = block_columns(w, shape)
+            # the elimination oracle, block by block
+            assert len(exact_kernel(cols)) == hm._shape_kernel_dimension(m, (l - s) // 2)
+            assert all(c > 0 for col in cols for c in col.values())
+            # the entries sit where the shape puts them, and so the
+            # witnesses' last rows are the shape's
+            for (_, entries), col in zip(shape, cols):
+                assert set(col) == {r for r, _ in entries}
 
 
 def multiset(t):
@@ -278,22 +270,14 @@ def test_multiset_walk_is_the_dense_walk(m):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_order_type_walk_is_the_row_walk(m):
-    clear_caches()
-    try:
-        for s in range(10):
-            assert hm._shape_kernel_dimension(m, s) == multiset_shape_kernel_dimension(m, s)
-    finally:
-        clear_caches()
+    for s in range(10):
+        assert hm._shape_kernel_dimension(m, s) == multiset_shape_kernel_dimension(m, s)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_closed_form_is_the_order_type_walk(m):
-    clear_caches()
-    try:
-        for s in range(17):
-            assert hm._shape_kernel_dimension(m, s) == order_type_shape_kernel_dimension(m, s)
-    finally:
-        clear_caches()
+    for s in range(17):
+        assert hm._shape_kernel_dimension(m, s) == order_type_shape_kernel_dimension(m, s)
 
 
 @pytest.mark.parametrize("s", range(1, 17))
@@ -324,14 +308,10 @@ def drop_a_column(monkeypatch, broken):
 
 def test_uncertified_rank_is_refused(monkeypatch, capsys):
     drop_entries(monkeypatch, lambda k: True)
-    clear_caches()
-    try:
-        with pytest.raises(CertificationError):
-            hm.harmonic_dimension(4, 2)
-        assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
-        assert "k=2" in capsys.readouterr().err
-    finally:
-        clear_caches()
+    with pytest.raises(CertificationError):
+        hm.harmonic_dimension(4, 2)
+    assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
+    assert "k=2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -355,17 +335,13 @@ def test_uncertified_rank_is_refused(monkeypatch, capsys):
 def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
     k = 2 - sum(broken)
     fault(monkeypatch, lambda j: j == k)
-    clear_caches()
-    try:
-        with pytest.raises(CertificationError, match=message):
-            hm.harmonic_dimension(4, 2)
-        assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
-        # the CLI stops at l = k, the first degree with this shape, whose
-        # dominant weight there is 0
-        err = capsys.readouterr().err
-        assert "block of weight w=(0, 0)" in err and f"k={k} shape" in err
-    finally:
-        clear_caches()
+    with pytest.raises(CertificationError, match=message):
+        hm.harmonic_dimension(4, 2)
+    assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
+    # the CLI stops at l = k, the first degree with this shape, whose
+    # dominant weight there is 0
+    err = capsys.readouterr().err
+    assert "block of weight w=(0, 0)" in err and f"k={k} shape" in err
 
 
 def test_failed_witness_names_its_row_and_column(monkeypatch):
@@ -378,16 +354,12 @@ def test_failed_witness_names_its_row_and_column(monkeypatch):
         hm, "_column_rows",
         lambda t: [(j, row) for j, row in column_rows(t) if j or len(set(t)) == 1],
     )
-    clear_caches()
-    try:
-        with pytest.raises(
-            CertificationError,
-            match=r"^row \(1, 1, 0, 0\) is not the last row of its witness column "
-                  r"\(2, 1, 0, 0\) in the k=6 shape for n=8$",
-        ):
-            hm._shape_kernel_dimension(4, 3)
-    finally:
-        clear_caches()
+    with pytest.raises(
+        CertificationError,
+        match=r"^row \(1, 1, 0, 0\) is not the last row of its witness column "
+              r"\(2, 1, 0, 0\) in the k=6 shape for n=8$",
+    ):
+        hm._shape_kernel_dimension(4, 3)
 
 
 @pytest.mark.parametrize("n,l", [(4, 2), (4, 3), (6, 2)])
@@ -550,6 +522,19 @@ def test_sol_ktype_table_m3():
     table = sol_ktype_table(3, 3)
     expected = {KTypeParam(l + 2, (l, 0, 0)): 1 for l in range(4)}
     assert table.entries == expected
+
+
+def test_a_table_certifies_each_shape_once(monkeypatch):
+    certified = []
+    shape_kernel_dimension = hm._shape_kernel_dimension
+
+    def record(m, s):
+        certified.append(s)
+        return shape_kernel_dimension(m, s)
+
+    monkeypatch.setattr(hm, "_shape_kernel_dimension", record)
+    sol_ktype_table(2, 20)
+    assert certified == list(range(11))
 
 
 def test_sol_ktype_table_certifies(monkeypatch):
