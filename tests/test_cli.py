@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lieball import cli
+from lieball import cli, listings
 from lieball.cli import _FLAGS, _SUBCOMMANDS, _parse, _read_flags, main
 from oracles import perfbench, reference_parser
 
@@ -128,7 +128,7 @@ def test_ranges_builds_only_the_format_printed(capsys, monkeypatch, fmt):
     def refuse(*args):
         raise AssertionError("the JSON witnesses were built for --format " + fmt)
 
-    monkeypatch.setattr(cli, "_witnesses_json", refuse)
+    monkeypatch.setattr(listings, "_witnesses_json", refuse)
     code, out = run(capsys, ["ranges", "--m", "3", "--lambda", "0", "--format", fmt])
     assert code == 0
     assert ("weakly_fair: false" if fmt == "text" else "weakly_fair_violations,6") in out
@@ -312,6 +312,9 @@ def test_zero_denominator_is_usage_error(capsys, argv, flag):
         (["ranges", "--m", "2", "--lambda", "1e5000"], "--lambda"),
         (["ehw", "--n", "4", "--z", "1e-5000"], "--z"),
         (["verma", "--m", "2", "--lambda", "1e20000000", "--nu", "4"], "--lambda"),
+        # with no exponent the digits of p and q are still counted
+        (["ehw", "--n", "4", "--z", "1" * 4301], "--z"),
+        (["ranges", "--m", "2", "--lambda", "1" * 4301 + "/3"], "--lambda"),
     ],
 )
 def test_huge_exponent_is_usage_error(capsys, argv, flag):
@@ -338,6 +341,8 @@ def test_huge_exponent_is_usage_error(capsys, argv, flag):
         # a 4300-digit numerator or denominator still renders
         ["ehw", "--n", "4", "--z", "1e4299"],
         ["ehw", "--n", "4", "--z=-1E-4299", "--format", "json"],
+        # the digits of p and of q are counted apart
+        ["ehw", "--n", "4", "--z", "1" * 4300 + "/3"],
     ],
 )
 def test_exponent_notation_within_bound_is_accepted(capsys, argv):
@@ -413,6 +418,10 @@ def test_digit_bound_without_a_limit_is_the_default(capsys, int_digit_limit):
         capsys, ["verma", "--m", "2", "--lambda", "1e20000000", "--nu", "4"],
         "lieball verma: error: argument --lambda: more than 4300 digits: '1e20000000'")
     assert time.perf_counter() - start < 1
+    for raw in ("1" * 4301, "1" * 4301 + "/3"):
+        assert_one_error_line(
+            capsys, ["ehw", "--n", "4", "--z", raw],
+            f"lieball ehw: error: argument --z: more than 4300 digits: '{raw}'")
     assert main(["ehw", "--n", "4", "--z", "1e4299"]) == 0
 
 

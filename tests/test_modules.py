@@ -3,10 +3,11 @@ name read in an annotation is bound, the slow references live with the
 tests, not in the package, the analytic route imports nothing of the
 algebraic one, `ktype` alone exports the K-type vocabulary, what the
 benchmark reads off the package resolves, no module but the process entry
-imports the CLI, importing the package or the CLI loads no route and stays
-off the costly standard modules, each subcommand loads only the route it
-runs, only help or a usage error loads argparse, and the README's library
-example returns what its comments say."""
+imports the CLI, importing the package or the CLI loads no route, no
+handler module and none of the costly standard modules, each subcommand
+loads only its own handler module and the route it runs, only help or a
+usage error loads argparse, and the README's library example returns what
+its comments say."""
 
 import ast
 import builtins
@@ -234,7 +235,8 @@ def test_length_counts_without_inversion_set(monkeypatch):
 
 
 def test_the_cli_is_a_leaf():
-    # the handlers live in `cli` itself; only the process entry imports it
+    # the handler modules, `report` and `argparser` lie below `cli`; only
+    # the process entry imports it
     assert [name for name in MODULES if "lieball.cli" in imported_modules(name)] == []
     assert "lieball.cli" in imported_modules("__main__")
 
@@ -260,8 +262,11 @@ def test_package_import_loads_no_submodule():
 
 ROUTE_MODULES = {"lieball.weyl", "lieball.kostant", "lieball.blattner", "lieball.harmonic"}
 EXACT = {"fractions", "decimal", "numbers"}  # what building a Fraction loads
-# what argparse loads, only to print help or a usage error
-PARSER = {"argparse", "gettext", "locale"}
+# what argparse loads, with the module that builds its parser, only to
+# print help or a usage error
+PARSER = {"argparse", "gettext", "locale", "lieball.argparser"}
+# the modules that hold the subcommands' handlers
+HANDLERS = {"lieball.tables", "lieball.verification", "lieball.listings"}
 # a well-formed run reads its flags without argparse, and only the sampled
 # equivariance check of `verify` loads the polynomials
 OFF = PARSER | {"lieball.polynomial"}
@@ -271,40 +276,42 @@ def run_cli(*argv):
     return f"from lieball.cli import main; main({list(argv)!r})"
 
 
-@pytest.mark.parametrize("statement, loaded, unloaded", [
-    ("import lieball.cli", set(),
-     ROUTE_MODULES | OFF | {"lieball.ktype", "lieball.repdata", "fractions", "decimal"}),
+@pytest.mark.parametrize("statement, loaded, unloaded, handler", [
+    ("import lieball.cli", {"lieball.report"},
+     ROUTE_MODULES | OFF | {"lieball.ktype", "lieball.repdata", "fractions", "decimal"}, None),
     # the certificate alone: no Euler-sum module, no scalar arithmetic, no
     # Fraction built and no polynomial
     (run_cli("harmonic", "--m", "4", "--max-l", "16"),
      {"lieball.harmonic", "lieball.ktype"},
-     ROUTE_MODULES - {"lieball.harmonic"} | OFF | EXACT | {"lieball.repdata"}),
+     ROUTE_MODULES - {"lieball.harmonic"} | OFF | EXACT | {"lieball.repdata"}, "tables"),
     # straightening walks no group element, and every parameter is an int
     (run_cli("ktypes", "--m", "3"),
      {"lieball.blattner", "lieball.ktype", "lieball.repdata"},
-     ROUTE_MODULES - {"lieball.blattner"} | OFF | {"fractions", "decimal"}),
+     ROUTE_MODULES - {"lieball.blattner"} | OFF | {"fractions", "decimal"}, "tables"),
     (run_cli("verify", "--m", "6", "--max-l", "10"),
      {"lieball.blattner", "lieball.harmonic", "lieball.ktype", "lieball.polynomial",
       "lieball.repdata"},
-     {"lieball.weyl", "lieball.kostant"} | PARSER | EXACT),
+     {"lieball.weyl", "lieball.kostant"} | PARSER | EXACT, "verification"),
     # the listing and its roots: no scalar arithmetic
     (run_cli("weyl", "--m", "3"),
      {"lieball.weyl", "lieball.ktype"},
-     ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT | {"lieball.repdata"}),
+     ROUTE_MODULES - {"lieball.weyl"} | OFF | EXACT | {"lieball.repdata"}, "listings"),
     # the witnesses' roots are written out by ktype.root_vector
     (run_cli("ranges", "--m", "3"),
-     {"lieball.repdata", "lieball.ktype"}, ROUTE_MODULES | OFF | EXACT),
+     {"lieball.repdata", "lieball.ktype"}, ROUTE_MODULES | OFF | EXACT, "listings"),
     # the scalar arithmetic alone: no K-type vocabulary
     (run_cli("verma", "--m", "3"),
-     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT | {"lieball.ktype"}),
+     {"lieball.repdata"}, ROUTE_MODULES | OFF | EXACT | {"lieball.ktype"}, "listings"),
     # --z is a rational flag, so ehw builds a Fraction
     (run_cli("ehw", "--n", "4", "--z", "1"),
-     {"lieball.repdata", "fractions"}, ROUTE_MODULES | OFF | {"lieball.ktype"}),
+     {"lieball.repdata", "fractions"}, ROUTE_MODULES | OFF | {"lieball.ktype"}, "listings"),
 ], ids=["cli", "harmonic", "ktypes", "verify", "weyl", "ranges", "verma", "ehw"])
-def test_each_entry_point_loads_only_what_it_runs(statement, loaded, unloaded):
+def test_each_entry_point_loads_only_what_it_runs(statement, loaded, unloaded, handler):
     modules = modules_after(statement)
     assert loaded <= modules
     assert unloaded & modules == set()
+    # a run compiles its own subcommand's handler module and no other
+    assert HANDLERS & modules == ({f"lieball.{handler}"} if handler else set())
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,7 +323,7 @@ def test_each_entry_point_loads_only_what_it_runs(statement, loaded, unloaded):
 ], ids=["help", "subcommand-help", "unrecognized", "small-m", "handler"])
 def test_help_and_usage_errors_load_argparse(argv):
     statement = f"import contextlib\nwith contextlib.suppress(SystemExit): {run_cli(*argv)}"
-    assert {"argparse"} <= modules_after(statement)
+    assert {"argparse", "lieball.argparser"} <= modules_after(statement)
 
 
 def test_package_names_resolve_lazily():
