@@ -6,10 +6,10 @@ Kernel dimensions in n = 2m variables are certified one block shape at a
 time: in the coordinates u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j)
 the Laplacian has integer coefficients and keeps the weight w of each monomial,
 and where the block of w has entries depends only on k = l − |w|₁.  A row or
-column of that shape is a monomial in m variables, held as the multiset of
-its variable indices.  Each row is the last row of its own witness column
-(a lemma proved in `harmonic_dimension`), so every block has full row rank;
-the support rule is checked on one witness per run count.  Every monomial of
+column of that shape is a monomial in m variables, held as its exponent
+vector.  Each row is the last row of its own witness column (a lemma proved
+in `harmonic_dimension`), so every block has full row rank; the support rule
+is checked on one witness per count of nonzero exponents.  Every monomial of
 degree l − 2 is a row of exactly one block, so Δ maps Pol^l onto Pol^(l−2),
 and the kernel dimension is dim Pol^l − dim Pol^(l−2).  Every row
 of the resulting K-type table, the analytic counterpart of the algebraic
@@ -34,8 +34,6 @@ __all__ = [
     "sol_ktype_table",
 ]
 
-Multiset = Tuple[int, ...]  # a monomial's variable indices, nondecreasing
-
 
 class CertificationError(RuntimeError):
     """An exact cross-check between two independent computations failed."""
@@ -48,25 +46,27 @@ def polynomial_space_dimension(n: int, degree: int) -> int:
     return comb(n + degree - 1, degree)
 
 
-def _column_rows(t: Multiset) -> Iterator[Tuple[int, Multiset]]:
-    """The support rule of every block shape: column t has its (j, row)
-    entries at the rows t minus one j, one for each distinct index j in t."""
-    return ((j, t[:i] + t[i + 1 :]) for i, j in enumerate(t) if not i or t[i - 1] != j)
+def _column_rows(a: Tuple[int, ...]) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The support rule of every block shape: column a has its (j, row)
+    entries at the rows a − e_j, one for each j with a_j > 0."""
+    return ((j, a[:j] + (x - 1,) + a[j + 1 :]) for j, x in enumerate(a) if x)
 
 
 def _shape_kernel_dimension(m: int, s: int) -> int:
     """Certified kernel dimension of every weight block of Pol^l in 2m
     variables with l − |w|₁ = 2s: Pascal's C(m + s − 2, s) once the lemma
     of `harmonic_dimension` gives full row rank.  The support rule is
-    checked on one witness column per number k ≤ min(m, s) of distinct
-    indices, t = (0^(s−k+1), 1, 2, ..., k−1)."""
+    checked on one witness column per number k ≤ min(m, s) of nonzero
+    exponents, a = (s − k + 1, 1, ..., 1, 0, ..., 0), held as its k nonzero
+    exponents: its row a − e_0 must be the last row, the smallest."""
     for k in range(1, min(m, s) + 1):
-        t = (0,) * (s - k + 1) + tuple(range(1, k))
-        if max((row for _, row in _column_rows(t)), default=None) != t[1:]:
-            row, column = (tuple(u.count(j) for j in range(m)) for u in (t[1:], t))
+        a = (s - k + 1,) + (1,) * (k - 1)
+        row = (s - k,) + a[1:]
+        if min((r for _, r in _column_rows(a)), default=None) != row:
+            pad = (0,) * (m - k)
             raise CertificationError(
-                f"row {row} is not the last row of its witness column {column} in the "
-                f"k={2 * s} shape for n={2 * m}"
+                f"row {row + pad} is not the last row of its witness column {a + pad} in "
+                f"the k={2 * s} shape for n={2 * m}"
             )
     return polynomial_space_dimension(m, s) - polynomial_space_dimension(m, s - 1)
 
@@ -97,30 +97,24 @@ def harmonic_dimension(n: int, l: int) -> int:
     ∂_(u_j) ∂_(v_j) has integer coefficients and keeps the weight w = a − b
     of u^a v^b.  So its matrix is the direct sum of one block per weight.
     With b' = min(a, b), the columns of the block of w are labelled by the
-    monomials b' of degree s, where 2s = k = l − |w|₁, and its rows by those
-    of degree s − 1.  A monomial of degree s in m variables is a multiset of
-    s variable indices (Stanley, Enumerative Combinatorics I, §1.2), held as
-    a nondecreasing tuple.
+    exponent vectors b' of degree s, where 2s = k = l − |w|₁, and its rows by
+    those of degree s − 1.
 
     The support of block w is its shape, which depends on s alone: the
-    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row b' minus one j exists only
-    where j occurs in b' (one of w⁺_j, w⁻_j is 0), and then it is at least
-    4.  Every entry is a positive integer, so every block with this s has
-    nonzero entries exactly where the shape places them.
+    entry 4(b'_j + w⁺_j)(b'_j + w⁻_j) of row b' − e_j exists only where
+    b'_j > 0 (one of w⁺_j, w⁻_j is 0), and then it is at least 4.  Every
+    entry is a positive integer, so every block with this s has nonzero
+    entries exactly where the shape places them.
 
-    The witness of row r is column t = (0,) + r, and r is its last row,
-    the lexicographically largest.  Lemma: for any nondecreasing t that
-    starts with 0, t[1:] is the largest of its rows t minus one j.  Proof:
-    if t has no index j > 0, t[1:] is its only row.  Otherwise let c1 be
-    the length of the first run of t, its 0s.  Removing a 0 and removing
-    some j > 0 give tuples that agree before position c1 − 1, and at that
-    position the first holds t[c1] ≥ 1 and the second holds 0.  The
-    witnesses, with pairwise distinct last rows, are therefore triangular
-    and independent, so every block of the shape has full row rank
-    C(m + s − 2, s − 1).  The lemma rests on the support rule `_column_rows`
-    alone, so that rule is checked on one witness per run count (see
-    `_shape_kernel_dimension`) for each shape k = 2, 4, ..., l, and a wrong
-    rule fails on a named row and column.
+    The witness of row r is column a = r + e_0, and r is its last row in
+    decreasing lexicographic order, the smallest.  Lemma: for a_0 > 0, the
+    row a − e_0 first differs from every other row a − e_j at coordinate 0,
+    where it is smaller.  The witnesses, with pairwise distinct last rows,
+    are therefore triangular and independent, so every block of the shape
+    has full row rank C(m + s − 2, s − 1).  The lemma rests on the support
+    rule `_column_rows` alone, so that rule is checked on one witness per
+    count of nonzero exponents (see `_shape_kernel_dimension`) for each
+    shape k = 2, 4, ..., l, and a wrong rule fails on a named row and column.
 
     Every monomial u^a v^b of degree l − 2 is a row of exactly one block:
     that of its own weight a − b, at b' = min(a, b), with k ≥ 2.  Each

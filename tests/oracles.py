@@ -12,18 +12,23 @@ they are checked against, live here:
   inputs, the sums of second partials and the product-form generator
   with, a class of its own whose `terms` is the package's term dict;
 - the witness walk over order types, `order_type_shape_kernel_dimension`,
-  which checks the witness rule once per composition of s and which the
-  lemma's closed form `_shape_kernel_dimension` is held to shape by shape;
-  the per-row witness walk over index multisets,
-  `multiset_shape_kernel_dimension`, which the closed form is also held
-  to, and the dense walk over exponent vectors (`compositions`, the
-  support rule `dense_column_rows` and `dense_shape_kernel_dimension`),
-  which the multiset walk is checked against;
+  which checks the package's support rule once per composition of s, the
+  order type's own exponent vector, and which the lemma's closed form
+  `_shape_kernel_dimension` is held to shape by shape;
+- the per-row witness walk over index multisets,
+  `multiset_shape_kernel_dimension`, with its own support rule
+  `multiset_column_rows`; the closed form is held to the walk, and the
+  package's rule to `multiset_column_rows`, monomial by monomial;
+- the per-row walk of the package's rule over every exponent vector
+  (`compositions`, `dense_shape_kernel_dimension`), which the multiset
+  walk is checked against;
 - `negative_pairs`, the double-loop count behind the sign of a
   straightened Euler-sum term;
 - the full matrix over the z-monomials (`monomial_exponents`,
   `laplacian_columns`) and the stream of every weight's block
-  (`block_shape`, `weight_blocks`, `block_columns`);
+  (`block_shape`, `weight_blocks`, `block_columns`), whose entries sit
+  where the package's support rule puts them and are checked against the
+  Laplacian in the u, v coordinates;
 - the roots built as dense Fraction vectors (`dense_roots`, `half_sum`,
   `dot`), against which the closed-form pairings are checked;
 - the whole Weyl group `enumerate_group` and the coset filter
@@ -212,24 +217,23 @@ def partial(f: Polynomial, i: int) -> Polynomial:
 
 def order_type_shape_kernel_dimension(m: int, s: int) -> int:
     """`harmonic._shape_kernel_dimension` checked once per order type: row r
-    passes or fails by the order type of its witness column t = (0,) + r,
-    the sizes c of its k ≤ m runs of equal indices, since lexicographic
-    order and the support rule commute with order-preserving relabellings
-    and 0 is the smallest index.  So each composition c of s is checked on
-    t = (0^c1, 1^c2, ..., (k−1)^ck) and counted for the C(m − 1, k − 1)
-    rows with that order type; a failing one raises CertificationError."""
+    passes or fails by the order type of its witness column a = r + e_0,
+    the sizes c of its k ≤ m nonzero exponents in order, since
+    lexicographic order and the support rule commute with dropping zero
+    exponents and 0 is the first index.  So each composition c of s is
+    checked as the column itself and counted for the C(m − 1, k − 1) rows
+    with that order type; a failing one raises CertificationError."""
     rows = 0
     for k in range(1, min(m, s) + 1):
-        count = comb(m - 1, k - 1)  # the rows of each order type with k runs
+        count = comb(m - 1, k - 1)  # the rows of each order type with k parts
         for cuts in combinations(range(1, s), k - 1):
-            t = ()
-            for v, (a, b) in enumerate(zip((0,) + cuts, cuts + (s,))):
-                t += (v,) * (b - a)
-            if max((row for _, row in _column_rows(t)), default=None) != t[1:]:
-                row, column = (tuple(u.count(j) for j in range(m)) for u in (t[1:], t))
+            a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (s,)))
+            row = (a[0] - 1,) + a[1:]
+            if min((r for _, r in _column_rows(a)), default=None) != row:
+                pad = (0,) * (m - k)
                 raise CertificationError(
-                    f"row {row} is not the last row of its witness column {column} in the "
-                    f"k={2 * s} shape for n={2 * m}"
+                    f"row {row + pad} is not the last row of its witness column {a + pad} in "
+                    f"the k={2 * s} shape for n={2 * m}"
                 )
             rows += count
     return comb(m + s - 1, s) - rows
@@ -238,14 +242,22 @@ def order_type_shape_kernel_dimension(m: int, s: int) -> int:
 # --- The per-row walk over index multisets -----------------------------------
 
 
+def multiset_column_rows(t: Tuple[int, ...]) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The support rule on index multisets, nondecreasing tuples: column t
+    has its (j, row) entries at the rows t minus one j, one for each
+    distinct index j in t."""
+    return ((j, t[:i] + t[i + 1 :]) for i, j in enumerate(t) if not i or t[i - 1] != j)
+
+
 def multiset_shape_kernel_dimension(m: int, s: int) -> int:
-    """`harmonic._shape_kernel_dimension` one row at a time: each row r, a
-    nondecreasing tuple of s − 1 indices, must be the largest row of its
-    witness column (0,) + r under the package's support rule."""
+    """`harmonic._shape_kernel_dimension` one row at a time on index
+    multisets: each row r, a nondecreasing tuple of s − 1 indices, must be
+    the largest row of its witness column (0,) + r under
+    `multiset_column_rows`."""
     rows = 0
     for r in combinations_with_replacement(range(m), s - 1) if s else ():
         t = (0,) + r
-        assert max((row for _, row in _column_rows(t)), default=None) == r, (r, t)
+        assert max((row for _, row in multiset_column_rows(t)), default=None) == r, (r, t)
         rows += 1
     return comb(m + s - 1, s) - rows
 
@@ -274,20 +286,15 @@ def compositions(n: int, total: int) -> Iterator[Exponents]:
         x[i + 1] = tail + 1
 
 
-def dense_column_rows(t: Exponents) -> Iterator[Tuple[int, Exponents]]:
-    """The support rule on exponent vectors: column t has its (j, row)
-    entries at the rows t − e_j, one for each j with t_j ≥ 1."""
-    return ((j, t[:j] + (x - 1,) + t[j + 1 :]) for j, x in enumerate(t) if x)
-
-
 def dense_shape_kernel_dimension(m: int, s: int) -> int:
-    """`multiset_shape_kernel_dimension` on exponent vectors: each row r of
-    degree s − 1 must be the last row, in decreasing lexicographic order, of
-    its witness column r + e_1.  The column count is counted, too."""
+    """`multiset_shape_kernel_dimension` on exponent vectors, under the
+    package's support rule: each row r of degree s − 1 must be the last row,
+    in decreasing lexicographic order, of its witness column r + e_0.  The
+    column count is counted, too."""
     rows = 0
     for r in compositions(m, s - 1):
         t = (r[0] + 1,) + r[1:]
-        assert min(row for _, row in dense_column_rows(t)) == r, (r, t)
+        assert min(row for _, row in _column_rows(t)) == r, (r, t)
         rows += 1
     return sum(1 for _ in compositions(m, s)) - rows
 
@@ -331,7 +338,7 @@ def block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
 
     def columns() -> Iterator[Column]:
         for t in compositions(m, s):
-            yield t, [(index[row], j) for j, row in dense_column_rows(t)]
+            yield t, [(index[row], j) for j, row in _column_rows(t)]
 
     return len(index), columns()
 

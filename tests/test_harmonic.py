@@ -27,12 +27,12 @@ from oracles import (
     all_pairs_invariance_check,
     block_columns,
     compositions,
-    dense_column_rows,
     dense_shape_kernel_dimension,
     exact_kernel,
     laplacian_columns,
     laplacian_power,
     monomial_exponents,
+    multiset_column_rows,
     multiset_shape_kernel_dimension,
     order_type_shape_kernel_dimension,
     partial,
@@ -262,9 +262,10 @@ def test_multiset_walk_is_the_dense_walk(m):
         # lexicographic order on exponent vectors
         rows = combinations_with_replacement(range(m), s - 1) if s else ()
         assert list(rows) == [multiset(r) for r in compositions(m, s - 1)]
+        # the package's support rule is the multiset rule, monomial by monomial
         for t in compositions(m, s):
-            assert list(hm._column_rows(multiset(t))) == [
-                (j, multiset(row)) for j, row in dense_column_rows(t)
+            assert list(multiset_column_rows(multiset(t))) == [
+                (j, multiset(row)) for j, row in hm._column_rows(t)
             ]
 
 
@@ -293,7 +294,7 @@ def drop_entries(monkeypatch, broken):
     satisfies `broken` have no entries."""
     column_rows = hm._column_rows
     monkeypatch.setattr(
-        hm, "_column_rows", lambda t: () if broken(2 * len(t)) else column_rows(t)
+        hm, "_column_rows", lambda t: () if broken(2 * sum(t)) else column_rows(t)
     )
 
 
@@ -345,14 +346,14 @@ def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, m
 
 
 def test_failed_witness_names_its_row_and_column(monkeypatch):
-    # The support rule loses index 0 from columns with two or more distinct
-    # indices.  The k=6 shape's witness with one run, t = (0, 0, 0), still
-    # passes; the one with two, t = (0, 0, 1), fails, since its last row is
-    # then (0, 0) rather than r = (0, 1).
+    # The support rule loses index 0 from columns with two or more nonzero
+    # exponents.  The k=6 shape's witness with one, (3,), still passes; the
+    # one with two, (2, 1), fails, since its last row is then (2, 0) rather
+    # than r = (1, 1).  The message pads both to the m = 4 exponents.
     column_rows = hm._column_rows
     monkeypatch.setattr(
         hm, "_column_rows",
-        lambda t: [(j, row) for j, row in column_rows(t) if j or len(set(t)) == 1],
+        lambda t: [(j, row) for j, row in column_rows(t) if j or sum(map(bool, t)) == 1],
     )
     with pytest.raises(
         CertificationError,
@@ -535,6 +536,30 @@ def test_a_table_certifies_each_shape_once(monkeypatch):
     monkeypatch.setattr(hm, "_shape_kernel_dimension", record)
     sol_ktype_table(2, 20)
     assert certified == list(range(11))
+
+
+@pytest.mark.parametrize("m,max_l", [(2, 4000), (64, 40)])
+def test_witness_work_is_bounded_by_min_m_s(monkeypatch, m, max_l):
+    # Each shape checks one witness per k ≤ min(m, s), held as its k nonzero
+    # exponents, so a shape's work does not grow with s beyond min(m, s).
+    shapes = []
+    shape_kernel_dimension, column_rows = hm._shape_kernel_dimension, hm._column_rows
+
+    def record_shape(m, s):
+        shapes.append((s, []))
+        return shape_kernel_dimension(m, s)
+
+    def record_column(a):
+        shapes[-1][1].append(a)
+        return column_rows(a)
+
+    monkeypatch.setattr(hm, "_shape_kernel_dimension", record_shape)
+    monkeypatch.setattr(hm, "_column_rows", record_column)
+    sol_ktype_table(m, max_l)
+    assert [s for s, _ in shapes] == list(range(max_l // 2 + 1))
+    for s, columns in shapes:
+        assert len(columns) <= min(m, s)
+        assert all(len(a) <= min(m, s) for a in columns)
 
 
 def test_sol_ktype_table_certifies(monkeypatch):

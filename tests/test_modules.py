@@ -40,7 +40,7 @@ def test_oracles_are_not_in_the_package():
     # tests/oracles.py holds them; the package keeps one path per computation
     moved = [(harmonic, name) for name in (
         "monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
-        "_block_columns", "_compositions", "laplacian_power", "Weight")]
+        "_block_columns", "_compositions", "laplacian_power", "Weight", "Multiset")]
     moved += [(weyl, "enumerate_group"), (weyl, "is_coset_rep")]
     # the operators of the sampled check live in `polynomial`, off the certificate
     moved += [(harmonic, name) for name in (
