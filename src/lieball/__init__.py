@@ -3,11 +3,11 @@
 Two independent routes to the same table: an alternating cohomology sum
 over minimal-length coset representatives, and Laplacian kernels on
 polynomial spaces whose dimension comes from a rank certified by one
-witness column per row.  Everything runs in rational
-arithmetic; no floats anywhere.  `import lieball` loads no submodule: each
-name in `__all__` is imported from its submodule on first use, so a caller
-of one route never loads the other.  Everything else is imported from its
-submodule (`lieball.weyl`, `lieball.kostant`, ...).
+witness per count of nonzero exponents in each block shape.  Everything
+runs in rational arithmetic; no floats anywhere.  `import lieball` loads
+no submodule: each name in `__all__` is imported from its submodule on
+first use, so a caller of one route never loads the other.  Everything
+else is imported from its submodule (`lieball.weyl`, `lieball.kostant`, ...).
 """
 
 __version__ = "0.1.0"

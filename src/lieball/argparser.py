@@ -1,11 +1,11 @@
 """The argparse parser of the `lieball` command line.
 
-`cli` reads a well-formed command line straight off its flag tables and
+`cli` reads a well-formed command line straight off its command table and
 comes here only for the rest: help, a usage error, and every command line
-its tables do not read (a flag prefix such as `--lamb`, `--m=3`, a
-negative fraction, a value that a flag's type raises on).  `cli` passes
-its tables in, so this module imports no `lieball` module, and a
-well-formed run loads neither it nor `argparse`.
+the table does not read (a flag prefix such as `--lamb`, `--m=3`, a
+negative fraction, `--flag=--`, a value that a flag's type raises on).
+`cli` passes its table in, so this module imports no `lieball` module, and
+a well-formed run loads neither it nor `argparse`.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["build_parser", "parse_args"]
 
-# Each subcommand's help and flags under its name, in table order; the flags
-# are add_argument keywords under the option string, in usage order.
-Subcommands = Dict[str, Tuple[str, Dict[str, dict]]]
+# Each subcommand under its name, in table order: its help, its handler's
+# module, which is not read here, and its flags, the add_argument keywords
+# under each option string, in usage order.
+Subcommands = Dict[str, Tuple[str, str, Dict[str, dict]]]
 
 
 def build_parser(subcommands: Subcommands, command: Optional[str] = None
@@ -29,7 +30,7 @@ def build_parser(subcommands: Subcommands, command: Optional[str] = None
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, flags) in subcommands.items():
+    for name, (help_, _, flags) in subcommands.items():
         p = subs.add_parser(name, help=help_)
         for flag, keywords in flags.items():
             p.add_argument(flag, **keywords)
@@ -52,7 +53,7 @@ def _join_fractions(argv: List[str], subcommands: Subcommands, rational: Callabl
     for token in argv:
         if options is None:
             if token in subcommands:
-                options = {**subcommands[token][1], "-h": {}, "--help": {}}
+                options = {**subcommands[token][2], "-h": {}, "--help": {}}
         elif token.startswith("-") and not token.startswith("--"):
             named = [o for o in options if o.startswith(out[-1])]
             flag = out[-1] if out[-1] in options else named[0] if len(named) == 1 else None
@@ -66,5 +67,12 @@ def _join_fractions(argv: List[str], subcommands: Subcommands, rational: Callabl
 def parse_args(argv: List[str], subcommands: Subcommands, rational: Callable
                ) -> argparse.Namespace:
     """`argv` as the `lieball` parser reads it once each negative fraction
-    is joined to its flag, a flag of type `rational`."""
-    return build_parser(subcommands).parse_args(_join_fractions(argv, subcommands, rational))
+    is joined to its flag, a flag of type `rational`.  Argparse before 3.13
+    reads `--flag=--` as [] without calling the flag's type; that exits here
+    as the usage error argparse gives a flag with no value."""
+    args = build_parser(subcommands).parse_args(_join_fractions(argv, subcommands, rational))
+    for flag, keywords in subcommands[args.command][2].items():
+        if getattr(args, keywords["dest"]) == []:
+            message = f"argument {flag}: expected one argument"
+            build_parser(subcommands, args.command).error(message)
+    return args

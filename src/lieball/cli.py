@@ -4,29 +4,29 @@ Subcommands: ktypes, harmonic, verify, weyl, ranges, verma, ehw.  All
 output is deterministic for a fixed invocation and seed.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 certification failure.
 
-This module is the process entry: the flag and subcommand tables, the flag
-types, the table reader, `main` and `run`.  The handlers live in modules
-that `main` imports only for the subcommand it runs, so a cold run
-compiles one of them: `tables` (ktypes, harmonic), `verification`
-(verify) or `listings` (weyl, ranges, verma, ehw).  What they share, the
-`Report` record and its rendering, the formatters and `UsageError`, is in
-`report`.  Each `_SUBCOMMANDS` row names its subcommand's handler as
-`<module>.<function>`.  A handler takes the parsed namespace and returns a
-`Report`, and imports the route it runs when it runs, so a cold invocation
-loads one route: `harmonic` never loads the Euler-sum route, nor `ktypes`
-`harmonic`.  No module imports this one but `__main__`.
+This module is the process entry: the command table `_SUBCOMMANDS`, the
+flag types, the table reader, `main` and `run`.  Each row of the table
+holds a subcommand's help, the module of its handler and its flags.  The
+handler is the function of the subcommand's name in that module, which
+`main` imports only for the subcommand it runs, so a cold run compiles one
+of them: `tables` (ktypes, harmonic), `verification` (verify) or
+`listings` (weyl, ranges, verma, ehw).  What they share, the `Report`
+record and its rendering, the formatters and `UsageError`, is in `report`.
+A handler takes the parsed namespace and returns a `Report`, and imports
+the route it runs when it runs, so a cold invocation loads one route:
+`harmonic` never loads the Euler-sum route, nor `ktypes` `harmonic`.  No
+module imports this one but `__main__`.
 
 `main` reads its command line in one call, `_parse`.  A well-formed one, a
-subcommand and then `--flag value` pairs, is read straight off the `_FLAGS`
-and `_SUBCOMMANDS` tables.  Any other, or one with a value that a flag's
-type raises on, goes to the argparse parser of `argparser`, which alone
-judges a refused value and prints the help, once each negative fraction is
-joined to its flag.
+subcommand and then `--flag value` pairs, is read straight off the table.
+Any other, or one with a value that a flag's type raises on, goes to the
+argparse parser of `argparser`, which alone judges a refused value and
+prints the help, once each negative fraction is joined to its flag.
 A handler reports a usage error that parsing cannot find, such as an --m
 beyond the `weyl` listing's bound, by raising `UsageError`; `main` prints
 it through the subcommand's argparse parser.
-So `argparser` and `argparse` load only for a command line that the tables
-do not read, or to print help or a usage error.
+So `argparser` and `argparse` load only for a command line that the table
+does not read, or to print help or a usage error.
 
 `run` is the process entry that `python -m lieball`, the `lieball` console
 script and `python -m lieball.cli` all call: `main`, then `gc.freeze()`,
@@ -108,59 +108,48 @@ def _rational(raw: str) -> Fraction:
     return value
 
 
-# Each flag once: its add_argument keywords under its option string, or under
-# the option string, ':' and a name, for a variant of the flag.  Every entry
-# names its `dest`, the attribute of the namespace that holds its value.
-_FLAGS = {
-    "--m": dict(dest="m", type=int, required=True, help="rank parameter m >= 2"),
-    "--n": dict(dest="n", type=int, required=True, help="rank parameter n >= 4"),
-    "--z": dict(dest="z", type=_rational, required=True, help="lowest-weight parameter"),
-    "--lambda": dict(dest="lam", type=_rational, default=None,
-                     help="scalar parameter (default m-1)"),
-    "--lambda:residue": dict(dest="lam", type=_rational, default=None,
-                             help="also report the residual operator degree at this parameter"),
-    "--nu": dict(dest="nu", type=_rational, default=None, help="second scalar parameter"),
-    "--max-l": dict(dest="max_l", type=_nonnegative_int, default=6,
-                    help="largest symmetric-power degree (default %(default)s)"),
-    "--seed": dict(dest="seed", type=int, default=0, help="seed for randomized checks"),
+# The add_argument keywords of the flags that several subcommands share.  Each
+# flag names its `dest`, the attribute of the namespace that holds its value.
+_M = dict(dest="m", type=int, required=True, help="rank parameter m >= 2")
+_LAMBDA = dict(dest="lam", type=_rational, default=None, help="scalar parameter (default m-1)")
+_MAX_L = dict(dest="max_l", type=_nonnegative_int, default=6,
+              help="largest symmetric-power degree (default %(default)s)")
+_OUTPUT = {
     "--format": dict(dest="format", choices=("text", "json", "csv"), default="text",
                      help="output format (default text)"),
     "--out": dict(dest="out", default=None, help="write output to this path"),
 }
-_FLAGS["--max-l:verma"] = {**_FLAGS["--max-l"], "default": 5}
 
-# Each subcommand: its name, help, flags in usage order, and handler, as
-# `<module>.<function>` of the lieball module that `main` imports to run it.
-_SUBCOMMANDS = (
-    ("ktypes", "K-type table from the Euler sum",
-     "--m --lambda --max-l --format --out", "tables.ktypes"),
-    ("harmonic", "K-type table from the Laplacian kernel",
-     "--m --max-l --format --out", "tables.harmonic"),
-    ("verify", "cross-check the two K-type tables",
-     "--m --max-l --seed --format --out", "verification.verify"),
-    ("weyl", "list the minimal coset representatives",
-     "--m --format --out", "listings.weyl"),
-    ("ranges", "weakly fair and good range verdicts",
-     "--m --lambda --format --out", "listings.ranges"),
-    ("verma", "scalar generalized Verma homomorphisms",
-     "--m --lambda --max-l:verma --format --out --nu", "listings.verma"),
-    ("ehw", "scalar lowest-weight unitarizability window",
-     "--n --z --lambda:residue --format --out", "listings.ehw"),
-)
-
-
-def _subcommand_flags(command: str) -> Optional[dict]:
-    """The add_argument keywords of each of a subcommand's flags, under the
-    option string, in usage order; None for a name that is no subcommand."""
-    for name, _, flags, _ in _SUBCOMMANDS:
-        if name == command:
-            return {flag.partition(":")[0]: _FLAGS[flag] for flag in flags.split()}
-    return None
+# Each subcommand under its name: its help; the lieball module whose function
+# of the subcommand's name handles it, imported only to run it; and its flags,
+# the add_argument keywords under each option string, in usage order.
+_SUBCOMMANDS = {
+    "ktypes": ("K-type table from the Euler sum", "tables",
+               {"--m": _M, "--lambda": _LAMBDA, "--max-l": _MAX_L, **_OUTPUT}),
+    "harmonic": ("K-type table from the Laplacian kernel", "tables",
+                 {"--m": _M, "--max-l": _MAX_L, **_OUTPUT}),
+    "verify": ("cross-check the two K-type tables", "verification", {
+        "--m": _M, "--max-l": _MAX_L,
+        "--seed": dict(dest="seed", type=int, default=0, help="seed for randomized checks"),
+        **_OUTPUT}),
+    "weyl": ("list the minimal coset representatives", "listings", {"--m": _M, **_OUTPUT}),
+    "ranges": ("weakly fair and good range verdicts", "listings",
+               {"--m": _M, "--lambda": _LAMBDA, **_OUTPUT}),
+    "verma": ("scalar generalized Verma homomorphisms", "listings", {
+        "--m": _M, "--lambda": _LAMBDA, "--max-l": {**_MAX_L, "default": 5}, **_OUTPUT,
+        "--nu": dict(dest="nu", type=_rational, default=None, help="second scalar parameter")}),
+    "ehw": ("scalar lowest-weight unitarizability window", "listings", {
+        "--n": dict(dest="n", type=int, required=True, help="rank parameter n >= 4"),
+        "--z": dict(dest="z", type=_rational, required=True, help="lowest-weight parameter"),
+        "--lambda": {**_LAMBDA,
+                     "help": "also report the residual operator degree at this parameter"},
+        **_OUTPUT}),
+}
 
 
 def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
-    """The namespace argparse returns for a well-formed `argv`, read off the
-    flag tables; None for any other argv.
+    """The namespace argparse returns for a well-formed `argv`, read off
+    `_SUBCOMMANDS`; None for any other argv.
 
     Well formed: a subcommand, then `--flag value` pairs, each flag one of
     the subcommand's, in full (the last of a repeated one wins, as in
@@ -168,10 +157,10 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
     and in its choices, and every required flag present.  A value that its
     type raises on is left to argparse.
     """
-    flags = _subcommand_flags(argv[0]) if len(argv) % 2 else None
-    if flags is None:
+    row = _SUBCOMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if row is None:
         return None
-    given = {}
+    given, flags = {}, row[2]
     for flag, raw in zip(argv[1::2], argv[2::2]):
         if flag not in flags or raw.startswith("-"):
             return None
@@ -190,17 +179,12 @@ def _read_flags(argv: List[str]) -> Optional[SimpleNamespace]:
         for flag, keywords in flags.items()})
 
 
-def _argparse_tables() -> dict:
-    """Each subcommand's help and flags under its name, as `argparser` takes them."""
-    return {name: (help_, _subcommand_flags(name)) for name, help_, _, _ in _SUBCOMMANDS}
-
-
 def _parse(argv: List[str]) -> argparse.Namespace | SimpleNamespace:
-    """The namespace `main` reads `argv` as: off the flag tables, else by argparse."""
+    """The namespace `main` reads `argv` as: off `_SUBCOMMANDS`, else by argparse."""
     args = _read_flags(argv)
     if args is None:
         from .argparser import parse_args
-        args = parse_args(argv, _argparse_tables(), _rational)
+        args = parse_args(argv, _SUBCOMMANDS, _rational)
     return args
 
 
@@ -208,22 +192,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv)
     try:
-        for flag, keywords in _subcommand_flags(args.command).items():
-            # argparse before 3.13 reads `--flag=--` as [] without calling the type
-            if getattr(args, keywords["dest"]) == []:
-                raise UsageError(f"argument {flag}: expected one argument")
         m = getattr(args, "m", 2)  # every subcommand with --m needs m >= 2
         if m < 2:
             raise UsageError("--m must be at least 2")
         if m > sys.maxsize:  # the tuples of rank m need an index-sized m
             raise UsageError(f"--m must be at most {sys.maxsize}")
-        handler = next(h for name, _, _, h in _SUBCOMMANDS if name == args.command)
-        module, _, function = handler.partition(".")
-        report = getattr(import_module(f"{__package__}.{module}"), function)(args)
+        module = import_module(f"{__package__}.{_SUBCOMMANDS[args.command][1]}")
+        report = getattr(module, args.command)(args)
         text = render(report, args.format)
     except UsageError as exc:
         from .argparser import build_parser
-        build_parser(_argparse_tables(), args.command).error(str(exc))
+        build_parser(_SUBCOMMANDS, args.command).error(str(exc))
     except MemoryError:
         print(f"lieball {args.command}: error: request too large: out of memory",
               file=sys.stderr)

@@ -195,15 +195,19 @@ def ehw_last_unitary_point(n: int) -> int | Fraction:
 
 
 def ehw_unitarizable(n: int, z: object) -> bool:
-    """Unitarizability of the scalar lowest-weight module at parameter z.
+    """Unitarizability of the scalar lowest-weight module at parameter z:
+    z ≤ A = n/2 (the continuous part) or z = B = n − 1 (the trivial module).
 
-    The module with lowest weight z·e_0 is unitarizable iff z ≤ 0 (the
-    continuous part) or z is one of the two discrete points n/2 and n−1.
+    In the normalization z = n − 1 − ν of the scalar holomorphic family of
+    SO_0(2, n), A is ν = (n − 2)/2 and B is ν = 0, so this is the Wallach
+    set ν ∈ {0} ∪ [(n − 2)/2, ∞) (Wallach, Trans. AMS 251, 1979;
+    Faraut–Korányi, J. Funct. Anal. 88, 1990, the Lie ball's rank 2 and
+    a = n − 2).
     """
     if n < 4:
         raise ValueError("need n >= 4")
     zq = _q(z)
-    return zq <= 0 or zq == ehw_first_reduction_point(n) or zq == ehw_last_unitary_point(n)
+    return zq <= ehw_first_reduction_point(n) or zq == ehw_last_unitary_point(n)
 
 
 def orbit_equal(w1: Weight, w2: Weight) -> bool:

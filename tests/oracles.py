@@ -40,6 +40,8 @@ they are checked against, live here:
 - `all_pairs_invariance_check`, the sampled equivariance check over all
   C(n, 2) rotation generators, which the check restricted to the pairs that
   meet each polynomial's support is held equal to;
+- `faraut_koranyi_unitarizable`, the Wallach set read off the signs of
+  the Faraut–Korányi norms, which `ehw_unitarizable` is held to;
 - `reference_parser`, the `lieball` argparse parser whose subcommand
   parsers join a negative fraction to its flag themselves, which the CLI's
   reading of a command line is held equal to;
@@ -474,6 +476,26 @@ def all_pairs_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
     return True
 
 
+# --- The Wallach set by the signs of the Faraut–Korányi norms -------------------
+
+
+def faraut_koranyi_unitarizable(n: int, z: Q, max_degree: int = 8) -> bool:
+    """Whether the scalar lowest-weight module of SO_0(2, n) at z is
+    unitarizable, read off the signs of its norms.
+
+    At ν = n − 1 − z, the Schmid component P_(l1, l2) = q^l2 · H^(l1 − l2)
+    of Pol(C^n), l1 ≥ l2 ≥ 0 (Schmid, Invent. Math. 9, 1969), has the
+    Faraut–Korányi norm (ν)_(l1, l2) = (ν)_l1 · (ν − (n − 2)/2)_l2, with
+    (a)_k = a (a + 1) ... (a + k − 1) (Faraut–Korányi, J. Funct. Anal. 88,
+    1990).  The module is unitarizable iff no norm is negative; the norms
+    are scanned for l1 + l2 ≤ max_degree.
+    """
+    nu, shift = n - 1 - Q(z), Q(n - 2, 2)
+    return all(
+        prod(nu + i for i in range(l1)) * prod(nu - shift + i for i in range(l2)) >= 0
+        for l1 in range(max_degree + 1) for l2 in range(min(l1, max_degree - l1) + 1))
+
+
 # --- The parser that joins a negative fraction itself ---------------------------
 
 # The flags whose value may be a negative fraction such as -3/2.
@@ -481,12 +503,13 @@ RATIONAL_FLAGS = ("--lambda", "--nu", "--z")
 
 
 def reference_parser():
-    """The `lieball` argparse parser built from the CLI's flag tables, whose
+    """The `lieball` argparse parser built from the CLI's command table, whose
     subcommand parsers read `--lambda -3/2` as `--lambda=-3/2`, and likewise
-    for --nu and --z."""
+    for --nu and --z, and refuse a flag that argparse reads as [] from
+    `--flag=--`."""
     import argparse
 
-    from lieball.cli import _SUBCOMMANDS, _subcommand_flags
+    from lieball.cli import _SUBCOMMANDS
 
     class _SubcommandParser(argparse.ArgumentParser):
         """argparse takes a token that starts with '-' as a value only if it
@@ -515,14 +538,26 @@ def reference_parser():
                     out.append(token)
             return super().parse_known_args(out, namespace)
 
-    parser = argparse.ArgumentParser(
+    class _Parser(argparse.ArgumentParser):
+        def parse_args(self, args=None, namespace=None):
+            """argparse before 3.13 reads `--flag=--` as [], which `lieball`
+            refuses once the whole command line is read, as a flag given
+            no value."""
+            namespace = super().parse_args(args, namespace)
+            sub = subs.choices[namespace.command]
+            for action in sub._actions:
+                if getattr(namespace, action.dest, None) == []:
+                    sub.error(f"argument {action.option_strings[0]}: expected one argument")
+            return namespace
+
+    parser = _Parser(
         prog="lieball",
         description="Exact K-type tables for the conformal group of the Lie ball",
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, help_, *_ in _SUBCOMMANDS:
+    for name, (help_, _, flags) in _SUBCOMMANDS.items():
         p = subs.add_parser(name, help=help_)
-        for flag, keywords in _subcommand_flags(name).items():
+        for flag, keywords in flags.items():
             p.add_argument(flag, **keywords)
     return parser
 

@@ -185,7 +185,8 @@ def test_criterion_9_degenerate_point_values():
         ok = ok and ehw_unitarizable(n, Q(m))
         ok = ok and ehw_unitarizable(n, Q(2 * m - 1))
         ok = ok and not ehw_unitarizable(n, Q(2 * m - 1) + Q(1, 2))
-        ok = ok and not ehw_unitarizable(n, Q(1, 2))
+        ok = ok and ehw_unitarizable(n, Q(1, 2))
+        ok = ok and not ehw_unitarizable(n, Q(m) + Q(1, 2))
         # the bottom K-type (λ; (λ − m + 1)·1_m) is the table's l = 0 row
         for lam in range(m - 1, m + 4):
             bottom = ktype_table(m, lam, max_mu0=lam, max_mu1=lam).entries

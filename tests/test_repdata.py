@@ -25,7 +25,7 @@ from lieball.repdata import (
     verma_inf_char,
 )
 from lieball.weyl import act
-from oracles import dense_roots, dot, enumerate_group, half_sum
+from oracles import dense_roots, dot, enumerate_group, faraut_koranyi_unitarizable, half_sum
 
 
 def root_set_weyl_dim(m, mu):
@@ -308,7 +308,7 @@ class TestDegeneratePoints:
         n = 4
         assert ehw_unitarizable(n, Q(-1))
         assert ehw_unitarizable(n, Q(0))
-        assert not ehw_unitarizable(n, Q(1))
+        assert ehw_unitarizable(n, Q(1))
         assert ehw_unitarizable(n, Q(2))
         assert not ehw_unitarizable(n, Q(5, 2))
         assert ehw_unitarizable(n, Q(3))
@@ -319,12 +319,19 @@ class TestDegeneratePoints:
             ehw_unitarizable(3, Q(0))
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
-    def test_ehw_discrete_points_are_the_only_positive_ones(self, n):
+    def test_ehw_window_on_the_half_integer_grid(self, n):
+        # every z up to A, and B alone above it
         a = ehw_first_reduction_point(n)
         b = ehw_last_unitary_point(n)
-        for num in range(1, 4 * n):
+        for num in range(-4 * n, 4 * n):
             z = Q(num, 2)
-            assert ehw_unitarizable(n, z) == (z == a or z == b)
+            assert ehw_unitarizable(n, z) == (z <= a or z == b)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_ehw_window_is_where_the_faraut_koranyi_norms_are_nonnegative(self, n):
+        for num in range(-8, 2 * n + 4):
+            z = Q(num, 2)
+            assert ehw_unitarizable(n, z) == faraut_koranyi_unitarizable(n, z), z
 
 
 def bottom_row(m, lam):
