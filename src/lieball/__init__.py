@@ -2,8 +2,8 @@
 
 Two independent routes to the same table: an alternating cohomology sum
 over minimal-length coset representatives, and Laplacian kernels on
-polynomial spaces whose dimension comes from a rank certified by one
-witness per count of nonzero exponents in each block shape.  Everything
+polynomial spaces whose dimension comes from the Laplacian's rank, full
+because it is the Fischer adjoint of multiplication by Σ z_i².  Everything
 runs in rational arithmetic; no floats anywhere.  `import lieball` loads
 no submodule: each name in `__all__` is imported from its submodule on
 first use, so a caller of one route never loads the other.  Everything

@@ -9,6 +9,15 @@ root by the triple `ktype.Root`, which `ktype.root_vector` writes out.
 Exact parameters stay plain ints when they are given as ints, and become
 Fractions otherwise, so `fractions` is loaded only for a parameter that
 needs it.
+
+One table relates the normalizations of the scalar parameter, with n = 2m:
+ehw's z, the Wallach parameter ν of the scalar holomorphic family, and the
+scalar λ of the ranges, residues and tables.
+
+    z = n − 1 − ν        for every z
+    A = n/2              is ν = (n − 2)/2 = m − 1, the paper's λ
+    B = n − 1            is ν = 0, the trivial module
+    residue degree       n/2 − λ, which is 1 at λ = m − 1
 """
 
 from __future__ import annotations

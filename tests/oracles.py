@@ -1,7 +1,7 @@
 """Slow reference computations that the tests hold `lieball` to.
 
 The package keeps one path per computation: the straightened Euler sum,
-the per-shape lemma and closed form for the Laplacian's rank,
+the Fischer adjoint's closed form for the Laplacian's rank,
 and the term-wise `laplacian` and `rotation_generator` on term dicts
 (exponent tuple to nonzero coefficient).  The paths they replaced, or that
 they are checked against, live here:
@@ -11,15 +11,17 @@ they are checked against, live here:
 - `Polynomial` and `partial`, the polynomial ring the tests build their
   inputs, the sums of second partials and the product-form generator
   with, a class of its own whose `terms` is the package's term dict;
-- the witness walk over order types, `order_type_shape_kernel_dimension`,
-  which checks the package's support rule once per composition of s, the
-  order type's own exponent vector, and which the lemma's closed form
-  `_shape_kernel_dimension` is held to shape by shape;
+- the witness walk, a proof by computation that each weight block of
+  the Laplacian has full row rank: the support rule `column_rows` of every
+  block shape on exponent vectors, and the walk over order types,
+  `order_type_shape_kernel_dimension`, which checks that rule once per
+  composition of s, the order type's own exponent vector, and which is
+  held to Pascal's C(m + s − 2, s) and to exact elimination of the blocks;
 - the per-row witness walk over index multisets,
   `multiset_shape_kernel_dimension`, with its own support rule
-  `multiset_column_rows`; the closed form is held to the walk, and the
-  package's rule to `multiset_column_rows`, monomial by monomial;
-- the per-row walk of the package's rule over every exponent vector
+  `multiset_column_rows`; the order-type walk is held to it, and
+  `column_rows` to `multiset_column_rows`, monomial by monomial;
+- the per-row walk of `column_rows` over every exponent vector
   (`compositions`, `dense_shape_kernel_dimension`), which the multiset
   walk is checked against;
 - `negative_pairs`, the double-loop count behind the sign of a
@@ -27,7 +29,7 @@ they are checked against, live here:
 - the full matrix over the z-monomials (`monomial_exponents`,
   `laplacian_columns`) and the stream of every weight's block
   (`block_shape`, `weight_blocks`, `block_columns`), whose entries sit
-  where the package's support rule puts them and are checked against the
+  where `column_rows` puts them and are checked against the
   Laplacian in the u, v coordinates;
 - the roots built as dense Fraction vectors (`dense_roots`, `half_sum`,
   `dot`), against which the closed-form pairings are checked;
@@ -64,7 +66,7 @@ from math import comb, gcd, prod
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import lieball.polynomial as polynomial
-from lieball.harmonic import CertificationError, _column_rows
+from lieball.harmonic import CertificationError
 from lieball.polynomial import Exponents, Terms, laplacian, random_homogeneous
 from lieball.kostant import _shifted_weight
 from lieball.ktype import KTypeParam
@@ -214,24 +216,39 @@ def partial(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.nvars, out)
 
 
-# --- The walk over order types ----------------------------------------------
+# --- The witness walk over the weight blocks ----------------------------------
+
+# In u_j = z_(2j−1) + i z_(2j), v_j = z_(2j−1) − i z_(2j), Δ = 4 Σ_j ∂_(u_j) ∂_(v_j)
+# keeps the weight w = a − b of u^a v^b, so its matrix is the direct sum of
+# one block per weight.  With b' = min(a, b), the columns of the block of w
+# are the exponent vectors b' of degree s, where 2s = l − |w|₁, and its rows
+# those of degree s − 1; where the entries sit depends on s alone.
+
+
+def column_rows(a: Exponents) -> Iterator[Tuple[int, Exponents]]:
+    """The support rule of every block shape: column a has its (j, row)
+    entries at the rows a − e_j, one for each j with a_j > 0."""
+    return ((j, a[:j] + (x - 1,) + a[j + 1 :]) for j, x in enumerate(a) if x)
 
 
 def order_type_shape_kernel_dimension(m: int, s: int) -> int:
-    """`harmonic._shape_kernel_dimension` checked once per order type: row r
-    passes or fails by the order type of its witness column a = r + e_0,
-    the sizes c of its k ≤ m nonzero exponents in order, since
-    lexicographic order and the support rule commute with dropping zero
-    exponents and 0 is the first index.  So each composition c of s is
-    checked as the column itself and counted for the C(m − 1, k − 1) rows
-    with that order type; a failing one raises CertificationError."""
+    """The kernel dimension of every weight block with l − |w|₁ = 2s in 2m
+    variables, by one witness per row: row r must be the last row, the
+    smallest in decreasing lexicographic order, of its witness column
+    a = r + e_0, so the witnesses are triangular and the block has full row
+    rank.  Row r passes or fails by the order type of a, the sizes c of its
+    k ≤ m nonzero exponents in order, since lexicographic order and the
+    support rule commute with dropping zero exponents and 0 is the first
+    index.  So each composition c of s is checked as the column itself and
+    counted for the C(m − 1, k − 1) rows with that order type; a failing one
+    raises CertificationError."""
     rows = 0
     for k in range(1, min(m, s) + 1):
         count = comb(m - 1, k - 1)  # the rows of each order type with k parts
         for cuts in combinations(range(1, s), k - 1):
             a = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (s,)))
             row = (a[0] - 1,) + a[1:]
-            if min((r for _, r in _column_rows(a)), default=None) != row:
+            if min((r for _, r in column_rows(a)), default=None) != row:
                 pad = (0,) * (m - k)
                 raise CertificationError(
                     f"row {row + pad} is not the last row of its witness column {a + pad} in "
@@ -252,7 +269,7 @@ def multiset_column_rows(t: Tuple[int, ...]) -> Iterator[Tuple[int, Tuple[int, .
 
 
 def multiset_shape_kernel_dimension(m: int, s: int) -> int:
-    """`harmonic._shape_kernel_dimension` one row at a time on index
+    """`order_type_shape_kernel_dimension` one row at a time on index
     multisets: each row r, a nondecreasing tuple of s − 1 indices, must be
     the largest row of its witness column (0,) + r under
     `multiset_column_rows`."""
@@ -289,14 +306,14 @@ def compositions(n: int, total: int) -> Iterator[Exponents]:
 
 
 def dense_shape_kernel_dimension(m: int, s: int) -> int:
-    """`multiset_shape_kernel_dimension` on exponent vectors, under the
-    package's support rule: each row r of degree s − 1 must be the last row,
+    """`multiset_shape_kernel_dimension` on exponent vectors, under
+    `column_rows`: each row r of degree s − 1 must be the last row,
     in decreasing lexicographic order, of its witness column r + e_0.  The
     column count is counted, too."""
     rows = 0
     for r in compositions(m, s - 1):
         t = (r[0] + 1,) + r[1:]
-        assert min(row for _, row in _column_rows(t)) == r, (r, t)
+        assert min(row for _, row in column_rows(t)) == r, (r, t)
         rows += 1
     return sum(1 for _ in compositions(m, s)) - rows
 
@@ -340,7 +357,7 @@ def block_shape(m: int, s: int) -> Tuple[int, Iterator[Column]]:
 
     def columns() -> Iterator[Column]:
         for t in compositions(m, s):
-            yield t, [(index[row], j) for j, row in _column_rows(t)]
+            yield t, [(index[row], j) for j, row in column_rows(t)]
 
     return len(index), columns()
 

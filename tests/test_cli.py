@@ -502,20 +502,29 @@ def test_main_leaves_the_heap_unfrozen(capsys):
 
 
 KERNEL_ARGV = ["harmonic", "--m", "4", "--max-l", "16"]
-REFUSE_CERTIFICATE = """
-import lieball.harmonic as hm
-def refuse(m, s): raise hm.CertificationError('patched certificate')
-hm._shape_kernel_dimension = refuse
-"""
+VERIFY_ARGV = ["verify", "--m", "6", "--max-l", "10"]
+# Faults that make one kernel dimension disagree with its Weyl dimension, each
+# the name of `lieball.harmonic` it wraps and the wrapper as source, so that
+# one fault runs both in process and in a fresh interpreter.
+COLUMN_DROP = ("polynomial_space_dimension",  # Pol^3 loses a monomial
+               "lambda dim: lambda n, d: dim(n, d) - (d == 3)")
+WEYL_FAULT = ("weyl_dim_so2m",  # V_(5,0,...,0) gains a dimension
+              "lambda weyl: lambda m, mu: weyl(m, mu) + (mu[0] == 5)")
+
+
+def fault_setup(fault):
+    """The statements that install `fault` in a fresh interpreter."""
+    name, wrapper = fault
+    return f"import lieball.harmonic as hm\nhm.{name} = ({wrapper})(hm.{name})"
 
 
 @pytest.mark.parametrize("argv, setup, code, out, err", [
     (KERNEL_ARGV, "", 0, (GOLDEN / "harmonic_m4_l16.txt").read_text(encoding="utf-8"), ""),
     (FAULT_ARGV, "import lieball.blattner as bl; bl.rho_c = lambda m: (0,) * m",
      1, FAULT_REPORT, ""),
-    (KERNEL_ARGV, REFUSE_CERTIFICATE, 3, "",
-     "certification failure: patched certificate; it is the block of weight "
-     "w=(0, 0, 0, 0) for n=8, l=0, in the k=0 shape\n"),
+    (KERNEL_ARGV, fault_setup(WEYL_FAULT), 3, "",
+     "certification failure: kernel dimension 672 != Weyl dimension 673 "
+     "of weight (5, 0, 0, 0) for n=8, l=5\n"),
 ], ids=["ok", "verification-failure", "certification-failure"])
 def test_entry_freezes_the_heap_once_main_returns(argv, setup, code, out, err):
     # main's exit code and output pass through the entry unchanged
@@ -524,6 +533,29 @@ def test_entry_freezes_the_heap_once_main_returns(argv, setup, code, out, err):
     count, rest = frozen(result[2])
     assert count > 0
     assert rest == err
+
+
+@pytest.mark.parametrize("argv, fault, line", [
+    (KERNEL_ARGV, COLUMN_DROP, "kernel dimension 111 != Weyl dimension 112 "
+                               "of weight (3, 0, 0, 0) for n=8, l=3"),
+    (VERIFY_ARGV, COLUMN_DROP, "kernel dimension 351 != Weyl dimension 352 "
+                               "of weight (3, 0, 0, 0, 0, 0) for n=12, l=3"),
+    (KERNEL_ARGV, WEYL_FAULT, "kernel dimension 672 != Weyl dimension 673 "
+                              "of weight (5, 0, 0, 0) for n=8, l=5"),
+    (VERIFY_ARGV, WEYL_FAULT, "kernel dimension 4004 != Weyl dimension 4005 "
+                              "of weight (5, 0, 0, 0, 0, 0) for n=12, l=5"),
+], ids=["harmonic-column-drop", "verify-column-drop", "harmonic-weyl", "verify-weyl"])
+def test_a_wrong_dimension_is_refused_with_exit_3(capsys, monkeypatch, argv, fault, line):
+    # one line on stderr and nothing on stdout, though earlier rows passed,
+    # through main and through the process
+    import lieball.harmonic as hm
+
+    name, wrapper = fault
+    monkeypatch.setattr(hm, name, eval(wrapper)(getattr(hm, name)))
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"certification failure: {line}\n")
+    code, out, err = entry(argv, fault_setup(fault))
+    assert (code, out, frozen(err)[1]) == (3, "", f"certification failure: {line}\n")
 
 
 def test_entry_leaves_a_usage_error_unfrozen():

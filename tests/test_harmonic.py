@@ -1,9 +1,10 @@
 """Polynomial Laplacian kernels and their certification against Weyl dimensions."""
 
+import inspect
 import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import lieball.harmonic as hm
 import lieball.polynomial as poly
-from lieball.cli import main
+import oracles
 from lieball.harmonic import (
     CertificationError,
     harmonic_dimension,
@@ -26,6 +27,7 @@ from oracles import (
     Polynomial,
     all_pairs_invariance_check,
     block_columns,
+    column_rows,
     compositions,
     dense_shape_kernel_dimension,
     exact_kernel,
@@ -186,6 +188,47 @@ def test_harmonic_dimension_matches_formula(n):
             assert harmonic_dimension(n, l) == expected
 
 
+def fischer(f, g):
+    """The Fischer product Σ_α α!·f_α·g_α of two term dicts."""
+    return sum(c * g.get(e, 0) * prod(map(factorial, e)) for e, c in f.items())
+
+
+def times_q(g):
+    """q·g on a term dict, for q = Σ z_i²."""
+    out = {}
+    for e, c in g.items():
+        for i, x in enumerate(e):
+            e2 = e[:i] + (x + 2,) + e[i + 1 :]
+            out[e2] = out.get(e2, 0) + c
+    return out
+
+
+def fischer_adjoint_failures(n):
+    """The seeded draws f in Pol^l and g in Pol^(l−2), twenty for each
+    l = 2..6, on which ⟨Δf, g⟩ ≠ ⟨f, q·g⟩ under `polynomial.laplacian`."""
+    rng = random.Random(n)
+    draws = [(random_homogeneous(n, l, rng), random_homogeneous(n, l - 2, rng))
+             for l in range(2, 7) for _ in range(20)]
+    return [(f, g) for f, g in draws if fischer(poly.laplacian(f), g) != fischer(f, times_q(g))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_laplacian_is_the_fischer_adjoint_of_q(n):
+    # the premise of `harmonic_dimension`: Δ is onto because it is the
+    # adjoint of the injective multiplication by q
+    assert fischer_adjoint_failures(n) == []
+
+
+def test_fischer_adjoint_refuses_a_first_order_laplacian(monkeypatch):
+    # `laplacian` with its coefficient c·a(a − 1) patched to c·a
+    source = inspect.getsource(poly.laplacian)
+    assert source.count("c * a * (a - 1)") == 1
+    namespace = dict(vars(poly))
+    exec(source.replace("c * a * (a - 1)", "c * a"), namespace)
+    monkeypatch.setattr(poly, "laplacian", namespace["laplacian"])
+    assert all(fischer_adjoint_failures(n) for n in range(1, 9))
+
+
 @pytest.mark.parametrize("n,l", [(40, 8), (200, 4)])
 def test_harmonic_dimension_at_many_variables(n, l):
     assert harmonic_dimension(n, l) == harmonic_dimension_formula(n, l)
@@ -241,7 +284,7 @@ def test_every_block_has_its_shapes_rank(n):
             s = sum(map(abs, w))
             cols = block_columns(w, shape)
             # the elimination oracle, block by block
-            assert len(exact_kernel(cols)) == hm._shape_kernel_dimension(m, (l - s) // 2)
+            assert len(exact_kernel(cols)) == order_type_shape_kernel_dimension(m, (l - s) // 2)
             assert all(c > 0 for col in cols for c in col.values())
             # the entries sit where the shape puts them, and so the
             # witnesses' last rows are the shape's
@@ -262,105 +305,50 @@ def test_multiset_walk_is_the_dense_walk(m):
         # lexicographic order on exponent vectors
         rows = combinations_with_replacement(range(m), s - 1) if s else ()
         assert list(rows) == [multiset(r) for r in compositions(m, s - 1)]
-        # the package's support rule is the multiset rule, monomial by monomial
+        # the exponent-vector rule is the multiset rule, monomial by monomial
         for t in compositions(m, s):
             assert list(multiset_column_rows(multiset(t))) == [
-                (j, multiset(row)) for j, row in hm._column_rows(t)
+                (j, multiset(row)) for j, row in column_rows(t)
             ]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_order_type_walk_is_the_row_walk(m):
     for s in range(10):
-        assert hm._shape_kernel_dimension(m, s) == multiset_shape_kernel_dimension(m, s)
+        assert order_type_shape_kernel_dimension(m, s) == multiset_shape_kernel_dimension(m, s)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_closed_form_is_the_order_type_walk(m):
     for s in range(17):
-        assert hm._shape_kernel_dimension(m, s) == order_type_shape_kernel_dimension(m, s)
+        # Pascal's C(m + s − 2, s) = C(m + s − 1, s) − C(m + s − 2, s − 1)
+        assert comb(m + s - 2, s) == order_type_shape_kernel_dimension(m, s)
 
 
 @pytest.mark.parametrize("s", range(1, 17))
 def test_every_order_type_passes_the_witness_rule(s):
-    # The lemma of `harmonic_dimension` on all 2^(s−1) compositions of s: at
+    # The witness lemma on all 2^(s−1) compositions of s: at
     # m = s each one is an order type, and the walk raises on the first that
     # fails.  What passes leaves Pascal's C(m + s − 2, s) kernel vectors.
     assert order_type_shape_kernel_dimension(s, s) == comb(2 * s - 2, s)
 
 
-def drop_entries(monkeypatch, broken):
-    """Patch the support rule so that the columns of each shape whose k
-    satisfies `broken` have no entries."""
-    column_rows = hm._column_rows
-    monkeypatch.setattr(
-        hm, "_column_rows", lambda t: () if broken(2 * sum(t)) else column_rows(t)
-    )
-
-
-def drop_a_column(monkeypatch, broken):
-    """Patch the column count so that each shape whose k satisfies `broken`
-    loses a column."""
-    dimension = hm.polynomial_space_dimension
-    monkeypatch.setattr(
-        hm, "polynomial_space_dimension", lambda m, s: dimension(m, s) - broken(2 * s)
-    )
-
-
-def test_uncertified_rank_is_refused(monkeypatch, capsys):
-    drop_entries(monkeypatch, lambda k: True)
-    with pytest.raises(CertificationError):
-        hm.harmonic_dimension(4, 2)
-    assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
-    assert "k=2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "broken,fault,message",
-    [
-        # The shape of weight 0 (k = 2) loses its entries, so its one row is
-        # not the last row of its witness.
-        ((0, 0), lambda mp, broken: drop_entries(mp, broken),
-         r"row \(0, 0\) is not the last row of its witness column \(1, 0\) in the k=2 "
-         r"shape for n=4;"),
-        # The shape of the top weight (k = 0) loses u_1^2, its only column.
-        ((2, 0), lambda mp, broken: drop_a_column(mp, broken),
-         r"block of weight w=\(2, 0\) has 0 kernel vectors, not u_1\^2 alone, for n=4, l=2"),
-        # The same faults, with the degree and the shape they were met at.
-        ((0, 0), lambda mp, broken: drop_entries(mp, broken),
-         r"w=\(0, 0\) for n=4, l=2, in the k=2 shape$"),
-        ((2, 0), lambda mp, broken: drop_a_column(mp, broken),
-         r"w=\(2, 0\) has 0 kernel vectors, not u_1\^2 alone, for n=4, l=2, in the k=0 shape$"),
-    ],
-)
-def test_broken_block_is_refused_by_weight(monkeypatch, capsys, broken, fault, message):
-    k = 2 - sum(broken)
-    fault(monkeypatch, lambda j: j == k)
-    with pytest.raises(CertificationError, match=message):
-        hm.harmonic_dimension(4, 2)
-    assert main(["harmonic", "--m", "2", "--max-l", "2"]) == 3
-    # the CLI stops at l = k, the first degree with this shape, whose
-    # dominant weight there is 0
-    err = capsys.readouterr().err
-    assert "block of weight w=(0, 0)" in err and f"k={k} shape" in err
-
-
 def test_failed_witness_names_its_row_and_column(monkeypatch):
-    # The support rule loses index 0 from columns with two or more nonzero
-    # exponents.  The k=6 shape's witness with one, (3,), still passes; the
-    # one with two, (2, 1), fails, since its last row is then (2, 0) rather
-    # than r = (1, 1).  The message pads both to the m = 4 exponents.
-    column_rows = hm._column_rows
+    # The support rule loses the entries at exponents above 1 from columns
+    # with two or more nonzero exponents.  In the k=6 shape the witness with
+    # one, (3,), still passes, and so does (1, 2), which keeps its entry at
+    # index 0; (2, 1) fails, since its last row is then (2, 0) rather than
+    # r = (1, 1).  The message pads both to the m = 4 exponents.
     monkeypatch.setattr(
-        hm, "_column_rows",
-        lambda t: [(j, row) for j, row in column_rows(t) if j or sum(map(bool, t)) == 1],
+        oracles, "column_rows",
+        lambda t: [(j, row) for j, row in column_rows(t) if t[j] == 1 or sum(map(bool, t)) == 1],
     )
     with pytest.raises(
         CertificationError,
         match=r"^row \(1, 1, 0, 0\) is not the last row of its witness column "
               r"\(2, 1, 0, 0\) in the k=6 shape for n=8$",
     ):
-        hm._shape_kernel_dimension(4, 3)
+        order_type_shape_kernel_dimension(4, 3)
 
 
 @pytest.mark.parametrize("n,l", [(4, 2), (4, 3), (6, 2)])
@@ -523,43 +511,6 @@ def test_sol_ktype_table_m3():
     table = sol_ktype_table(3, 3)
     expected = {KTypeParam(l + 2, (l, 0, 0)): 1 for l in range(4)}
     assert table.entries == expected
-
-
-def test_a_table_certifies_each_shape_once(monkeypatch):
-    certified = []
-    shape_kernel_dimension = hm._shape_kernel_dimension
-
-    def record(m, s):
-        certified.append(s)
-        return shape_kernel_dimension(m, s)
-
-    monkeypatch.setattr(hm, "_shape_kernel_dimension", record)
-    sol_ktype_table(2, 20)
-    assert certified == list(range(11))
-
-
-@pytest.mark.parametrize("m,max_l", [(2, 4000), (64, 40)])
-def test_witness_work_is_bounded_by_min_m_s(monkeypatch, m, max_l):
-    # Each shape checks one witness per k ≤ min(m, s), held as its k nonzero
-    # exponents, so a shape's work does not grow with s beyond min(m, s).
-    shapes = []
-    shape_kernel_dimension, column_rows = hm._shape_kernel_dimension, hm._column_rows
-
-    def record_shape(m, s):
-        shapes.append((s, []))
-        return shape_kernel_dimension(m, s)
-
-    def record_column(a):
-        shapes[-1][1].append(a)
-        return column_rows(a)
-
-    monkeypatch.setattr(hm, "_shape_kernel_dimension", record_shape)
-    monkeypatch.setattr(hm, "_column_rows", record_column)
-    sol_ktype_table(m, max_l)
-    assert [s for s, _ in shapes] == list(range(max_l // 2 + 1))
-    for s, columns in shapes:
-        assert len(columns) <= min(m, s)
-        assert all(len(a) <= min(m, s) for a in columns)
 
 
 def test_sol_ktype_table_certifies(monkeypatch):

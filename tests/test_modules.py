@@ -40,7 +40,8 @@ def test_oracles_are_not_in_the_package():
     # tests/oracles.py holds them; the package keeps one path per computation
     moved = [(harmonic, name) for name in (
         "monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
-        "_block_columns", "_compositions", "laplacian_power", "Weight", "Multiset")]
+        "_block_columns", "_compositions", "laplacian_power", "Weight", "Multiset",
+        "_column_rows", "_shape_kernel_dimension", "_certify")]
     moved += [(weyl, "enumerate_group"), (weyl, "is_coset_rep")]
     # the operators of the sampled check live in `polynomial`, off the certificate
     moved += [(harmonic, name) for name in (

@@ -333,6 +333,18 @@ class TestDegeneratePoints:
             z = Q(num, 2)
             assert ehw_unitarizable(n, z) == faraut_koranyi_unitarizable(n, z), z
 
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_one_table_of_normalizations(self, n):
+        # the table in `repdata`'s docstring: z = n − 1 − ν, A is ν = m − 1,
+        # the paper's λ, B is ν = 0, and the residue degree there is 1
+        m = n // 2
+        assert n - 1 - ehw_first_reduction_point(n) == m - 1
+        assert n - 1 - ehw_last_unitary_point(n) == 0
+        # the isolated point ν = 0, the gap below m − 1, and the half-line
+        assert [ehw_unitarizable(n, n - 1 - nu) for nu in (0, Q(2 * m - 3, 2), m - 1, m)] \
+            == [True, False, True, True]
+        assert knapp_stein_residue_degree(n, m - 1) == 1
+
 
 def bottom_row(m, lam):
     """The l = 0 row of the Euler-sum table: the charge μ_0 = λ alone."""
