@@ -5,7 +5,8 @@ equivariance check imports the term-dict functions of `polynomial` as it runs.
 Kernel dimensions are read off a rank proved for every degree, not computed:
 under the Fischer product, Δ is the adjoint of multiplication by q = Σ z_i²,
 which is injective, so Δ maps Pol^l onto Pol^(l−2) and the kernel dimension
-is dim Pol^l − dim Pol^(l−2) (see `harmonic_dimension`).  Every row of the
+is dim Pol^l − dim Pol^(l−2) in any number n ≥ 1 of variables
+(`harmonic_dimension`, the one closed form, with its proof).  Every row of the
 resulting K-type table, the analytic counterpart of the algebraic Euler-sum
 table, is then checked to be the expected SO(2m) constituent: the kernel
 holds its highest-weight vector u_1^l, harmonic since Δ = 4 Σ_j ∂_(u_j) ∂_(v_j)
@@ -21,9 +22,7 @@ from .ktype import KTypeParam, KTypeTable, weyl_dim_so2m
 
 __all__ = [
     "CertificationError",
-    "polynomial_space_dimension",
     "harmonic_dimension",
-    "harmonic_dimension_formula",
     "so_invariance_check",
     "sol_ktype_table",
 ]
@@ -33,16 +32,10 @@ class CertificationError(RuntimeError):
     """An exact cross-check between two independent computations failed."""
 
 
-def polynomial_space_dimension(n: int, degree: int) -> int:
-    """Dimension of the homogeneous polynomials of the given degree."""
-    if degree < 0:
-        return 0
-    return comb(n + degree - 1, degree)
-
-
 def harmonic_dimension(n: int, l: int) -> int:
-    """dim ker(Δ) on degree-l polynomials in n = 2m variables: Δ maps Pol^l
-    onto Pol^(l−2), so it is dim Pol^l − dim Pol^(l−2).
+    """dim ker(Δ) on degree-l polynomials in n ≥ 1 variables: Δ maps Pol^l
+    onto Pol^(l−2), so it is dim Pol^l − dim Pol^(l−2)
+    = C(n+l−1, l) − C(n+l−3, l−2), the second term 0 for l < 2.
 
     Proof, the Fischer decomposition (Axler–Bourdon–Ramey, *Harmonic Function
     Theory*, ch. 5).  The Fischer product ⟨z^α, z^β⟩ = α!·[α = β] is positive
@@ -51,24 +44,14 @@ def harmonic_dimension(n: int, l: int) -> int:
     ⟨Δf, g⟩ = ⟨f, q·g⟩ for f in Pol^l and g in Pol^(l−2), with q = Σ z_i².
     Multiplication by q is injective, since a product of nonzero polynomials
     is nonzero, so the image of its adjoint Δ is the orthogonal complement of
-    its kernel 0, all of Pol^(l−2).  The argument holds for every l and needs
-    no witness; `harmonic_dimension_formula` gives the count.  An n that is
-    not even and at least 2, or a negative l, raises ValueError.
+    its kernel 0, all of Pol^(l−2).  The argument holds for every n and l and
+    needs no witness.  An n < 1 or a negative l raises ValueError.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"need an even number n = 2m >= 2 of variables, got {n}")
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    return harmonic_dimension_formula(n, l)
-
-
-def harmonic_dimension_formula(n: int, l: int) -> int:
-    """Closed form: dim Pol^l − dim Pol^{l−2}."""
-    if n < 2:
-        raise ValueError("need at least two variables")
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    return polynomial_space_dimension(n, l) - polynomial_space_dimension(n, l - 2)
+    return comb(n + l - 1, l) - (comb(n + l - 3, l - 2) if l >= 2 else 0)
 
 
 def so_invariance_check(n: int, trials: int, seed: int = 0) -> bool:
@@ -137,7 +120,7 @@ def sol_ktype_table(m: int, max_l: int) -> KTypeTable:
     dims: Dict[KTypeParam, Tuple[int, int]] = {}
     for l in range(max_l + 1):
         mu = (l,) + (0,) * (m - 1)
-        kernel_dim = harmonic_dimension_formula(2 * m, l)
+        kernel_dim = harmonic_dimension(2 * m, l)
         rep_dim = weyl_dim_so2m(m, mu)
         if kernel_dim != rep_dim:
             raise CertificationError(

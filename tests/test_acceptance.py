@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 from lieball.blattner import ktype_table, unique_scalar_match_check
 from lieball.cli import main
-from lieball.harmonic import harmonic_dimension, harmonic_dimension_formula, so_invariance_check
+from lieball.harmonic import harmonic_dimension, so_invariance_check
 from lieball.polynomial import laplacian, random_homogeneous, rotation_generator
 from lieball.ktype import KTypeParam, weyl_dim_so2m
 from lieball.repdata import (
@@ -27,7 +27,7 @@ from lieball.repdata import (
     verma_inf_char,
 )
 from lieball.weyl import act
-from oracles import enumerate_group, is_coset_rep, laplacian_power
+from oracles import enumerate_group, exact_kernel, is_coset_rep, laplacian_columns, laplacian_power
 
 
 def _line(n: int, desc: str, ok: bool) -> bool:
@@ -60,8 +60,8 @@ def test_criterion_2_harmonic_triple_equality():
     ok = True
     for m in (2, 3, 4):
         for l in range(7):
-            kernel = harmonic_dimension(2 * m, l)
-            closed = harmonic_dimension_formula(2 * m, l)
+            kernel = len(exact_kernel(laplacian_columns(2 * m, l)))
+            closed = harmonic_dimension(2 * m, l)
             rep = weyl_dim_so2m(m, (l,) + (0,) * (m - 1))
             ok = ok and kernel == closed == rep
     elapsed = time.monotonic() - t0

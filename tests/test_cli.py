@@ -506,8 +506,8 @@ VERIFY_ARGV = ["verify", "--m", "6", "--max-l", "10"]
 # Faults that make one kernel dimension disagree with its Weyl dimension, each
 # the name of `lieball.harmonic` it wraps and the wrapper as source, so that
 # one fault runs both in process and in a fresh interpreter.
-COLUMN_DROP = ("polynomial_space_dimension",  # Pol^3 loses a monomial
-               "lambda dim: lambda n, d: dim(n, d) - (d == 3)")
+COLUMN_DROP = ("harmonic_dimension",  # the kernel at l = 3 loses a vector
+               "lambda dim: lambda n, l: dim(n, l) - (l == 3)")
 WEYL_FAULT = ("weyl_dim_so2m",  # V_(5,0,...,0) gains a dimension
               "lambda weyl: lambda m, mu: weyl(m, mu) + (mu[0] == 5)")
 

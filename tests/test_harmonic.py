@@ -16,13 +16,11 @@ import oracles
 from lieball.harmonic import (
     CertificationError,
     harmonic_dimension,
-    harmonic_dimension_formula,
-    polynomial_space_dimension,
     so_invariance_check,
     sol_ktype_table,
 )
 from lieball.polynomial import laplacian, random_homogeneous, rotation_generator
-from lieball.ktype import KTypeParam
+from lieball.ktype import KTypeParam, weyl_dim_so2m
 from oracles import (
     Polynomial,
     all_pairs_invariance_check,
@@ -109,7 +107,6 @@ def test_monomial_exponents_count_and_order():
         assert len(exps) == comb(n + d - 1, d)
         assert all(sum(e) == d for e in exps)
         assert list(exps) == sorted(exps, reverse=True)
-        assert polynomial_space_dimension(n, d) == len(exps)
     assert monomial_exponents(3, -1) == ()
 
 
@@ -176,16 +173,36 @@ def test_harmonic_dimension_values(n, l, expected):
     assert harmonic_dimension(n, l) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(1, 8))
 def test_harmonic_dimension_matches_formula(n):
+    # the Fischer proof holds for every n, odd n included
     for l in range(6):
-        expected = harmonic_dimension_formula(n, l)
-        assert len(exact_kernel(laplacian_columns(n, l))) == expected
-        if n % 2:
-            with pytest.raises(ValueError):
-                harmonic_dimension(n, l)
-        else:
-            assert harmonic_dimension(n, l) == expected
+        assert harmonic_dimension(n, l) == len(exact_kernel(laplacian_columns(n, l)))
+
+
+@pytest.mark.parametrize("n,l", [(0, 0), (0, 3), (4, -1)])
+def test_harmonic_dimension_refuses_no_variables_and_negative_degree(n, l):
+    with pytest.raises(ValueError):
+        harmonic_dimension(n, l)
+
+
+def forward_difference(values, order):
+    """The order-th forward difference of a sequence."""
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+def test_kernel_and_weyl_dimensions_agree_at_every_degree(m):
+    # both sides are polynomials in l of degree 2m − 2: their (2m − 1)-th
+    # differences vanish, so agreement at the 2m − 1 degrees l = 0..2m − 2
+    # fixes them equal at every l
+    kernel = [harmonic_dimension(2 * m, l) for l in range(4 * m + 1)]
+    weyl = [weyl_dim_so2m(m, (l,) + (0,) * (m - 1)) for l in range(4 * m + 1)]
+    assert forward_difference(kernel, 2 * m - 1) == [0] * (2 * m + 2)
+    assert forward_difference(weyl, 2 * m - 1) == [0] * (2 * m + 2)
+    assert kernel[: 2 * m - 1] == weyl[: 2 * m - 1]
 
 
 def fischer(f, g):
@@ -231,7 +248,8 @@ def test_fischer_adjoint_refuses_a_first_order_laplacian(monkeypatch):
 
 @pytest.mark.parametrize("n,l", [(40, 8), (200, 4)])
 def test_harmonic_dimension_at_many_variables(n, l):
-    assert harmonic_dimension(n, l) == harmonic_dimension_formula(n, l)
+    m = n // 2
+    assert harmonic_dimension(n, l) == weyl_dim_so2m(m, (l,) + (0,) * (m - 1))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -242,8 +260,8 @@ def test_weight_blocks_partition_the_bases(n):
             for w, shape, rows in weight_blocks(n, l)
         ]
         assert len({w for w, _, _ in blocks}) == len(blocks)
-        assert sum(cols for _, cols, _ in blocks) == polynomial_space_dimension(n, l)
-        assert sum(rows for _, _, rows in blocks) == polynomial_space_dimension(n, l - 2)
+        assert sum(cols for _, cols, _ in blocks) == comb(n + l - 1, l)
+        assert sum(rows for _, _, rows in blocks) == (comb(n + l - 3, l - 2) if l >= 2 else 0)
 
 
 def uv_exponents(w, b):

@@ -42,6 +42,9 @@ def test_oracles_are_not_in_the_package():
         "monomial_exponents", "_laplacian_columns", "_block_shape", "_weight_blocks",
         "_block_columns", "_compositions", "laplacian_power", "Weight", "Multiset",
         "_column_rows", "_shape_kernel_dimension", "_certify")]
+    # one closed form for the kernel dimension: `harmonic_dimension`
+    moved += [(harmonic, name) for name in (
+        "harmonic_dimension_formula", "polynomial_space_dimension")]
     moved += [(weyl, "enumerate_group"), (weyl, "is_coset_rep")]
     # the operators of the sampled check live in `polynomial`, off the certificate
     moved += [(harmonic, name) for name in (
@@ -349,7 +352,7 @@ def test_readme_library_example_returns_what_its_comments_say():
             values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
-    reps, constituents, mult, tables_equal, harmonic_dim, weyl_dim = values
+    reps, constituents, mult, tables_equal, harmonic_dim, odd_harmonic_dim, weyl_dim = values
     assert [weyl.length(w) for w in reps] == [0, 1, 2, 3]
     assert [(c.charge, c.hw) for c in constituents] == [(0, (-2, -2))]
-    assert (mult, tables_equal, harmonic_dim, weyl_dim) == (1, True, 1386, 224)
+    assert (mult, tables_equal, harmonic_dim, odd_harmonic_dim, weyl_dim) == (1, True, 1386, 9, 224)
